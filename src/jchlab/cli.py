@@ -61,14 +61,23 @@ def _config_record(args, command, keys):
     return rec
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_alpha(text):
     if "/" in text:
-        return Fraction(text)
+        return _fraction(text)
     return float(text)
 
 
-def _metric_args(args, need_s=True):
+def _metric_args(args):
     metric = args.metric
+    if metric in ("l0", "l1", "l2") and args.s is None:
+        raise ValueError(f"--metric {metric} needs --s")
     if metric in ("l0", "l1"):
         return embeddings.embed_l0(args.q, args.t, args.s) if metric == "l0" \
             else embeddings.embed_l1(args.q, args.t, args.s)
@@ -248,7 +257,7 @@ def cmd_sdp_gap(args):
 def cmd_hvc_build(args):
     with open(args.input) as fh:
         pcp = hypergraph.read_pcp(fh)
-    delta = Fraction(args.delta) if "/" in args.delta else Fraction(float(args.delta))
+    delta = _fraction(args.delta) if "/" in args.delta else Fraction(float(args.delta))
     hg = hypergraph.build_weighted_hypergraph(
         pcp, delta, mode=args.mode, samples=args.samples, seed=args.seed)
     with open(args.output, "w") as fh:
@@ -266,8 +275,12 @@ def cmd_hvc_build(args):
         with open(args.assignment) as fh:
             for line in fh:
                 parts = line.split()
-                if parts:
-                    assignment[(int(parts[0]), parts[1])] = int(parts[2])
+                if not parts:
+                    continue
+                if len(parts) != 3:
+                    raise ValueError(f"assignment line {line.strip()!r} is not "
+                                     "'layer vertex symbol'")
+                assignment[(int(parts[0]), parts[1])] = int(parts[2])
         chk = hypergraph.completeness_cover_check(pcp, hg, assignment)
         recs.append({"record": "cover-check", "all_hit": chk.all_hit,
                      "cover_weight": chk.weight,

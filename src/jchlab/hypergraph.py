@@ -355,8 +355,12 @@ def read_pcp(fh):
         parts = line.split()
         if not parts:
             continue
+        if len(parts) < {"layer": 3, "edge": 5}.get(parts[0], 1):
+            raise ValueError(f"{parts[0]} line {line.strip()!r} has too few fields")
         if parts[0] == "layer":
             idx = int(parts[1])
+            if not 1 <= idx <= ell:
+                raise ValueError(f"layer index {idx} outside 1..{ell}")
             alphabets[idx - 1] = int(parts[2])
             layers[idx - 1] = tuple(parts[3:])
         elif parts[0] == "edge":

@@ -163,6 +163,8 @@ def meets_soundness_floor(ci, distance):
 
 def build_continuous_indicator_instance(inst, metric="l2", exponent=2):
     """Indicator vectors of the edges in dimension n; no candidate centers."""
+    if metric not in ("l0", "l1", "l2"):
+        raise ValueError(f"continuous indicator instance needs l0, l1 or l2, not {metric!r}")
     points = np.zeros((inst.num_edges, inst.n), dtype=np.int8)
     for i, t in enumerate(inst.edges):
         for u in t:
@@ -194,24 +196,38 @@ def clustering_cost(ci, chosen):
         raise ValueError("need at least one center")
     if len(chosen) > ci.k:
         raise ValueError(f"{len(chosen)} centers exceed the budget k={ci.k}")
+    total, nearest = _assign(_distance_table(ci, chosen), range(len(chosen)),
+                             ci.exponent)
+    per_point = tuple((label, i, d) for label, (i, d) in zip(ci.point_labels, nearest))
     base = ci.meta.get("base_distance")
-    per_point = []
-    total = 0
-    at_base = 0
-    for label, pt in zip(ci.point_labels, ci.points):
-        best_d, best_i = None, None
-        for i, c in enumerate(chosen):
-            d = pointwise_distance(pt, c, ci.metric, ci.p)
-            if best_d is None or d < best_d:
-                best_d, best_i = d, i
-        per_point.append((label, best_i, best_d))
-        total = total + best_d ** ci.exponent
-        if base is not None and _at_distance(best_d, base):
-            at_base += 1
     if base is None:
-        m = min(d for _, _, d in per_point)
-        at_base = sum(1 for _, _, d in per_point if _at_distance(d, m))
-    return CostBreakdown(total=total, per_point=tuple(per_point), at_base=at_base)
+        base = min(d for _, d in nearest)
+    at_base = sum(1 for _, d in nearest if _at_distance(d, base))
+    return CostBreakdown(total=total, per_point=per_point, at_base=at_base)
+
+
+def _distance_table(ci, centers):
+    """Rows of Python-number distances, one row per point, one entry per center."""
+    return [[pointwise_distance(pt, c, ci.metric, ci.p) for c in centers]
+            for pt in ci.points]
+
+
+def _assign(table, cols, exponent):
+    """Nearest of the columns cols in each table row, and the total cost.
+
+    Returns (total, [(position in cols, distance) per row]).  Ties go to the
+    lowest position; the total adds distance ** exponent in row order, so
+    integer distances give an exact int and float totals do not depend on
+    how the table was built.
+    """
+    nearest = []
+    total = 0
+    for row in table:
+        dists = [row[c] for c in cols]
+        d = min(dists)
+        nearest.append((dists.index(d), d))
+        total = total + d ** exponent
+    return total, nearest
 
 
 def _at_distance(d, base):
@@ -268,7 +284,8 @@ def _partition_count_upto(m, kmax):
 def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
     """Exact optimum by full enumeration, or a loud budget error.
 
-    Discrete mode scans all k-subsets of the candidate centers; continuous
+    Discrete mode scans all k-subsets of the candidate centers, scoring each
+    from one table of point-center distances computed up front; continuous
     mode scans set partitions into at most k blocks, solving each block with
     best_center_continuous.
     """
@@ -281,12 +298,13 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
         if budget is not None and total > budget:
             raise BudgetExceededError(f"{total} center subsets exceed budget {budget}",
                                       required=total, budget=budget)
-        best = None
+        table = _distance_table(ci, ci.centers)
+        best_idx, best_cost = None, None
         for idx in combinations(range(mc), r):
-            cost = clustering_cost(ci, [ci.centers[i] for i in idx]).total
-            if best is None or cost < best[1]:
-                best = (tuple(ci.center_labels[i] for i in idx), cost)
-        return best
+            cost, _ = _assign(table, idx, ci.exponent)
+            if best_idx is None or cost < best_cost:
+                best_idx, best_cost = idx, cost
+        return tuple(ci.center_labels[i] for i in best_idx), best_cost
     if mode == "continuous":
         m = len(ci.points)
         count = _partition_count_upto(m, ci.k)
@@ -344,8 +362,9 @@ def read_points(fh):
     """Rebuild an instance from a points file.
 
     Rows are classified by label size: with two sizes present, the smaller
-    labels are candidate centers (y < z always).  Construction metadata (the
-    base distance) is not serialized.
+    labels are candidate centers (y < z always).  Coordinates must be finite;
+    they load as int64 when every one is integral, else as float64.
+    Construction metadata (the base distance) is not serialized.
     """
     header = fh.readline().split()
     if len(header) != 5 or header[0] != "pts":
@@ -353,32 +372,36 @@ def read_points(fh):
     dim = int(header[1])
     metric, p = parse_metric_token(header[2])
     exponent, k = int(header[3]), int(header[4])
-    rows = []
+    labels, rows = [], []
     for line in fh:
         line = line.strip()
         if not line:
             continue
         lab, rest = line.split(None, 1)
         label = tuple(int(x) for x in lab.split(","))
-        vals = [float(x) for x in rest.split()]
+        vals = np.array(rest.split(), dtype=np.float64)
         if len(vals) != dim:
             raise ValueError(f"row {label} has {len(vals)} coordinates, expected {dim}")
-        rows.append((label, vals))
-    sizes = sorted({len(lab) for lab, _ in rows})
-    integral = all(v == int(v) for _, vals in rows for v in vals)
-    dtype = np.int64 if integral else np.float64
+        labels.append(label)
+        rows.append(vals)
+    values = np.array(rows)
+    if not np.isfinite(values).all():
+        raise ValueError("points file holds a non-finite coordinate")
+    if (values == np.trunc(values)).all():
+        if values.size and np.abs(values).max() >= 2.0 ** 63:
+            raise ValueError("integral coordinates exceed the int64 range")
+        values = values.astype(np.int64)
+    sizes = sorted({len(lab) for lab in labels})
     if len(sizes) == 2:
-        y, z = sizes
-        centers = [(lab, v) for lab, v in rows if len(lab) == y]
-        points = [(lab, v) for lab, v in rows if len(lab) == z]
+        y = sizes[0]
+        is_center = np.array([len(lab) == y for lab in labels])
         return ClusteringInstance(
-            points=np.array([v for _, v in points], dtype=dtype),
-            point_labels=tuple(lab for lab, _ in points),
-            centers=np.array([v for _, v in centers], dtype=dtype),
-            center_labels=tuple(lab for lab, _ in centers),
+            points=values[~is_center],
+            point_labels=tuple(lab for lab in labels if len(lab) != y),
+            centers=values[is_center],
+            center_labels=tuple(lab for lab in labels if len(lab) == y),
             k=k, metric=metric, p=p, exponent=exponent)
     return ClusteringInstance(
-        points=np.array([v for _, v in rows], dtype=dtype),
-        point_labels=tuple(lab for lab, _ in rows),
+        points=values, point_labels=tuple(labels),
         centers=None, center_labels=None, k=k, metric=metric, p=p,
         exponent=exponent)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +158,65 @@ def test_json_lines_parse(capsys):
     for line in out.splitlines():
         rec = json.loads(line)
         assert "record" in rec
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+# the demo's two-symbol identity system
+TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["verify-embed", "--metric", "l1", "--q", "5", "--t", "3"]),
+    ({}, ["factors", "--p", "1", "--delta", "1", "--alpha", "1/0"]),
+    ({"inst.jc": "jc 4 3 2 2\n1 2 3\n1 2 4\n"},
+     ["reduce", "-i", "inst.jc", "--mode", "continuous", "--metric", "lp",
+      "-o", "out.pts"]),
+    ({"bad.pcp": "pcp 2\nlayer 1 2 u\nlayer 3 2 v\n"},
+     ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
+    ({"bad.pcp": "pcp 2\nlayer 1 2 u\nlayer 2 2 x\nlayer 0 2 v\nedge 1 2 u v 0 1\n"},
+     ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
+    ({"bad.pcp": "pcp 2\nlayer 1\nlayer 2 2 v\n"},
+     ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
+    ({"bad.pcp": "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u\n"},
+     ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
+    ({"toy.pcp": TOY_PCP, "assign.txt": "1 u 1\n2 v\n"},
+     ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "out.whg3"]),
+    ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--delta", "1/0", "-o", "out.whg3"]),
+], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
+        "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
+        "pcp-short-edge-line", "short-assignment-line",
+        "delta-zero-denominator"])
+def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, err = run_err(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e20"])
+@pytest.mark.parametrize("command", [
+    ["brute-opt", "--mode", "discrete"], ["cost", "--centers", "1"]],
+    ids=["brute-opt", "cost"])
+def test_unloadable_coordinates_exit_2(tmp_path, capsys, token, command):
+    pts = tmp_path / "bad.pts"
+    pts.write_text(f"pts 2 l1 1 1\n1,2 0 {token}\n1 0 0\n")
+    code, err = run_err(capsys, command[0], "-i", str(pts), *command[1:])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("jchlab ")]
+    assert lines[0].startswith("jchlab gen-jc") and lines[-1] == "jchlab turan --z 4"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.pcp").write_text(TOY_PCP)
+    for line in lines:
+        code, err = run_err(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line}: {err}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jchlab import (
-    BudgetExceededError, RsCode,
+    BudgetExceededError, ClusteringInstance, RsCode,
     gen_instance, rs_encode, message_for_element,
     embed_l1, embed_l2_scaled, embed_lp_halfshift,
     build_discrete_instance, build_continuous_indicator_instance,
@@ -205,3 +205,136 @@ def test_pointwise_distance_modes():
     assert pointwise_distance(a, b, "l1") == 2
     assert pointwise_distance(a, b, "l2") == pytest.approx(math.sqrt(2))
     assert pointwise_distance(a, b, "lp", 3) == pytest.approx(2 ** (1 / 3))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle and reader: the per-subset scan and the list-based parse
+# ---------------------------------------------------------------------------
+
+def reference_cost(ci, chosen):
+    """Recompute every point-center distance; ties keep the lowest index."""
+    total, nearest = 0, []
+    for pt in ci.points:
+        best_d, best_i = None, None
+        for i, c in enumerate(chosen):
+            d = pointwise_distance(pt, c, ci.metric, ci.p)
+            if best_d is None or d < best_d:
+                best_d, best_i = d, i
+        nearest.append((best_i, best_d))
+        total = total + best_d ** ci.exponent
+    return total, nearest
+
+
+def reference_brute_force(ci):
+    mc = len(ci.center_labels)
+    best = None
+    for idx in combinations(range(mc), min(ci.k, mc)):
+        cost, _ = reference_cost(ci, [ci.centers[i] for i in idx])
+        if best is None or cost < best[1]:
+            best = (tuple(ci.center_labels[i] for i in idx), cost)
+    return best
+
+
+def reference_read_points(text):
+    fh = io.StringIO(text)
+    header = fh.readline().split()
+    dim = int(header[1])
+    rows = []
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        lab, rest = line.split(None, 1)
+        vals = [float(x) for x in rest.split()]
+        assert len(vals) == dim
+        rows.append((tuple(int(x) for x in lab.split(",")), vals))
+    sizes = sorted({len(lab) for lab, _ in rows})
+    integral = all(v == int(v) for _, vals in rows for v in vals)
+    dtype = np.int64 if integral else np.float64
+    if len(sizes) == 2:
+        centers = [(lab, v) for lab, v in rows if len(lab) == sizes[0]]
+        points = [(lab, v) for lab, v in rows if len(lab) == sizes[1]]
+    else:
+        centers, points = None, rows
+    pack = lambda part: (tuple(lab for lab, _ in part),
+                         np.array([v for _, v in part], dtype=dtype))
+    return pack(points), None if centers is None else pack(centers)
+
+
+def composed(metric, seed, exponent=None):
+    inst = gen_instance("random", 6, 3, 2, 3, m=6, seed=seed)
+    real = {"l1": lambda: embed_l1(5, 3, 2), "l2": lambda: embed_l2_scaled(5, 3, 2),
+            "lp": lambda: embed_lp_halfshift(5, 3, 3)}[metric]()
+    return build_discrete_instance(inst, RsCode(5, 2), real, exponent=exponent)
+
+
+ORACLE_CASES = [("l1", 1, None), ("l1", 2, None), ("l1", 3, 2), ("l2", 1, None),
+                ("l2", 2, None), ("lp", 1, None), ("lp", 2, None)]
+
+
+@pytest.mark.parametrize("metric, seed, exponent", ORACLE_CASES)
+def test_table_oracle_matches_per_subset_scan(metric, seed, exponent):
+    ci = composed(metric, seed, exponent)
+    witness, cost = brute_force_optimal_cost(ci, "discrete")
+    assert (witness, cost) == reference_brute_force(ci)
+    assert type(cost) is (int if metric == "l1" else float)
+    chosen = centers_by_labels(ci, witness)
+    bd = clustering_cost(ci, chosen)
+    total, nearest = reference_cost(ci, chosen)
+    assert bd.total == total == cost
+    assert [(i, d) for _, i, d in bd.per_point] == nearest
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2"])
+def test_table_oracle_ties_on_duplicate_centers(metric):
+    ci = composed(metric, 1)
+    # every center twice, labelled by index, so the witness shows which copy won
+    ci.centers = np.repeat(ci.centers, 2, axis=0)
+    ci.center_labels = tuple((i,) for i in range(len(ci.centers)))
+    witness, cost = brute_force_optimal_cost(ci, "discrete")
+    assert (witness, cost) == reference_brute_force(ci)
+    assert all(i % 2 == 0 for (i,) in witness)
+    c0, c1 = (ci.centers[i] for (i,) in witness[:2])
+    dup = [c0, c0, c1]
+    bd = clustering_cost(ci, dup)
+    assert [(i, d) for _, i, d in bd.per_point] == reference_cost(ci, dup)[1]
+    assert all(i != 1 for _, i, _ in bd.per_point)
+
+
+def random_float_instance():
+    rng = np.random.default_rng(7)
+    labels = tuple(combinations(range(1, 6), 3))
+    centers = tuple(combinations(range(1, 6), 2))
+    return ClusteringInstance(
+        points=rng.normal(scale=1e3, size=(len(labels), 8)), point_labels=labels,
+        centers=rng.normal(size=(len(centers), 8)) * 10.0 ** rng.integers(-30, 30, 8),
+        center_labels=centers, k=2, metric="l2", p=2, exponent=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: composed("l1", 1), lambda: composed("l2", 1), lambda: composed("lp", 2),
+    lambda: build_continuous_indicator_instance(INST), random_float_instance,
+], ids=["l1-ints", "l2-floats", "lp-halves", "continuous", "random-floats"])
+def test_read_points_matches_list_parse(make):
+    buf = io.StringIO()
+    write_points(make(), buf)
+    text = buf.getvalue()
+    back = read_points(io.StringIO(text))
+    (labels, values), centers = reference_read_points(text)
+    assert back.point_labels == labels
+    assert back.points.dtype == values.dtype and np.array_equal(back.points, values)
+    if centers is None:
+        assert back.centers is None and back.center_labels is None
+    else:
+        assert back.center_labels == centers[0]
+        assert back.centers.dtype == centers[1].dtype
+        assert np.array_equal(back.centers, centers[1])
+    again = io.StringIO()
+    write_points(back, again)
+    assert again.getvalue() == text
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e20"])
+def test_read_points_rejects_unloadable_coordinates(token):
+    with pytest.raises(ValueError):
+        read_points(io.StringIO(f"pts 2 l1 1 1\n1,2 0 {token}\n1 0 0\n"))
