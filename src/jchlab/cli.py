@@ -209,7 +209,10 @@ def cmd_cost(args):
         labels = [tuple(int(x) for x in item.split(",")) for item in args.centers]
         chosen.extend(reduction.centers_by_labels(ci, labels))
     for item in args.center_coords or []:
-        chosen.append(np.array([float(x) for x in item.split(",")]))
+        center = np.array([float(x) for x in item.split(",")])
+        if len(center) != ci.dim or not np.isfinite(center).all():
+            raise ValueError(f"center {item!r} needs {ci.dim} finite coordinates")
+        chosen.append(center)
     bd = reduction.clustering_cost(ci, chosen)
     recs = [_config_record(args, "cost", ["input", "centers", "center_coords"])]
     recs.append({"record": "cost", "total": bd.total, "at_base": bd.at_base,

@@ -3,15 +3,15 @@
 An instance is a collection E of z-element subsets of [n] together with a
 budget k; a solution picks at most k subsets of size y and covers every
 T in E that contains one of them.  Everything here is exact: coverage
-fractions are rationals, brute force enumerates the full search space or
-refuses, and ties break lexicographically so witnesses are reproducible.
+fractions are rationals, brute force searches the full space (branch and
+bound) or refuses, and ties break lexicographically so witnesses are
+reproducible.
 """
 
+import bisect
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,6 +59,8 @@ class CoverageReport:
     covered: int
     total: int
     fraction: Fraction
+    nodes_visited: int = field(default=0, compare=False, repr=False)
+    nodes_pruned: int = field(default=0, compare=False, repr=False)
 
     @property
     def is_complete(self):
@@ -99,18 +101,13 @@ def coverage_fraction(cover, inst):
 # brute force
 # ---------------------------------------------------------------------------
 
-def _candidate_masks(inst):
-    """Lex-ordered y-subsets with bitmasks over the edge list."""
-    edge_sets = [set(t) for t in inst.edges]
-    cands = []
-    for s in combinations(range(1, inst.n + 1), inst.y):
-        mask = 0
-        ss = set(s)
-        for i, t in enumerate(edge_sets):
-            if ss.issubset(t):
-                mask |= 1 << i
-        cands.append((s, mask))
-    return cands
+def _cover_masks(inst):
+    """Bitmask over the edge list of the edges containing each y-subset."""
+    covers = {}
+    for j, t in enumerate(inst.edges):
+        for s in combinations(t, inst.y):
+            covers[s] = covers.get(s, 0) | 1 << j
+    return covers
 
 
 def _unrank_combination(rank, n_items, r):
@@ -129,79 +126,81 @@ def _unrank_combination(rank, n_items, r):
     return tuple(out)
 
 
-def _next_combination(idx, n_items):
-    idx = list(idx)
-    r = len(idx)
-    i = r - 1
-    while i >= 0 and idx[i] == n_items - r + i:
-        i -= 1
-    if i < 0:
-        return None
-    idx[i] += 1
-    for j in range(i + 1, r):
-        idx[j] = idx[j - 1] + 1
-    return tuple(idx)
+def max_union_search(masks, r, target):
+    """Lexicographically first r-subset of masks whose union has the most bits.
+
+    Depth-first branch and bound in lexicographic order that stops at the
+    first union of target bits.  Coverage is submodular, so under a union U
+    a mask adds at most |m & ~U|: a node is cut when |U| plus its top `left`
+    gains is <= the best count so far, a child i when |U| plus gain i plus
+    the top left-1 gains after i is; cutting on equality keeps the earliest
+    witness.  Returns (count, index tuple, nodes visited, nodes pruned).
+    """
+    n = len(masks)
+    best_count, best_idx = -1, None
+    visited = pruned = 0
+    chosen, unions, pending = [], [0], []   # pending[d]: (child, bound) for slot d
+    while True:
+        visited += 1
+        left = r - len(chosen)
+        union = unions[-1]
+        count = union.bit_count()
+        if left == 0:
+            if count > best_count:
+                best_count, best_idx = count, tuple(chosen)
+                if count >= target:
+                    break
+        else:
+            start = chosen[-1] + 1 if chosen else 0
+            gains = [(m & ~union).bit_count() for m in masks[start:]]
+            if count + sum(sorted(gains, reverse=True)[:left]) <= best_count:
+                pruned += 1
+            else:
+                children, top = [], []          # top: largest left-1 gains after i
+                for i in range(n - 1, start - 1, -1):
+                    gain = gains[i - start]
+                    if i <= n - left:
+                        children.append((i, count + gain + sum(top)))
+                    bisect.insort(top, gain)
+                    del top[:max(0, len(top) - left + 1)]
+                pending.append(reversed(children))
+        while pending:
+            child = next(pending[-1], None)
+            if child is None:
+                pending.pop()
+            elif child[1] > best_count:
+                break
+            else:
+                pruned += 1
+        if not pending:
+            break
+        depth = len(pending) - 1
+        del chosen[depth:], unions[depth + 1:]
+        chosen.append(child[0])
+        unions.append(unions[-1] | masks[child[0]])
+    return best_count, best_idx, visited, pruned
 
 
-def _scan_chunk(cands, r, start, stop, full_mask):
-    """Best (covered, index-tuple) over combination ranks [start, stop)."""
-    n_items = len(cands)
-    idx = _unrank_combination(start, n_items, r)
-    best_count = -1
-    best_idx = None
-    for _ in range(stop - start):
-        mask = 0
-        for i in idx:
-            mask |= cands[i][1]
-        c = mask.bit_count()
-        if c > best_count:
-            best_count = c
-            best_idx = idx
-            if mask == full_mask:
-                break  # full coverage; first hit in lex order is the tie-winner
-        idx = _next_combination(idx, n_items)
-    return best_count, best_idx
-
-
-def worker_count(workers=None):
-    if workers is None:
-        workers = int(os.environ.get("JCHLAB_THREADS", "1"))
-    return max(1, workers)
-
-
-def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET, workers=None):
+def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
     """Exact max coverage over all collections of min(k, #candidates) y-subsets.
 
     Ties break lexicographically on the collection.  Refuses (loudly) if the
-    number of collections exceeds the budget.  The scan may be partitioned
-    over workers; the reduction is deterministic, so the result does not
-    depend on the worker count.
+    number of collections exceeds the budget; otherwise max_union_search
+    finds the optimum, and the report carries its node counts.
     """
-    cands = _candidate_masks(inst)
+    cands = list(combinations(range(1, inst.n + 1), inst.y))
     r = min(inst.k, len(cands))
     total = math.comb(len(cands), r)
     if budget is not None and total > budget:
         raise BudgetExceededError(
             f"brute force needs {total} collections, budget is {budget}",
             required=total, budget=budget)
-    if r == 0:
-        return (), coverage_fraction((), inst)
-    full_mask = (1 << inst.num_edges) - 1
-    workers = worker_count(workers)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(chunks) == 1:
-        results = [_scan_chunk(cands, r, chunks[0][0], chunks[0][1], full_mask)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(
-                lambda c: _scan_chunk(cands, r, c[0], c[1], full_mask), chunks))
-    best_count, best_idx = -1, None
-    for count, idx in results:  # chunk order = lex order, first strict max wins
-        if count > best_count:
-            best_count, best_idx = count, idx
-    best = tuple(cands[i][0] for i in best_idx)
-    return best, coverage_fraction(best, inst)
+    covers = _cover_masks(inst)
+    _, best_idx, visited, pruned = max_union_search(
+        [covers.get(s, 0) for s in cands], r, inst.num_edges)
+    best = tuple(cands[i] for i in best_idx)
+    rep = coverage_fraction(best, inst)
+    return best, replace(rep, nodes_visited=visited, nodes_pruned=pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +216,23 @@ def fpt_cover_decide(inst):
     """
     if inst.y != inst.z - 1:
         raise ValueError("branching decision procedure requires y = z-1")
+    covers = _cover_masks(inst)
+    # per edge: its (z-1)-subsets in branching order, with their cover masks
+    branches = [[(s, covers[s]) for s in combinations(t, inst.y)] for t in inst.edges]
 
     def branch(remaining, k, chosen):
         if not remaining:
             return tuple(chosen)
         if k == 0:
             return None
-        t = remaining[0]
-        for s in combinations(t, inst.z - 1):
-            ss = set(s)
-            rest = [e for e in remaining if not ss.issubset(e)]
-            got = branch(rest, k - 1, chosen + [s])
+        first = (remaining & -remaining).bit_length() - 1
+        for s, mask in branches[first]:
+            got = branch(remaining & ~mask, k - 1, chosen + [s])
             if got is not None:
                 return got
         return None
 
-    witness = branch(list(inst.edges), inst.k, [])
+    witness = branch((1 << inst.num_edges) - 1, inst.k, [])
     if witness is None:
         return False, None
     return True, tuple(sorted(witness))

@@ -286,8 +286,8 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
 
     Discrete mode scans all k-subsets of the candidate centers, scoring each
     from one table of point-center distances computed up front; continuous
-    mode scans set partitions into at most k blocks, solving each block with
-    best_center_continuous.
+    mode scans set partitions into at most k blocks, solving each distinct
+    block once with best_center_continuous.
     """
     if mode == "discrete":
         if ci.centers is None:
@@ -311,13 +311,15 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
         if budget is not None and count > budget:
             raise BudgetExceededError(f"{count} partitions exceed budget {budget}",
                                       required=count, budget=budget)
+        block_cost = {}   # blocks recur across partitions; solve each once
         best = None
         for partition in _partitions_upto(m, ci.k):
             cost = 0.0
             for block in partition:
-                _, c = best_center_continuous(ci.points[list(block)], ci.metric,
-                                              ci.exponent)
-                cost += float(c)
+                if block not in block_cost:
+                    block_cost[block] = float(best_center_continuous(
+                        ci.points[list(block)], ci.metric, ci.exponent)[1])
+                cost += block_cost[block]
             if best is None or cost < best[1] - 1e-12:
                 best = (partition, cost)
         return best

@@ -11,12 +11,13 @@ deviates (small n even reaches uncovered = 0) and the report says so.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from .coverage import DEFAULT_BUDGET, max_union_search
 from .errors import BudgetExceededError, CertificationError
 
 CONSTRAINT_FAMILIES = (
@@ -216,34 +217,28 @@ class IntegralResult:
     uncovered: int
     witness: tuple
     method: str          # "exact" | "heuristic"
+    nodes_visited: int = field(default=0, compare=False, repr=False)
+    nodes_pruned: int = field(default=0, compare=False, repr=False)
 
 
-def integral_min_uncovered(inst, k_prime, budget=2_000_000, heuristic=False,
+def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET, heuristic=False,
                            seed=None):
     """Minimum number of 4-cliques containing none of k' chosen edges.
 
-    Exact enumeration over all C(C(n,2), k') subsets when it fits the budget;
-    otherwise a seeded swap local search, clearly labeled heuristic (an upper
-    bound on the true minimum).
+    Exact (coverage.max_union_search) when the C(C(n,2), k') edge subsets
+    fit the budget; otherwise a seeded swap local search, clearly labeled
+    heuristic (an upper bound on the true minimum).
     """
     m = len(inst.center_labels)
     k_prime = min(k_prime, m)
     total = math.comb(m, k_prime)
     masks = _coverage_masks(inst)
     npoints = len(inst.point_labels)
-    if total <= budget:
-        best = None
-        for idx in combinations(range(m), k_prime):
-            mask = 0
-            for i in idx:
-                mask |= masks[i]
-            unc = npoints - mask.bit_count()
-            if best is None or unc < best[0]:
-                best = (unc, idx)
-                if unc == 0:
-                    break
-        witness = tuple(inst.center_labels[i] for i in best[1])
-        return IntegralResult(uncovered=best[0], witness=witness, method="exact")
+    if budget is None or total <= budget:
+        covered, idx, visited, pruned = max_union_search(masks, k_prime, npoints)
+        return IntegralResult(uncovered=npoints - covered, method="exact",
+                              witness=tuple(inst.center_labels[i] for i in idx),
+                              nodes_visited=visited, nodes_pruned=pruned)
     if not heuristic:
         raise BudgetExceededError(
             f"{total} edge subsets exceed budget {budget}; pass heuristic=True "
@@ -302,7 +297,7 @@ def asymptotic_gap(t=5):
     return (2 + 2 * f) / 2
 
 
-def gap_report(n_list, t=5, exact_budget=2_000_000, tol=1e-8,
+def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
                extra_center_fractions=(0.0, 0.1, 0.2)):
     """Per-n certification rows plus the asymptotic gap arithmetic.
 

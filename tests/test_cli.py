@@ -167,6 +167,8 @@ def run_err(capsys, *argv):
 
 # the demo's two-symbol identity system
 TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
+# two points in the plane, one candidate center
+PTS = "pts 2 l1 1 1\n1,2 0 1\n1,3 1 0\n1 0 0\n"
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -186,10 +188,15 @@ TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
     ({"toy.pcp": TOY_PCP, "assign.txt": "1 u 1\n2 v\n"},
      ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "out.whg3"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--delta", "1/0", "-o", "out.whg3"]),
+    ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0,nan"]),
+    ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "inf,0"]),
+    ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0,0,0"]),
+    ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0"]),
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
-        "delta-zero-denominator"])
+        "delta-zero-denominator", "center-coords-nan", "center-coords-inf",
+        "center-coords-too-long", "center-coords-too-short"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

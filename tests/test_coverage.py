@@ -2,6 +2,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from jchlab import (
     gen_instance, turan_random_uncovered, inapprox_factors,
     read_instance, write_instance,
 )
+from jchlab.coverage import max_union_search
 
 COMPLETE_432 = gen_instance("complete", 4, 3, 2, 2)
 
@@ -86,10 +88,99 @@ def test_brute_force_budget_error():
         brute_force_max_coverage(COMPLETE_432, budget=3)
 
 
-def test_brute_force_worker_independence():
-    inst = gen_instance("random", 7, 3, 2, k=3, m=12, seed=11)
-    results = [brute_force_max_coverage(inst, workers=w) for w in (1, 2, 5)]
-    assert results[0] == results[1] == results[2]
+def scan_reference(masks, r, target):
+    """The full lexicographic scan: first strict maximum, stop at target."""
+    best_count, best_idx = -1, None
+    for idx in combinations(range(len(masks)), r):
+        union = 0
+        for i in idx:
+            union |= masks[i]
+        if union.bit_count() > best_count:
+            best_count, best_idx = union.bit_count(), idx
+            if best_count >= target:
+                break
+    return best_count, best_idx
+
+
+def brute_reference(inst):
+    cands = list(combinations(range(1, inst.n + 1), inst.y))
+    masks = [sum(1 << j for j, t in enumerate(inst.edges) if set(s) <= set(t))
+             for s in cands]
+    _, idx = scan_reference(masks, min(inst.k, len(cands)), inst.num_edges)
+    best = tuple(cands[i] for i in idx)
+    return best, coverage_fraction(best, inst)
+
+
+def fpt_reference(inst):
+    """The list-based branching: first remaining edge, its subsets in order."""
+    def branch(remaining, k, chosen):
+        if not remaining:
+            return tuple(chosen)
+        if k == 0:
+            return None
+        for s in combinations(remaining[0], inst.z - 1):
+            rest = [e for e in remaining if not set(s) <= set(e)]
+            got = branch(rest, k - 1, chosen + [s])
+            if got is not None:
+                return got
+        return None
+
+    witness = branch(list(inst.edges), inst.k, [])
+    return (False, None) if witness is None else (True, tuple(sorted(witness)))
+
+
+def test_max_union_search_matches_scan():
+    # random masks of every density, with zero and single-bit entries: many
+    # ties, and a bound that over-cuts by one shows up within a few cases
+    rng = random.Random(21)
+    for trial in range(300):
+        n = rng.randint(0, 16)
+        bits = rng.randint(1, 20)
+        density = rng.random()
+        masks = [sum(1 << b for b in range(bits) if rng.random() < density)
+                 if rng.random() < 0.8 else rng.choice((0, 1 << rng.randrange(bits)))
+                 for _ in range(n)]
+        r = rng.choice((rng.randint(0, min(n, 6)), n))
+        target = rng.choice((bits, rng.randint(0, bits), bits + 1))
+        count, idx, visited, _ = max_union_search(masks, r, target)
+        assert (count, idx) == scan_reference(masks, r, target), (masks, r, target)
+        assert visited >= 1
+
+
+def test_brute_force_matches_scan():
+    rng = random.Random(17)
+    cases = []
+    for trial in range(150):
+        n = rng.randint(4, 9)
+        z = rng.randint(2, 4)
+        y = rng.randint(1, z - 1)
+        m = rng.randint(0, min(math.comb(n, z), 24))
+        k = rng.randint(0, 5)
+        while math.comb(math.comb(n, y), k) > 20_000:
+            k -= 1
+        cases.append(gen_instance("random", n, z, y, k=k, m=m,
+                                  seed=rng.randint(0, 10**6)))
+    cases += [
+        gen_instance("random", 7, 3, 2, k=0, m=12, seed=11),          # k = 0
+        gen_instance("random", 5, 3, 2, k=12, m=6, seed=2),           # k >= #candidates
+        gen_instance("random", 6, 3, 1, k=2, m=9, seed=4),            # y = 1
+        JohnsonInstance(8, 3, 2, ((1, 2, 3), (1, 2, 4)), 3),          # zero-coverage candidates
+        gen_instance("complete", 6, 3, 2, 4),                         # ties everywhere
+        JohnsonInstance(9, 3, 2, ((1, 2, 9), (3, 4, 9), (5, 6, 9)), 3),  # early full cover
+    ]
+    for inst in cases:
+        best, rep = brute_force_max_coverage(inst)
+        assert (best, rep) == brute_reference(inst), inst
+
+
+def test_brute_force_search_counters():
+    # the 1.4M-collection instance: 50 random triples of [13], k = 4
+    edges = random.Random(1).sample(list(combinations(range(1, 14), 3)), 50)
+    inst = JohnsonInstance(13, 3, 2, tuple(edges), 4)
+    assert math.comb(math.comb(13, 2), 4) == 1_426_425
+    _, rep = brute_force_max_coverage(inst)
+    assert rep.covered == 16
+    assert rep.nodes_visited < 10_000 and rep.nodes_pruned > 0
 
 
 def test_fpt_examples():
@@ -124,6 +215,17 @@ def test_fpt_agrees_with_brute_small():
         decision, _ = fpt_cover_decide(inst)
         _, rep = brute_force_max_coverage(inst)
         assert decision == rep.is_complete
+
+
+def test_fpt_matches_list_branching():
+    rng = random.Random(29)
+    for trial in range(200):
+        n = rng.randint(4, 9)
+        z = rng.choice((3, 4))
+        m = rng.randint(0, min(math.comb(n, z), 14))
+        k = rng.randint(0, 4)
+        inst = gen_instance("random", n, z, z - 1, k=k, m=m, seed=rng.randint(0, 10**6))
+        assert fpt_cover_decide(inst) == fpt_reference(inst), inst
 
 
 def test_gen_complete_counts():
@@ -219,12 +321,3 @@ def test_inapprox_factors_rejects():
         inapprox_factors(1, 0, 0.5)
     with pytest.raises(ValueError):
         inapprox_factors(1, 1, 1.5)
-
-
-def test_worker_count_env(monkeypatch):
-    from jchlab.coverage import worker_count
-    monkeypatch.setenv("JCHLAB_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(2) == 2
-    monkeypatch.delenv("JCHLAB_THREADS")
-    assert worker_count() == 1

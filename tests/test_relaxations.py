@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from jchlab import (
     lp_fractional_value, integral_min_uncovered, gap_report,
     reiher_uncovered_fraction, asymptotic_gap,
 )
+from jchlab.relaxations import IntegralResult
 
 
 def test_instance_shapes():
@@ -92,6 +94,34 @@ def test_integral_monotone_in_budget():
     assert values == sorted(values, reverse=True)
 
 
+def integral_reference(inst, k_prime):
+    """Plain enumeration of edge subsets in lexicographic order."""
+    npoints = len(inst.point_labels)
+    masks = [sum(1 << j for j, p in enumerate(inst.point_labels) if set(e) <= set(p))
+             for e in inst.center_labels]
+    best = None
+    for idx in combinations(range(len(masks)), k_prime):
+        union = 0
+        for i in idx:
+            union |= masks[i]
+        unc = npoints - union.bit_count()
+        if best is None or unc < best[0]:
+            best = (unc, idx)
+            if unc == 0:
+                break
+    witness = tuple(inst.center_labels[i] for i in best[1])
+    return IntegralResult(uncovered=best[0], witness=witness, method="exact")
+
+
+def test_integral_matches_enumeration():
+    for n in range(5, 9):
+        inst = build_clique_gap_instance(n)
+        for kp in range(0, 8):
+            got = integral_min_uncovered(inst, kp)
+            assert got == integral_reference(inst, kp), (n, kp)
+            assert got.nodes_visited >= 1
+
+
 def test_integral_budget_and_heuristic():
     inst = build_clique_gap_instance(8)
     with pytest.raises(BudgetExceededError):
@@ -100,6 +130,7 @@ def test_integral_budget_and_heuristic():
     assert h.method == "heuristic"
     exact = integral_min_uncovered(inst, 5)
     assert h.uncovered >= exact.uncovered   # heuristic is an upper bound
+    assert integral_min_uncovered(inst, 5, budget=None) == exact   # no cap
 
 
 def test_reiher_and_gap_values():
