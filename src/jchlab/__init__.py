@@ -22,7 +22,7 @@ from .geometry import (
     kmeans_partition_cost, kmeans_partition_cost_centroid,
     best_center_continuous, weiszfeld_geometric_median, coordinate_median,
     min_enclosing_ball, separation_center_bound_check,
-    l1sq_pairwise_lower_bound, pointwise_distance,
+    l1sq_pairwise_lower_bound, pointwise_distance, Metric, parse_metric,
 )
 from .reduction import (
     ClusteringInstance, CostBreakdown,

@@ -74,22 +74,27 @@ def _parse_alpha(text):
     return float(text)
 
 
+def _embed_lp(q, t, s, p):
+    # the half-shift map unless --s asks for a co-arity other than 1
+    if s is not None and s != t - 1:
+        return embeddings.embed_indicator_lp(q, t, s, p)
+    return embeddings.embed_lp_halfshift(q, t, p)
+
+
+# --metric -> (realization from q, t, s, p; the flag it cannot do without)
+REALIZATIONS = {
+    "l0": (lambda q, t, s, p: embeddings.embed_l0(q, t, s), "s"),
+    "l1": (lambda q, t, s, p: embeddings.embed_l1(q, t, s), "s"),
+    "l2": (lambda q, t, s, p: embeddings.embed_l2_scaled(q, t, s), "s"),
+    "lp": (_embed_lp, "p"),
+}
+
+
 def _metric_args(args):
-    metric = args.metric
-    if metric in ("l0", "l1", "l2") and args.s is None:
-        raise ValueError(f"--metric {metric} needs --s")
-    if metric in ("l0", "l1"):
-        return embeddings.embed_l0(args.q, args.t, args.s) if metric == "l0" \
-            else embeddings.embed_l1(args.q, args.t, args.s)
-    if metric == "l2":
-        return embeddings.embed_l2_scaled(args.q, args.t, args.s)
-    if metric == "lp":
-        if args.p is None:
-            raise ValueError("--metric lp needs --p")
-        if args.s is not None and args.s != args.t - 1:
-            return embeddings.embed_indicator_lp(args.q, args.t, args.s, args.p)
-        return embeddings.embed_lp_halfshift(args.q, args.t, args.p)
-    raise ValueError(f"unknown metric {metric!r}")
+    realize, needed = REALIZATIONS[args.metric]
+    if getattr(args, needed) is None:
+        raise ValueError(f"--metric {args.metric} needs --{needed}")
+    return realize(args.q, args.t, args.s, args.p)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,8 @@ def cmd_reduce(args):
         args.q = code.q
         real = _metric_args(args)
         ci = reduction.build_discrete_instance(
-            inst, code, real, centers_from_edges=args.centers_from_edges)
+            inst, code, real, centers_from_edges=args.centers_from_edges,
+            exponent=args.exponent)
         recs.append({"record": "code", "q": code.q, "eta": code.eta,
                      "relative_distance": code.relative_distance,
                      "provenance": "formula"})
@@ -374,7 +380,7 @@ def build_parser():
 
     for name, fn in (("embed", cmd_embed), ("verify-embed", cmd_verify_embed)):
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("--metric", choices=("l0", "l1", "l2", "lp"), required=True)
+        p.add_argument("--metric", choices=tuple(REALIZATIONS), required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--s", type=int, default=None)
@@ -389,7 +395,7 @@ def build_parser():
     p = sub.add_parser("reduce", parents=[common], help="coverage-to-clustering")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--mode", choices=("discrete", "continuous"), required=True)
-    p.add_argument("--metric", choices=("l0", "l1", "l2", "lp"), default="l1")
+    p.add_argument("--metric", choices=tuple(REALIZATIONS), default="l1")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None, help="explicit code field size")
     p.add_argument("--eta", type=int, default=None)

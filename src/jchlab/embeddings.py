@@ -14,49 +14,53 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceededError, CertificationError
+from .geometry import METRICS, Metric, lp_metric
 
 TOL = 1e-9
 DEFAULT_PAIR_BUDGET = 10_000_000
 
 
+# kind -> (t, s) -> entries (off, on) of the t-set side and of the s-set side:
+# a realized vector holds on at the members of its set and off elsewhere
+ENTRIES = {
+    "indicator": lambda t, s: ((0, 1), (0, 1)),
+    "scaled": lambda t, s: ((0.0, 1.0), (0.0, math.sqrt(t / s))),
+    "halfshift": lambda t, s: ((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(3, 2))),
+}
+
+
 @dataclass(frozen=True)
 class GapRealization:
-    metric: str            # "l0" | "l1" | "l2" | "lp"
-    p: object              # exponent behind the metric tag (0 for l0)
+    metric: Metric
     q: int
     t: int
     s: int
     beta: object           # common containment distance
     lambda_claimed: object
+    beta_pow: object       # beta^root, exact on exact metrics
+    floor_pow: object      # (lambda_claimed * beta)^root, exact on exact metrics
     kind: str              # "indicator" | "scaled" | "halfshift"
 
     @property
     def dim(self):
         return self.q
 
-    def vector(self, x):
-        """Realized vector for a t-subset or s-subset of range(q)."""
-        x = _check_vertex(x, self.q, (self.t, self.s))
-        chi = [1 if i in set(x) else 0 for i in range(self.q)]
-        if self.kind == "indicator":
-            return tuple(chi)
-        if self.kind == "scaled":
-            if len(x) == self.s and self.s != self.t:
-                scale = math.sqrt(self.t / self.s)
-                return tuple(scale * c for c in chi)
-            return tuple(float(c) for c in chi)
-        if self.kind == "halfshift":
-            if len(x) == self.s and self.s != self.t:
-                return tuple(Fraction(1, 2) + c for c in chi)
-            return tuple(Fraction(c) for c in chi)
-        raise ValueError(f"unknown realization kind {self.kind!r}")
-
     @property
     def exact(self):
         """True when pairwise distances are computed in exact arithmetic."""
-        if self.metric in ("l0", "l1"):
-            return True
-        return self.metric == "lp" and isinstance(self.p, int)
+        return self.metric.exact
+
+    def entries(self, size):
+        """(off, on) entries of the vectors of size-element sets."""
+        high, low = ENTRIES[self.kind](self.t, self.s)
+        return low if size == self.s else high
+
+    def vector(self, x):
+        """Realized vector for a t-subset or s-subset of range(q)."""
+        x = _check_vertex(x, self.q, (self.t, self.s))
+        off, on = self.entries(len(x))
+        members = set(x)
+        return tuple(on if i in members else off for i in range(self.q))
 
 
 def _check_vertex(x, q, sizes):
@@ -68,29 +72,34 @@ def _check_vertex(x, q, sizes):
     return x
 
 
+def _indicator(metric, q, t, s, beta, lam):
+    # characteristic vectors: containment pairs differ in t-s coordinates and
+    # every other pair in at least t-s+2, exactly so on exact metrics
+    claims = (t - s, t - s + 2) if metric.exact else _float_claims(metric, beta, lam)
+    return GapRealization(metric, q, t, s, beta, lam, *claims, kind="indicator")
+
+
+def _float_claims(metric, beta, lam):
+    return float(beta) ** metric.root, (float(lam) * float(beta)) ** metric.root
+
+
 def embed_l1(q, t, s):
     """Characteristic vectors; containment at t-s, everything else >= t-s+2."""
     _check_params(q, t, s)
-    return GapRealization(metric="l1", p=1, q=q, t=t, s=s, beta=t - s,
-                          lambda_claimed=Fraction(t - s + 2, t - s), kind="indicator")
+    return _indicator(METRICS["l1"], q, t, s, t - s, Fraction(t - s + 2, t - s))
 
 
 def embed_l0(q, t, s):
     """Same map as embed_l1; on 0/1 vectors the l0 distances coincide."""
     _check_params(q, t, s)
-    return GapRealization(metric="l0", p=0, q=q, t=t, s=s, beta=t - s,
-                          lambda_claimed=Fraction(t - s + 2, t - s), kind="indicator")
+    return _indicator(METRICS["l0"], q, t, s, t - s, Fraction(t - s + 2, t - s))
 
 
 def embed_indicator_lp(q, t, s, p):
     """Characteristic vectors read in lp; gap ((t-s+2)/(t-s))^(1/p)."""
     _check_params(q, t, s)
-    if p < 1:
-        raise ValueError("need p >= 1")
-    return GapRealization(metric="lp", p=p, q=q, t=t, s=s,
-                          beta=(t - s) ** (1.0 / p),
-                          lambda_claimed=((t - s + 2) / (t - s)) ** (1.0 / p),
-                          kind="indicator")
+    return _indicator(lp_metric(p), q, t, s, (t - s) ** (1.0 / p),
+                      ((t - s + 2) / (t - s)) ** (1.0 / p))
 
 
 def embed_l2_scaled(q, t, s):
@@ -100,10 +109,11 @@ def embed_l2_scaled(q, t, s):
     sqrt(1 + 1/(sqrt(t*s) - s)) strictly beats the square root of the l1 gap.
     """
     _check_params(q, t, s)
+    metric = METRICS["l2"]
     beta = math.sqrt(2.0) * math.sqrt(t - math.sqrt(t * s))
     lam = math.sqrt(1.0 + 1.0 / (math.sqrt(t * s) - s))
-    return GapRealization(metric="l2", p=2, q=q, t=t, s=s, beta=beta,
-                          lambda_claimed=lam, kind="scaled")
+    return GapRealization(metric, q, t, s, beta, lam, *_float_claims(metric, beta, lam),
+                          kind="scaled")
 
 
 def embed_lp_halfshift(q, t, p):
@@ -114,11 +124,12 @@ def embed_lp_halfshift(q, t, p):
     which approaches the triangle-inequality ceiling 3 as p grows.
     """
     _check_params(q, t, t - 1)
-    if p < 1:
-        raise ValueError("need p >= 1")
+    metric = lp_metric(p)
     beta = q ** (1.0 / p) / 2.0
-    return GapRealization(metric="lp", p=p, q=q, t=t, s=t - 1, beta=beta,
-                          lambda_claimed=3.0 / q ** (1.0 / p), kind="halfshift")
+    lam = 3.0 / q ** (1.0 / p)
+    claims = (Fraction(q, 2 ** p), Fraction(3 ** p, 2 ** p)) if metric.exact \
+        else _float_claims(metric, beta, lam)
+    return GapRealization(metric, q, t, t - 1, beta, lam, *claims, kind="halfshift")
 
 
 def _check_params(q, t, s):
@@ -126,25 +137,9 @@ def _check_params(q, t, s):
         raise ValueError(f"need q >= t > s >= 1, got q={q} t={t} s={s}")
 
 
-# ---------------------------------------------------------------------------
-# distances
-# ---------------------------------------------------------------------------
-
-def _distance_pow(real, vt, vs):
-    """|vt - vs|_p^p, exact (int/Fraction) for exact realizations, else float."""
-    if real.metric in ("l0", "l1"):
-        return sum(abs(a - b) for a, b in zip(vt, vs))
-    if real.metric == "l2":
-        return sum((a - b) * (a - b) for a, b in zip(vt, vs))
-    return sum(abs(a - b) ** real.p for a, b in zip(vt, vs))
-
-
 def realized_distance(real, x1, x2):
     """Metric distance between the realized vectors of two subsets."""
-    dpow = _distance_pow(real, real.vector(x1), real.vector(x2))
-    if real.metric in ("l0", "l1"):
-        return dpow
-    return float(dpow) ** (1.0 / real.p)
+    return real.metric.take_root(real.metric.pair_pow(real.vector(x1), real.vector(x2)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +190,9 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_PAIR_BUDGET,
 
     vt = {x: real.vector(x) for x in tsets}
     vs = {x: real.vector(x) for x in ssets}
-    p_exp = 1 if real.metric in ("l0", "l1") else real.p
-    beta_pow = _beta_pow(real)
-    floor_pow = _floor_pow(real)
+    metric = real.metric
+    pair_pow = metric.pair_pow
+    beta_pow, floor_pow = real.beta_pow, real.floor_pow
 
     edge_pairs = nonedge_pairs = 0
     min_nonedge = None
@@ -205,7 +200,7 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_PAIR_BUDGET,
     for tset in tsets:
         tmembers = set(tset)
         for sset in ssets:
-            d = _distance_pow(real, vt[tset], vs[sset])
+            d = pair_pow(vt[tset], vs[sset])
             if tmembers.issuperset(sset):
                 edge_pairs += 1
                 if not _close_pow(d, beta_pow, real, tol):
@@ -229,11 +224,11 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_PAIR_BUDGET,
     min_nonedge_dist = None
     if min_nonedge is not None:
         if real.exact and isinstance(min_nonedge, (int, Fraction)) \
-                and isinstance(beta_pow, (int, Fraction)) and p_exp == 1:
+                and isinstance(beta_pow, (int, Fraction)) and metric.root == 1:
             ratio = Fraction(min_nonedge, beta_pow)
         else:
-            ratio = (float(min_nonedge) / float(beta_pow)) ** (1.0 / p_exp)
-        min_nonedge_dist = min_nonedge if p_exp == 1 else float(min_nonedge) ** (1.0 / p_exp)
+            ratio = metric.take_root(float(min_nonedge) / float(beta_pow))
+        min_nonedge_dist = metric.take_root(min_nonedge)
         if s == t - 1 and float(ratio) > 3.0 + tol:
             raise CertificationError(
                 f"observed ratio {float(ratio)} exceeds the ceiling 3", witness=worst)
@@ -242,27 +237,6 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_PAIR_BUDGET,
                      worst_pair=worst, edge_distance=real.beta,
                      min_nonedge_distance=min_nonedge_dist,
                      edge_pairs=edge_pairs, nonedge_pairs=nonedge_pairs)
-
-
-def _beta_pow(real):
-    if real.metric in ("l0", "l1"):
-        return real.beta
-    if real.kind == "halfshift" and isinstance(real.p, int):
-        return Fraction(real.q, 2 ** real.p)
-    if real.kind == "indicator" and real.metric == "lp" and isinstance(real.p, int):
-        return real.t - real.s
-    return float(real.beta) ** real.p
-
-
-def _floor_pow(real):
-    lam = real.lambda_claimed
-    if real.metric in ("l0", "l1"):
-        return lam * real.beta
-    if real.kind == "halfshift" and isinstance(real.p, int):
-        return Fraction(3 ** real.p, 2 ** real.p)
-    if real.kind == "indicator" and real.metric == "lp" and isinstance(real.p, int):
-        return real.t - real.s + 2
-    return (float(lam) * float(real.beta)) ** real.p
 
 
 def _close_pow(d, expected, real, tol):

@@ -18,7 +18,7 @@ import numpy as np
 from .coverage import JohnsonInstance
 from .codes import message_for_element, rs_encode
 from .errors import BudgetExceededError
-from .geometry import best_center_continuous, pointwise_distance
+from .geometry import METRICS, Metric, best_center_continuous, parse_metric, pointwise_distance
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -30,8 +30,7 @@ class ClusteringInstance:
     centers: object            # np.ndarray or None (continuous case)
     center_labels: object
     k: int
-    metric: str
-    p: object
+    metric: Metric
     exponent: int
     meta: dict = field(default_factory=dict)
 
@@ -60,21 +59,16 @@ def _pad_to_arity(symbols, arity, q):
 
 def _composed_vector(members, arity, codewords, real, out):
     # same entries as real.vector per block, written sparsely: every block is
-    # the fill value except at the (padded) symbol set
+    # the off entry except at the (padded) symbol set
     q = real.q
-    is_low_side = arity == real.s
-    fill, val = 0.0, 1.0
-    if real.kind == "halfshift" and is_low_side:
-        fill, val = 0.5, 1.5
-    elif real.kind == "scaled" and is_low_side:
-        val = math.sqrt(real.t / real.s)
-    if fill:
-        out[:] = fill
+    off, on = real.entries(arity)
+    if off:
+        out[:] = off
     for gamma in range(q):
         block = _pad_to_arity({codewords[u][gamma] for u in members}, arity, q)
         base = gamma * q
         for mu in block:
-            out[base + mu] = val
+            out[base + mu] = on
     return out
 
 
@@ -99,7 +93,8 @@ def build_discrete_instance(inst, code, real, centers_from_edges=False,
                  for u in range(1, inst.n + 1)}
     ell = code.ell
     dim = ell * real.dim
-    dtype = np.int8 if real.kind == "indicator" else np.float64
+    entries = real.entries(inst.z) + real.entries(inst.y)
+    dtype = np.int8 if all(type(e) is int for e in entries) else np.float64
 
     point_labels = inst.edges
     points = np.zeros((len(point_labels), dim), dtype=dtype)
@@ -115,23 +110,16 @@ def build_discrete_instance(inst, code, real, centers_from_edges=False,
     for i, s in enumerate(center_labels):
         _composed_vector(s, inst.y, codewords, real, centers[i])
 
-    p_exp = 1 if real.metric in ("l0", "l1") else real.p
-    base = _base_distance(real, ell)
+    # beta * ell^(1/p), exact on l0/l1 where p = 1 and beta is an integer
+    base = real.beta * real.metric.take_root(ell)
     meta = {"beta": real.beta, "ell": ell, "q": code.q, "z": inst.z, "y": inst.y,
             "lambda": real.lambda_claimed, "base_distance": base}
     if exponent is None:
-        exponent = 2 if real.metric == "l2" else 1
+        exponent = real.metric.exponent
     return ClusteringInstance(points=points, point_labels=point_labels,
                               centers=centers, center_labels=center_labels,
-                              k=inst.k, metric=real.metric, p=p_exp,
+                              k=inst.k, metric=real.metric,
                               exponent=exponent, meta=meta)
-
-
-def _base_distance(real, ell):
-    # beta * ell^(1/p); exact for l0/l1 where p = 1 and beta is an integer
-    if real.metric in ("l0", "l1"):
-        return real.beta * ell
-    return float(real.beta) * ell ** (1.0 / real.p)
 
 
 def soundness_floor(ci):
@@ -139,20 +127,19 @@ def soundness_floor(ci):
     meta = ci.meta
     delta = 18.0 * meta["z"] * meta["y"] / math.sqrt(meta["q"])
     return (float(meta["lambda"]) - delta) * float(meta["beta"]) * \
-        meta["ell"] ** (1.0 / (1 if ci.metric in ("l0", "l1") else ci.p))
+        ci.metric.take_root(meta["ell"])
 
 
 def meets_soundness_floor(ci, distance):
     """Exact check of distance >= (lambda - 18zy/sqrt(q)) * base_distance.
 
-    On the l1/l0 path everything is rational except sqrt(q), so the
-    comparison squares out exactly; other metrics fall back to floats with
-    the usual 1e-9 slack.
+    With a rational lambda (the l1/l0 constructions) everything is rational
+    except sqrt(q), so the comparison squares out exactly; other metrics fall
+    back to floats with the usual 1e-9 slack.
     """
     meta = ci.meta
-    if ci.metric in ("l0", "l1"):
-        lam = Fraction(meta["lambda"])
-        full = lam * meta["beta"] * meta["ell"]       # lambda*beta*ell
+    if isinstance(meta["lambda"], Fraction):
+        full = meta["lambda"] * meta["beta"] * meta["ell"]
         g = Fraction(18 * meta["z"] * meta["y"] * meta["beta"] * meta["ell"])
         d = Fraction(distance)
         if d >= full:
@@ -163,7 +150,7 @@ def meets_soundness_floor(ci, distance):
 
 def build_continuous_indicator_instance(inst, metric="l2", exponent=2):
     """Indicator vectors of the edges in dimension n; no candidate centers."""
-    if metric not in ("l0", "l1", "l2"):
+    if metric not in METRICS:
         raise ValueError(f"continuous indicator instance needs l0, l1 or l2, not {metric!r}")
     points = np.zeros((inst.num_edges, inst.n), dtype=np.int8)
     for i, t in enumerate(inst.edges):
@@ -172,8 +159,7 @@ def build_continuous_indicator_instance(inst, metric="l2", exponent=2):
     meta = {"z": inst.z, "y": inst.y, "n": inst.n}
     return ClusteringInstance(points=points, point_labels=inst.edges,
                               centers=None, center_labels=None, k=inst.k,
-                              metric=metric, p={"l0": 0, "l1": 1, "l2": 2}[metric],
-                              exponent=exponent, meta=meta)
+                              metric=METRICS[metric], exponent=exponent, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +194,7 @@ def clustering_cost(ci, chosen):
 
 def _distance_table(ci, centers):
     """Rows of Python-number distances, one row per point, one entry per center."""
-    return [[pointwise_distance(pt, c, ci.metric, ci.p) for c in centers]
+    return [[pointwise_distance(pt, c, ci.metric) for c in centers]
             for pt in ci.points]
 
 
@@ -318,7 +304,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
             for block in partition:
                 if block not in block_cost:
                     block_cost[block] = float(best_center_continuous(
-                        ci.points[list(block)], ci.metric, ci.exponent)[1])
+                        ci.points[list(block)], ci.metric.token, ci.exponent)[1])
                 cost += block_cost[block]
             if best is None or cost < best[1] - 1e-12:
                 best = (partition, cost)
@@ -330,22 +316,8 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
 # point-set files
 # ---------------------------------------------------------------------------
 
-def metric_token(metric, p):
-    return f"lp{p}" if metric == "lp" else metric
-
-
-def parse_metric_token(tok):
-    if tok in ("l0", "l1", "l2"):
-        return tok, {"l0": 0, "l1": 1, "l2": 2}[tok]
-    if tok.startswith("lp"):
-        raw = tok[2:]
-        p = int(raw) if raw.isdigit() else float(raw)
-        return "lp", p
-    raise ValueError(f"unknown metric token {tok!r}")
-
-
 def write_points(ci, fh):
-    fh.write(f"pts {ci.dim} {metric_token(ci.metric, ci.p)} {ci.exponent} {ci.k}\n")
+    fh.write(f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n")
     integral = np.issubdtype(ci.points.dtype, np.integer)
     for label, row in zip(ci.point_labels, ci.points):
         fh.write(_point_line(label, row, integral))
@@ -372,7 +344,7 @@ def read_points(fh):
     if len(header) != 5 or header[0] != "pts":
         raise ValueError("points file must start with 'pts dim metric exponent k'")
     dim = int(header[1])
-    metric, p = parse_metric_token(header[2])
+    metric = parse_metric(header[2])
     exponent, k = int(header[3]), int(header[4])
     labels, rows = [], []
     for line in fh:
@@ -402,8 +374,7 @@ def read_points(fh):
             point_labels=tuple(lab for lab in labels if len(lab) != y),
             centers=values[is_center],
             center_labels=tuple(lab for lab in labels if len(lab) == y),
-            k=k, metric=metric, p=p, exponent=exponent)
+            k=k, metric=metric, exponent=exponent)
     return ClusteringInstance(
         points=values, point_labels=tuple(labels),
-        centers=None, center_labels=None, k=k, metric=metric, p=p,
-        exponent=exponent)
+        centers=None, center_labels=None, k=k, metric=metric, exponent=exponent)

@@ -1,10 +1,17 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from jchlab import parse_metric, pointwise_distance, read_points
 from jchlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -169,6 +176,8 @@ def run_err(capsys, *argv):
 TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
 # two points in the plane, one candidate center
 PTS = "pts 2 l1 1 1\n1,2 0 1\n1,3 1 0\n1 0 0\n"
+# lp needs a finite p >= 1
+BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -192,11 +201,16 @@ PTS = "pts 2 l1 1 1\n1,2 0 1\n1,3 1 0\n1 0 0\n"
     ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "inf,0"]),
     ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0,0,0"]),
     ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0"]),
+    *[({"pts.txt": PTS.replace("l1", token, 1)}, ["cost", "-i", "pts.txt", "--centers", "1"])
+      for token in BAD_LP_TOKENS],
+    ({}, ["factors", "--p", "inf", "--delta", "1", "--alpha", "0.5", "--q", "4"]),
+    ({}, ["factors", "--p", "nan", "--delta", "1", "--alpha", "0.5", "--q", "4"]),
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
         "delta-zero-denominator", "center-coords-nan", "center-coords-inf",
-        "center-coords-too-long", "center-coords-too-short"])
+        "center-coords-too-long", "center-coords-too-short",
+        *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -227,3 +241,36 @@ def test_readme_command_block(tmp_path, monkeypatch, capsys):
     for line in lines:
         code, err = run_err(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line}: {err}"
+
+
+def test_reduce_discrete_exponent(tmp_path, monkeypatch, capsys):
+    # the discrete l1 k-means instance: --exponent 2 reaches the file and the optimum
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen-jc", "--kind", "complete", "--n", "6", "--z", "3", "--y", "2",
+        "--k", "2", "-o", "inst.jc")
+    reduce = ["reduce", "-i", "inst.jc", "--mode", "discrete", "--metric", "l1",
+              "--q", "7", "--eta", "1"]
+    assert run(capsys, *reduce, "-o", "median.pts")[0] == 0
+    assert run(capsys, *reduce, "--exponent", "2", "-o", "means.pts")[0] == 0
+    assert Path("median.pts").read_text().split("\n")[0] == "pts 49 l1 1 2"
+    assert Path("means.pts").read_text().split("\n")[0] == "pts 49 l1 2 2"
+    code, out = run(capsys, "brute-opt", "-i", "means.pts", "--mode", "discrete",
+                    "--format", "json-lines")
+    assert code == 0
+    rec = json.loads(out.splitlines()[1])
+    with open("means.pts") as fh:
+        ci = read_points(fh)
+    l1 = parse_metric("l1")
+    best = min(sum(min(pointwise_distance(pt, ci.centers[i], l1) for i in idx) ** 2
+                   for pt in ci.points)
+               for idx in combinations(range(len(ci.centers)), ci.k))
+    assert rec["cost"] == best and type(rec["cost"]) is int
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from jchlab import (
     BudgetExceededError, CertificationError, GapRealization,
     embed_l0, embed_l1, embed_l2_scaled, embed_lp_halfshift, embed_indicator_lp,
     verify_gap_realization, realized_distance, empirical_gamma,
-    export_realization,
+    export_realization, parse_metric,
 )
 
 
@@ -130,8 +130,9 @@ def test_restriction_rejects_bad_sets():
 
 def test_inflated_claim_fails_certification():
     honest = embed_l1(4, 3, 2)
-    inflated = GapRealization(metric="l1", p=1, q=4, t=3, s=2, beta=1,
-                              lambda_claimed=Fraction(7, 2), kind="indicator")
+    inflated = GapRealization(metric=parse_metric("l1"), q=4, t=3, s=2, beta=1,
+                              lambda_claimed=Fraction(7, 2), beta_pow=1,
+                              floor_pow=Fraction(7, 2), kind="indicator")
     verify_gap_realization(honest)
     with pytest.raises(CertificationError) as err:
         verify_gap_realization(inflated)

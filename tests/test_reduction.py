@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from itertools import combinations
@@ -8,11 +9,11 @@ import pytest
 from jchlab import (
     BudgetExceededError, ClusteringInstance, RsCode,
     gen_instance, rs_encode, message_for_element,
-    embed_l1, embed_l2_scaled, embed_lp_halfshift,
+    embed_l0, embed_l1, embed_l2_scaled, embed_lp_halfshift, embed_indicator_lp,
     build_discrete_instance, build_continuous_indicator_instance,
     clustering_cost, brute_force_optimal_cost, centers_by_labels,
     soundness_floor, meets_soundness_floor, read_points, write_points,
-    pointwise_distance,
+    pointwise_distance, parse_metric,
 )
 
 INST = gen_instance("complete", 4, 3, 2, 2)
@@ -196,7 +197,7 @@ def test_points_file_continuous_roundtrip():
     write_points(ci, buf)
     buf.seek(0)
     back = read_points(buf)
-    assert back.centers is None and back.metric == "l2" and back.exponent == 2
+    assert back.centers is None and back.metric == parse_metric("l2") and back.exponent == 2
 
 
 def test_pointwise_distance_modes():
@@ -217,7 +218,7 @@ def reference_cost(ci, chosen):
     for pt in ci.points:
         best_d, best_i = None, None
         for i, c in enumerate(chosen):
-            d = pointwise_distance(pt, c, ci.metric, ci.p)
+            d = pointwise_distance(pt, c, ci.metric)
             if best_d is None or d < best_d:
                 best_d, best_i = d, i
         nearest.append((best_i, best_d))
@@ -308,7 +309,7 @@ def random_float_instance():
     return ClusteringInstance(
         points=rng.normal(scale=1e3, size=(len(labels), 8)), point_labels=labels,
         centers=rng.normal(size=(len(centers), 8)) * 10.0 ** rng.integers(-30, 30, 8),
-        center_labels=centers, k=2, metric="l2", p=2, exponent=2)
+        center_labels=centers, k=2, metric=parse_metric("l2"), exponent=2)
 
 
 @pytest.mark.parametrize("make", [
@@ -338,3 +339,58 @@ def test_read_points_matches_list_parse(make):
 def test_read_points_rejects_unloadable_coordinates(token):
     with pytest.raises(ValueError):
         read_points(io.StringIO(f"pts 2 l1 1 1\n1,2 0 {token}\n1 0 0\n"))
+
+
+ROUNDTRIP_REALIZATIONS = {
+    "l0": lambda: embed_l0(5, 3, 2), "l1": lambda: embed_l1(5, 3, 2),
+    "l2": lambda: embed_l2_scaled(5, 3, 2), "lp3": lambda: embed_lp_halfshift(5, 3, 3),
+    "lp2.5": lambda: embed_indicator_lp(5, 3, 2, 2.5),
+}
+
+
+@pytest.mark.parametrize("token", list(ROUNDTRIP_REALIZATIONS))
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_points_roundtrip_keeps_metric(token, mode):
+    ci = build_discrete_instance(INST, RsCode(5, 1), ROUNDTRIP_REALIZATIONS[token]())
+    if mode == "continuous" and token in ("l0", "l1", "l2"):
+        ci = build_continuous_indicator_instance(INST, metric=token)
+    elif mode == "continuous":    # no continuous builder for lp: drop the centers
+        ci = dataclasses.replace(ci, centers=None, center_labels=None)
+    buf = io.StringIO()
+    write_points(ci, buf)
+    buf.seek(0)
+    back = read_points(buf)
+    assert back.metric == ci.metric == parse_metric(token)
+    assert back.metric.token == token
+
+
+def dense_rows(inst, code, real, labels, arity):
+    """Reference rows: per code coordinate, real.vector of the padded symbol set."""
+    cw = {u: rs_encode(code, message_for_element(code, u)) for u in range(1, inst.n + 1)}
+    rows = []
+    for lab in labels:
+        row = []
+        for g in range(code.ell):
+            raw = {cw[u][g] for u in lab}
+            pad = [mu for mu in range(code.q) if mu not in raw][:arity - len(raw)]
+            row.extend(real.vector(sorted(raw) + pad))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda: embed_l0(7, 4, 2), lambda: embed_l1(7, 3, 1),
+    lambda: embed_indicator_lp(7, 4, 2, 3), lambda: embed_l2_scaled(7, 3, 2),
+    lambda: embed_lp_halfshift(7, 3, 2),
+], ids=["indicator-l0", "indicator-l1", "indicator-lp", "scaled-l2", "halfshift-lp"])
+def test_composed_rows_match_dense_blocks(seed, make):
+    real = make()
+    z, y = real.t, real.s
+    inst = gen_instance("random", 8, z, y, 2, m=8, seed=seed)
+    code = RsCode(7, 2)
+    ci = build_discrete_instance(inst, code, real)
+    for labels, rows, arity in ((ci.point_labels, ci.points, z),
+                                (ci.center_labels, ci.centers, y)):
+        dense = dense_rows(inst, code, real, labels, arity)
+        assert rows.tolist() == [[float(v) for v in row] for row in dense]
