@@ -193,7 +193,8 @@ def cmd_reduce(args):
                      "provenance": "formula"})
     else:
         ci = reduction.build_continuous_indicator_instance(
-            inst, metric=args.metric, exponent=args.exponent or 2)
+            inst, metric=args.metric,
+            exponent=args.exponent or (1 if args.metric == "l0" else 2))
     with open(args.output, "w") as fh:
         reduction.write_points(ci, fh)
     recs.append({"record": "pointset", "points": len(ci.point_labels),

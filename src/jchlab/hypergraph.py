@@ -10,11 +10,15 @@ blown-up vertex set and deletes every multiply-hit triple, leaving a simple
 unweighted hypergraph.
 """
 
+import functools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -176,37 +180,73 @@ def build_weighted_hypergraph(pcp, delta, mode="exact", samples=None, seed=None,
                                    mode="exact")
 
     if mode == "montecarlo":
-        if not samples:
-            raise ValueError("montecarlo mode needs a sample count")
-        rng = random.Random(seed)
-        pairs = sorted((pair, p) for pair, p in dist.items() if p > 0)
-        cdf = []
-        acc = Fraction(0)
-        for pair, p in pairs:
-            acc += p
-            cdf.append((acc, pair))
-        counts = {}
-        fdelta = float(delta)
-        for _ in range(samples):
-            r = rng.random()
-            for acc, pair in cdf:
-                if r < acc:
-                    break
-            i, j = pair
-            ei, ej, vi, vj, proj = rng.choice(pair_edges[pair])
-            si, sj = pcp.alphabets[i - 1], pcp.alphabets[j - 1]
-            x = tuple(rng.choice((1, -1)) for _ in range(si))
-            y = tuple(rng.choice((1, -1)) for _ in range(sj))
-            z = tuple(-y[b] if x[proj[b]] == 1
-                      else (y[b] if rng.random() < 1 - fdelta else -y[b])
-                      for b in range(sj))
-            t = frozenset({(i, vi, x), (j, vj, y), (j, vj, z)})
-            counts[t] = counts.get(t, 0) + 1
-        edges = {t: Fraction(c, samples) for t, c in counts.items()}
-        return WeightedHypergraph3(vertices=tuple(vertices), edges=edges,
-                                   mode="montecarlo")
+        if samples is None or samples < 1:
+            raise ValueError(f"montecarlo mode needs at least 1 sample, got {samples}")
+        return WeightedHypergraph3(
+            vertices=tuple(vertices), mode="montecarlo",
+            edges=_sample_edges(pcp, dist, pair_edges, delta, samples, seed))
 
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _sample_edges(pcp, dist, pair_edges, delta, samples, seed):
+    """Empirical edge frequencies of `samples` seeded draws.
+
+    Each draw takes, from one random.Random(seed) stream: random() for the
+    layer pair (the first whose cumulative probability exceeds it), choice()
+    of an edge of that pair, choice((1, -1)) for each coordinate of x and
+    then of y, and for each coordinate b of z, random() < 1 - delta (keep
+    y_b) when x is -1 at proj[b]; z_b = -y_b without a draw otherwise.
+    choice(seq) is seq[_randbelow(len(seq))], and _randbelow(n) repeats
+    getrandbits(n.bit_length()) until the value is below n, so the calls
+    below consume the same words and give the same draws.
+    """
+    rng = random.Random(seed)
+    getrandbits, draw = rng.getrandbits, rng.random
+    # random() is m / 2**53 for an integer m, so r < acc exactly when
+    # r < ceil(acc * 2**53) / 2**53, a double
+    bounds, pairs = [], []
+    acc = Fraction(0)
+    for pair, p in sorted((pair, p) for pair, p in dist.items() if p > 0):
+        acc += p
+        bounds.append(math.ceil(acc * 2 ** 53) / 2 ** 53)
+        n = len(pair_edges[pair])
+        si, sj = (pcp.alphabets[layer - 1] for layer in pair)
+        pairs.append((pair, pair_edges[pair], n, n.bit_length(), si, range(si + sj)))
+    keep = 1 - float(delta)
+    counts = {}
+    for _ in range(samples):
+        pair, es, n, k, si, xys = pairs[bisect_right(bounds, draw())]
+        e = getrandbits(k)
+        while e >= n:
+            e = getrandbits(k)
+        # x then y as bits: 0 is +1 and 1 is -1, the index choice((1, -1)) drew
+        xy = []
+        for _ in xys:
+            v = getrandbits(2)
+            while v > 1:
+                v = getrandbits(2)
+            xy.append(v)
+        proj = es[e][4]
+        key = (pair, e, *xy, *[1 - yb if not xy[proj[b]] or draw() >= keep else yb
+                               for b, yb in enumerate(xy[si:])])
+        counts[key] = counts.get(key, 0) + 1
+    # fold outcomes into edge sets: swapping y and z, or y = z, gives the same set
+    edges = {}
+    for ((i, j), e, *bits), count in counts.items():
+        vi, vj = pair_edges[(i, j)][e][2:4]
+        si, sj = pcp.alphabets[i - 1], pcp.alphabets[j - 1]
+        signs = [1 - 2 * v for v in bits]
+        x, y, z = tuple(signs[:si]), tuple(signs[si:si + sj]), tuple(signs[si + sj:])
+        t = frozenset({(i, vi, x), (j, vj, y), (j, vj, z)})
+        edges[t] = edges.get(t, 0) + count
+    return {t: Fraction(count, samples) for t, count in edges.items()}
+
+
+def _sorted_edges(edges):
+    """Edge items ordered by their sorted vertex reprs, and each vertex's repr."""
+    reprs = {v: repr(v) for v in {v for t in edges for v in t}}
+    return sorted(edges.items(), key=lambda kv: sorted(map(reprs.__getitem__, kv[0]))), reprs
 
 
 @dataclass
@@ -240,7 +280,7 @@ def completeness_cover_check(pcp, hg, assignment):
             weight += w
     witness = None
     all_hit = True
-    for t, w in sorted(hg.edges.items(), key=lambda kv: sorted(map(repr, kv[0]))):
+    for t, w in _sorted_edges(hg.edges)[0]:
         if w > 0 and not (t & cover):
             all_hit = False
             witness = t
@@ -266,29 +306,77 @@ def densify(hg, b, c, seed=None):
     """Replicate each weighted edge floor(c*w) times into V x [b] and
     delete every triple that appears more than once.
 
-    Replicas draw one fresh coordinate per vertex from a single seeded
-    stream, walking the edges in a deterministic order, so the output is
-    reproducible from (b, c, seed) regardless of how callers parallelize
-    around it.
+    Replicas draw one coordinate per vertex, rng.randrange(b) from a single
+    random.Random(seed) stream, walking the edges and each edge's vertices
+    in a deterministic order, so the output is reproducible from
+    (b, c, seed).
     """
     if b < 1 or c < 1:
         raise ValueError("need b >= 1 and c >= 1")
-    rng = random.Random(seed)
-    ordered = sorted(hg.edges.items(), key=lambda kv: sorted(map(repr, kv[0])))
-    seen = {}
-    replicas = 0
-    for t, w in ordered:
-        count = int(math.floor(c * Fraction(w)))
-        members = sorted(t, key=repr)
-        for _ in range(count):
-            replica = frozenset((v, rng.randrange(b)) for v in members)
-            seen[replica] = seen.get(replica, 0) + 1
-            replicas += 1
-    kept = tuple(sorted((t for t, cnt in seen.items() if cnt == 1),
-                        key=lambda t: sorted(map(repr, t))))
-    deleted = replicas - len(kept)
+    ordered, reprs = _sorted_edges(hg.edges)
+    members = [sorted(t, key=reprs.__getitem__) for t, _ in ordered]
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    owner = np.repeat(np.arange(len(members)),
+                      [int(math.floor(c * Fraction(w))) for _, w in ordered])
+    width = sizes[owner]
+    start = np.cumsum(width) - width
+    draws = _randrange_words(random.Random(seed), b, int(width.sum()))
+    # replicas of different source edges are different sets, so a replica is
+    # a duplicate when its source edge and its coordinates repeat
+    words, most = draws.shape[1], int(sizes.max(initial=0))
+    key = np.zeros((len(owner), 1 + words * most), dtype=np.int64)
+    key[:, 0] = owner
+    for m in range(most):
+        rows = width > m
+        key[rows, 1 + m * words:1 + (m + 1) * words] = draws[start[rows] + m]
+    order = np.lexsort(key.T)
+    repeat = (key[order[1:]] == key[order[:-1]]).all(axis=1)
+    single = np.ones(len(key), dtype=bool)
+    single[order[1:][repeat]] = single[order[:-1][repeat]] = False
+    # the kept replicas' coordinates as ints, replica after replica
+    kept_draws = draws[np.repeat(single, width)]
+    values = sum(kept_draws[:, i].astype(object) << 32 * i for i in range(words)).tolist()
+    # kept edges are ordered by the sorted reprs of their (vertex, coordinate)
+    # pairs; repr text holds no NUL, so joining that list on NUL keeps its
+    # order, and a string key leaves the garbage collector less to scan
+    prefixes = [[f"({reprs[v]}, " for v in m] for m in members]
+    keys, sets = [], []
+    first = 0
+    for e in owner[single].tolist():
+        coords = values[first:first + len(members[e])]
+        keys.append("\0".join(sorted([p + f"{x!r})" for p, x in zip(prefixes[e], coords)])))
+        sets.append(frozenset(zip(members[e], coords)))
+        first += len(coords)
+    kept = tuple(sets[i] for i in sorted(range(len(keys)), key=keys.__getitem__))
     return SimpleHypergraph(edges=kept, b=b, source_edges=len(hg.edges),
-                            replicas=replicas, deleted=deleted)
+                            replicas=len(owner), deleted=len(owner) - len(kept))
+
+
+def _randrange_words(rng, n, count):
+    """The next `count` values of rng.randrange(n), drawn in bulk.
+
+    randrange(n) repeats getrandbits(k), k = n.bit_length(), until the value
+    is below n.  getrandbits(k) takes the next ceil(k/32) 32-bit words, least
+    significant first, and shifts the last right by 32 ceil(k/32) - k, and
+    getrandbits(32 N) is the next N words in the same order.  Returns a
+    (count, ceil(k/32)) uint32 array of each value's words.
+    """
+    k = n.bit_length()
+    words = -(-k // 32)
+    limit = [(n >> 32 * i) & 0xFFFFFFFF for i in range(words)]
+    chunks, need = [], count
+    while need > 0:
+        m = need + need // 2 + 16      # a draw is accepted with probability > 1/2
+        raw = np.frombuffer(rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little"),
+                            dtype="<u4").reshape(m, words).copy()
+        raw[:, -1] >>= 32 * words - k
+        below, equal = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+        for i in reversed(range(words)):
+            below |= equal & (raw[:, i] < limit[i])
+            equal &= raw[:, i] == limit[i]
+        chunks.append(raw[below][:need])
+        need -= len(chunks[-1])
+    return np.concatenate(chunks) if chunks else np.zeros((0, words), dtype=np.uint32)
 
 
 def retained_count_bound(c, m, b):
@@ -378,8 +466,9 @@ def read_pcp(fh):
 
 def write_weighted_hypergraph(hg, fh):
     fh.write("whg3\n")
-    for t, w in sorted(hg.edges.items(), key=lambda kv: sorted(map(repr, kv[0]))):
-        toks = " ".join(sorted(vertex_token(v) for v in t))
+    token = functools.cache(vertex_token)
+    for t, w in _sorted_edges(hg.edges)[0]:
+        toks = " ".join(sorted(map(token, t)))
         fh.write(f"{w} {toks}\n")
 
 
@@ -402,6 +491,7 @@ def read_weighted_hypergraph(fh):
 
 def write_simple_hypergraph(dense, fh):
     fh.write(f"hg3 {dense.b}\n")
+    token = functools.cache(vertex_token)
     for t in dense.edges:
-        toks = " ".join(sorted(f"{vertex_token(v)}@{coord}" for v, coord in t))
+        toks = " ".join(sorted(f"{token(v)}@{coord}" for v, coord in t))
         fh.write(toks + "\n")

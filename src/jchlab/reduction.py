@@ -317,19 +317,25 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def write_points(ci, fh):
+    """Write the header, then one `label coordinates` line per point and per
+    candidate center: integers as str(int(v)), floats as repr(float(v)).
+
+    Each distinct value of a row is formatted once; a float is keyed on its
+    bit pattern, so 0.0 and -0.0 keep their own text.
+    """
     fh.write(f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n")
     integral = np.issubdtype(ci.points.dtype, np.integer)
-    for label, row in zip(ci.point_labels, ci.points):
-        fh.write(_point_line(label, row, integral))
+    fmt = str if integral else repr
+    rows = [(ci.point_labels, ci.points)]
     if ci.centers is not None:
-        for label, row in zip(ci.center_labels, ci.centers):
-            fh.write(_point_line(label, row, integral))
-
-
-def _point_line(label, row, integral):
-    lab = ",".join(map(str, label))
-    vals = " ".join(str(int(v)) if integral else repr(float(v)) for v in row)
-    return f"{lab} {vals}\n"
+        rows.append((ci.center_labels, ci.centers))
+    for labels, block in rows:
+        for label, row in zip(labels, block):
+            keys = row if integral else np.ascontiguousarray(row, np.float64).view(np.uint64)
+            distinct, index = np.unique(keys, return_inverse=True)
+            values = distinct if integral else distinct.view(np.float64)
+            tokens = np.array([fmt(v) for v in values.tolist()], dtype=object)
+            fh.write(f"{','.join(map(str, label))} {' '.join(tokens[index].tolist())}\n")
 
 
 def read_points(fh):

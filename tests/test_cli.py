@@ -104,6 +104,17 @@ def test_reduce_continuous(tmp_path, capsys):
     assert code == 0 and "cost=2.0" in out
 
 
+def test_reduce_continuous_l0_default_exponent(tmp_path, capsys):
+    # without --exponent a continuous l0 instance takes 1, the exponent its center rule needs
+    inst, pts = tmp_path / "inst.jc", tmp_path / "l0.pts"
+    run(capsys, "gen-jc", "--kind", "complete", "--n", "4", "--z", "3", "--y", "2",
+        "--k", "2", "-o", str(inst))
+    assert run(capsys, "reduce", "-i", str(inst), "--mode", "continuous",
+               "--metric", "l0", "-o", str(pts))[0] == 0
+    assert pts.read_text().split("\n")[0] == "pts 4 l0 1 2"
+    assert run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous")[0] == 0
+
+
 def test_sdp_gap_command(capsys):
     code, out = run(capsys, "sdp-gap", "--n", "6", "--t", "5",
                     "--extra-centers", "0.0")
@@ -197,6 +208,8 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
     ({"toy.pcp": TOY_PCP, "assign.txt": "1 u 1\n2 v\n"},
      ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "out.whg3"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--delta", "1/0", "-o", "out.whg3"]),
+    ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--mode", "montecarlo",
+                            "--samples", "-5", "-o", "out.whg3"]),
     ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0,nan"]),
     ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "inf,0"]),
     ({"pts.txt": PTS}, ["cost", "-i", "pts.txt", "--center-coords", "0,0,0"]),
@@ -208,7 +221,7 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
-        "delta-zero-denominator", "center-coords-nan", "center-coords-inf",
+        "delta-zero-denominator", "montecarlo-negative-samples", "center-coords-nan", "center-coords-inf",
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from jchlab import (
     layer_pair_distribution, layer_marginal, build_weighted_hypergraph,
     completeness_cover_check, densify, retained_count_bound, cover_transfers,
     read_pcp, write_pcp, read_weighted_hypergraph, write_weighted_hypergraph,
-    write_simple_hypergraph,
+    write_simple_hypergraph, SimpleHypergraph,
 )
+from jchlab.hypergraph import vertex_token
 
 SINGLETON = LayeredPcp(layers=(("a",), ("b",)), alphabets=(1, 1),
                        edges=((1, 2, "a", "b", (0,)),))
@@ -197,3 +199,161 @@ def test_simple_hypergraph_file():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "hg3 4"
     assert len(lines) == 1 + len(d.edges)
+
+
+# ---------------------------------------------------------------------------
+# the seeded samplers against their per-draw loops
+# ---------------------------------------------------------------------------
+
+def reference_montecarlo(pcp, delta, samples, seed):
+    """Monte-Carlo edge weights drawn one rng.choice / rng.random call at a time."""
+    dist = layer_pair_distribution(pcp.ell)
+    rng = random.Random(seed)
+    cdf, acc = [], Fraction(0)
+    for pair, p in sorted((pair, p) for pair, p in dist.items() if p > 0):
+        acc += p
+        cdf.append((acc, pair))
+    counts = {}
+    fdelta = float(delta)
+    for _ in range(samples):
+        r = rng.random()
+        for acc, pair in cdf:
+            if r < acc:
+                break
+        i, j = pair
+        ei, ej, vi, vj, proj = rng.choice(pcp.edges_between(i, j))
+        si, sj = pcp.alphabets[i - 1], pcp.alphabets[j - 1]
+        x = tuple(rng.choice((1, -1)) for _ in range(si))
+        y = tuple(rng.choice((1, -1)) for _ in range(sj))
+        z = tuple(-y[b] if x[proj[b]] == 1
+                  else (y[b] if rng.random() < 1 - fdelta else -y[b])
+                  for b in range(sj))
+        t = frozenset({(i, vi, x), (j, vj, y), (j, vj, z)})
+        counts[t] = counts.get(t, 0) + 1
+    return {t: Fraction(c, samples) for t, c in counts.items()}
+
+
+def reference_densify(hg, b, c, seed):
+    """Densification drawing one rng.randrange(b) call per coordinate."""
+    rng = random.Random(seed)
+    ordered = sorted(hg.edges.items(), key=lambda kv: sorted(map(repr, kv[0])))
+    seen = {}
+    replicas = 0
+    for t, w in ordered:
+        for _ in range(int(math.floor(c * Fraction(w)))):
+            replica = frozenset((v, rng.randrange(b)) for v in sorted(t, key=repr))
+            seen[replica] = seen.get(replica, 0) + 1
+            replicas += 1
+    kept = tuple(sorted((t for t, cnt in seen.items() if cnt == 1),
+                        key=lambda t: sorted(map(repr, t))))
+    return SimpleHypergraph(edges=kept, b=b, source_edges=len(hg.edges),
+                            replicas=replicas, deleted=replicas - len(kept))
+
+
+def reference_whg3(edges):
+    lines = ["whg3\n"]
+    for t, w in sorted(edges.items(), key=lambda kv: sorted(map(repr, kv[0]))):
+        lines.append(f"{w} {' '.join(sorted(vertex_token(v) for v in t))}\n")
+    return "".join(lines)
+
+
+def reference_hg3(dense):
+    lines = [f"hg3 {dense.b}\n"]
+    for t in dense.edges:
+        lines.append(" ".join(sorted(f"{vertex_token(v)}@{coord}" for v, coord in t)) + "\n")
+    return "".join(lines)
+
+
+def written(write, obj):
+    buf = io.StringIO()
+    write(obj, buf)
+    return buf.getvalue()
+
+
+# pairs (1, 2) and (1, 3) carry 3 edges (choice() rejects 3 of 2-bit draws),
+# pair (2, 3) carries 4 (choice() rejects 4..7 of 3-bit draws)
+THREE_LAYER = LayeredPcp(
+    layers=(("a0", "a1"), ("b0", "b1", "b2"), ("c0", "c1")), alphabets=(2, 3, 3),
+    edges=((1, 2, "a0", "b0", (0, 1, 1)), (1, 2, "a1", "b1", (1, 0, 0)),
+           (1, 2, "a0", "b2", (0, 0, 1)),
+           (1, 3, "a0", "c0", (1, 0, 1)), (1, 3, "a1", "c1", (0, 1, 1)),
+           (1, 3, "a1", "c0", (0, 0, 1)),
+           (2, 3, "b0", "c0", (0, 1, 2)), (2, 3, "b1", "c1", (2, 1, 0)),
+           (2, 3, "b2", "c0", (1, 2, 0)), (2, 3, "b2", "c1", (0, 2, 1))))
+SYSTEMS = {"singleton": SINGLETON, "two-symbol": TWO_SYMBOL, "three-layer": THREE_LAYER}
+DELTAS = [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+@pytest.mark.parametrize("delta", DELTAS, ids=str)
+@pytest.mark.parametrize("samples", [1, 7, 5000])
+def test_montecarlo_matches_per_draw_loop(system, delta, samples):
+    pcp = SYSTEMS[system]
+    for seed in (0, 11):
+        hg = build_weighted_hypergraph(pcp, delta, mode="montecarlo", samples=samples,
+                                       seed=seed)
+        ref = reference_montecarlo(pcp, delta, samples, seed)
+        assert hg.edges == ref and list(hg.edges) == list(ref)
+        assert written(write_weighted_hypergraph, hg) == reference_whg3(ref)
+        if delta == 0 and samples == 5000:    # z = y where x is -1 at every proj[b]
+            assert any(len(t) == 2 for t in hg.edges)
+
+
+@pytest.mark.parametrize("samples", [0, -5, None])
+def test_montecarlo_needs_a_sample(samples):
+    with pytest.raises(ValueError):
+        build_weighted_hypergraph(SINGLETON, 0, mode="montecarlo", samples=samples, seed=1)
+
+
+DENSIFY_BS = [1, 2, 3, 8, 1000, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3, 2 ** 70 + 1]
+
+
+@pytest.mark.parametrize("b", DENSIFY_BS)
+def test_densify_matches_per_draw_loop(b):
+    # edges of 0 to 3 vertices, as a whg3 file may hold
+    mixed = WeightedHypergraph3(vertices=(), mode="file", edges={
+        frozenset(): Fraction(1, 5), frozenset({(1, "a", (1,))}): Fraction(1, 5),
+        frozenset({(1, "a", (-1,)), (2, "b", (1,))}): Fraction(2, 5),
+        frozenset({(1, "a", (1,)), (2, "b", (1,)), (2, "b", (-1,))}): Fraction(1, 5)})
+    sources = [four_edge_graph(), build_weighted_hypergraph(THREE_LAYER, Fraction(1, 8)),
+               build_weighted_hypergraph(TWO_SYMBOL, 0, mode="montecarlo", samples=50,
+                                         seed=3), mixed]
+    for hg in sources:
+        for c in (1, 40, 700):
+            for seed in (0, 5):
+                dense = densify(hg, b, c, seed=seed)
+                ref = reference_densify(hg, b, c, seed)
+                assert dense == ref
+                assert written(write_simple_hypergraph, dense) == reference_hg3(ref)
+
+
+class BoundaryRandom(random.Random):
+    """Every third random() returns one of `values`, the others are the real stream."""
+
+    values = ()
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        if self.calls % 3:
+            return super().random()
+        return self.values[self.calls // 3 % len(self.values)]
+
+    def getrandbits(self, k):     # keeps choice() on getrandbits, as in random.Random
+        return super().getrandbits(k)
+
+
+def test_montecarlo_boundary_draws(monkeypatch):
+    # four layers: the cumulative pair probabilities 3/14, 3/7 and 11/14 round
+    # down as doubles, so a draw just below one of them tells r < acc from
+    # r < float(acc); 7/8 = 1 - delta is a z draw exactly at the keep threshold
+    four = LayeredPcp(layers=(("a",), ("b",), ("c",), ("d",)), alphabets=(1, 1, 1, 1),
+                      edges=tuple((i, j, "abcd"[i - 1], "abcd"[j - 1], (0,))
+                                  for i in range(1, 5) for j in range(i + 1, 5)))
+    accs = [sum(list(layer_pair_distribution(4).values())[:n]) for n in range(1, 6)]
+    BoundaryRandom.values = tuple(sorted(
+        {math.floor(a * 2 ** 53) / 2 ** 53 for a in accs} | {0.875}))
+    monkeypatch.setattr(random, "Random", BoundaryRandom)
+    delta = Fraction(1, 8)
+    hg = build_weighted_hypergraph(four, delta, mode="montecarlo", samples=3000, seed=4)
+    assert hg.edges == reference_montecarlo(four, delta, 3000, 4)

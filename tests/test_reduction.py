@@ -394,3 +394,46 @@ def test_composed_rows_match_dense_blocks(seed, make):
                                 (ci.center_labels, ci.centers, y)):
         dense = dense_rows(inst, code, real, labels, arity)
         assert rows.tolist() == [[float(v) for v in row] for row in dense]
+
+
+def reference_write_points(ci):
+    """The per-coordinate writer: str(int(v)) or repr(float(v)) for every value."""
+    integral = np.issubdtype(ci.points.dtype, np.integer)
+
+    def point_line(label, row):
+        vals = " ".join(str(int(v)) if integral else repr(float(v)) for v in row)
+        return f"{','.join(map(str, label))} {vals}\n"
+
+    lines = [f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n"]
+    lines += [point_line(label, row) for label, row in zip(ci.point_labels, ci.points)]
+    if ci.centers is not None:
+        lines += [point_line(label, row) for label, row in zip(ci.center_labels, ci.centers)]
+    return "".join(lines)
+
+
+def rows_instance(points, centers=None):
+    points = np.asarray(points)
+    labels = tuple(combinations(range(1, 8), 3))[:len(points)]
+    center_labels = None if centers is None else tuple((i,) for i in range(1, len(centers) + 1))
+    return ClusteringInstance(points=points, point_labels=labels, centers=centers,
+                              center_labels=center_labels, k=2, metric=parse_metric("l1"),
+                              exponent=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rows_instance(np.array([[-128, 127, 0, -1, 5], [127, 127, -3, 0, 1]], np.int8),
+                          np.array([[0, -128, 127, 1, 1]], np.int8)),
+    lambda: rows_instance(np.array([[-2 ** 40, 127, -5, 2 ** 62, 0]], np.int64)),
+    lambda: composed("l2", 1), lambda: composed("lp", 2),
+    lambda: build_continuous_indicator_instance(INST), random_float_instance,
+    lambda: rows_instance(np.array([[0.0, -0.0, 0.1, -0.0, 5e-324, -1e300, 0.0]]),
+                          np.array([[-0.0, 0.0, 1.0, 0.0, 2.0, -0.0, 0.5]])),
+    lambda: rows_instance(np.array([[3], [-1], [3]], np.int64)),
+    lambda: rows_instance(np.array([[0.5], [-0.0], [0.5]]), np.array([[0.0]])),
+], ids=["int8-centers", "int64", "l2-scaled", "lp-halfshift", "continuous",
+        "random-floats", "signed-zeros", "one-column-int", "one-column-float"])
+def test_write_points_matches_per_value_writer(make):
+    ci = make()
+    buf = io.StringIO()
+    write_points(ci, buf)
+    assert buf.getvalue() == reference_write_points(ci)
