@@ -13,20 +13,19 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import coverage, codes, embeddings, hypergraph, reduction, relaxations
+from . import coverage, codes, embeddings, hypergraph
 from .errors import BudgetExceededError, CertificationError, ConvergenceError
 
 
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.integer,)):
+    np = sys.modules.get("numpy")   # no numpy value exists before numpy loads
+    if np is not None and isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if np is not None and isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, np.ndarray):
+    if np is not None and isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (tuple, list, set, frozenset)):
         items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
@@ -167,6 +166,7 @@ def cmd_verify_embed(args):
 
 
 def cmd_reduce(args):
+    from . import reduction
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
     recs = [_config_record(args, "reduce",
@@ -194,7 +194,8 @@ def cmd_reduce(args):
     else:
         ci = reduction.build_continuous_indicator_instance(
             inst, metric=args.metric,
-            exponent=args.exponent or (1 if args.metric == "l0" else 2))
+            exponent=(args.exponent if args.exponent is not None
+                      else 1 if args.metric == "l0" else 2))
     with open(args.output, "w") as fh:
         reduction.write_points(ci, fh)
     recs.append({"record": "pointset", "points": len(ci.point_labels),
@@ -204,13 +205,11 @@ def cmd_reduce(args):
     return recs
 
 
-def _load_points(path):
-    with open(path) as fh:
-        return reduction.read_points(fh)
-
-
 def cmd_cost(args):
-    ci = _load_points(args.input)
+    import numpy as np
+    from . import reduction
+    with open(args.input) as fh:
+        ci = reduction.read_points(fh)
     chosen = []
     if args.centers:
         labels = [tuple(int(x) for x in item.split(",")) for item in args.centers]
@@ -231,7 +230,9 @@ def cmd_cost(args):
 
 
 def cmd_brute_opt(args):
-    ci = _load_points(args.input)
+    from . import reduction
+    with open(args.input) as fh:
+        ci = reduction.read_points(fh)
     witness, cost = reduction.brute_force_optimal_cost(ci, args.mode,
                                                        budget=args.budget)
     return [
@@ -242,6 +243,7 @@ def cmd_brute_opt(args):
 
 
 def cmd_sdp_gap(args):
+    from . import relaxations
     report = relaxations.gap_report(args.n, t=args.t, exact_budget=args.budget,
                                     tol=args.tol,
                                     extra_center_fractions=tuple(args.extra_centers))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceededError, CertificationError
-from .geometry import METRICS, Metric, lp_metric
+from .metric import METRICS, Metric, lp_metric
 
 TOL = 1e-9
 DEFAULT_PAIR_BUDGET = 10_000_000

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .errors import BudgetExceededError
 
 DEFAULT_EXACT_BUDGET = 1 << 22
@@ -311,6 +309,7 @@ def densify(hg, b, c, seed=None):
     in a deterministic order, so the output is reproducible from
     (b, c, seed).
     """
+    import numpy as np
     if b < 1 or c < 1:
         raise ValueError("need b >= 1 and c >= 1")
     ordered, reprs = _sorted_edges(hg.edges)
@@ -361,6 +360,7 @@ def _randrange_words(rng, n, count):
     getrandbits(32 N) is the next N words in the same order.  Returns a
     (count, ceil(k/32)) uint32 array of each value's words.
     """
+    import numpy as np
     k = n.bit_length()
     words = -(-k // 32)
     limit = [(n >> 32 * i) & 0xFFFFFFFF for i in range(words)]
@@ -382,17 +382,6 @@ def _randrange_words(rng, n, count):
 def retained_count_bound(c, m, b):
     """The with-probability-0.9 lower bound c - m - 10 c^2 / b^3 on kept edges."""
     return c - m - Fraction(10 * c * c, b ** 3)
-
-
-def densification_schedule(n, m, beta=5):
-    """The asymptotic parameter preset b = max(n, m)^beta, c = b^(5/2).
-
-    With beta = 5 the output has many more edges than squared vertices; at
-    desk scale these numbers explode, so densify() takes b and c directly
-    and this preset is only the documented reference point.
-    """
-    b = max(n, m) ** beta
-    return b, math.isqrt(b ** 5)
 
 
 def cover_transfers(cover, dense):

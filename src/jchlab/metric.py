@@ -1,0 +1,61 @@
+"""The l_p metrics and their tokens.  No numpy import: row distances use only
+the operators and methods of the numpy rows they are given.
+"""
+
+import math
+from dataclasses import dataclass, field
+from operator import sub
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One l_p metric and everything the lab decides by which metric it is.
+
+    Realized vectors (Python numbers) are compared through pair_pow, the sum
+    of |a - b|^root, which stays an int or a Fraction on exact metrics;
+    numpy rows are compared through distance.
+    """
+    token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
+    root: object       # 1 on l0 and l1, else p
+    exact: bool        # realized distances are exact: l0, l1 and lp with an int p
+    exponent: int      # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
+    distance: object = field(compare=False, repr=False)   # (row, row) -> distance
+    pair_pow: object = field(compare=False, repr=False)   # (seq, seq) -> sum |a-b|^root
+
+    def take_root(self, dpow):
+        """dpow^(1/root): a float, or dpow itself (int and Fraction kept) at root 1."""
+        return dpow if self.root == 1 else float(dpow) ** (1.0 / self.root)
+
+
+def _sum_abs(u, v):
+    return sum(map(abs, map(sub, u, v)))
+
+
+METRICS = {m.token: m for m in (
+    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), _sum_abs),
+    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs),
+    Metric("l2", 2, False, 2, lambda u, v: math.sqrt(float(((u - v) ** 2).sum())),
+           lambda u, v: sum(d * d for d in map(sub, u, v))),
+)}
+
+
+def lp_metric(p):
+    """lp for a finite p >= 1; an int p keeps realized distances exact."""
+    if p is None or not (p >= 1 and math.isfinite(p)):
+        raise ValueError(f"lp needs a finite p >= 1, not {p!r}")
+    return Metric(
+        f"lp{p}", p, isinstance(p, int), 1,
+        lambda u, v: float((abs(u - v).astype(float) ** p).sum() ** (1.0 / p)),
+        lambda u, v: sum(d ** p for d in map(abs, map(sub, u, v))))
+
+
+def parse_metric(token):
+    """The metric a token names: l0, l1, l2, or lp<p> with p an int or a float."""
+    if token in METRICS:
+        return METRICS[token]
+    raw = token[2:] if token.startswith("lp") else ""
+    try:
+        p = int(raw) if raw.isdigit() else float(raw)
+    except ValueError:
+        raise ValueError(f"unknown metric token {token!r}") from None
+    return lp_metric(p)

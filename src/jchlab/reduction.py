@@ -18,7 +18,8 @@ import numpy as np
 from .coverage import JohnsonInstance
 from .codes import message_for_element, rs_encode
 from .errors import BudgetExceededError
-from .geometry import METRICS, Metric, best_center_continuous, parse_metric, pointwise_distance
+from .geometry import best_center_continuous, pointwise_distance
+from .metric import METRICS, Metric, parse_metric
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -37,6 +38,8 @@ class ClusteringInstance:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need k >= 1")
+        if self.exponent < 1:
+            raise ValueError(f"cost exponent must be >= 1, not {self.exponent}")
         if self.centers is not None and len(self.centers) == 0:
             raise ValueError("discrete instance needs a nonempty center list")
         if self.centers is not None and self.centers.shape[1] != self.points.shape[1]:

@@ -187,6 +187,9 @@ def run_err(capsys, *argv):
 TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
 # two points in the plane, one candidate center
 PTS = "pts 2 l1 1 1\n1,2 0 1\n1,3 1 0\n1 0 0\n"
+# a cost exponent below 1 names no clustering objective
+NEG_EXPONENT_PTS = ("pts 25 l1 -3 2\n1,2,3 " + " ".join("0" * 25) + "\n1,2 "
+                    + " ".join("1" * 25) + "\n")
 # lp needs a finite p >= 1
 BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
 
@@ -207,6 +210,11 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
      ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
     ({"toy.pcp": TOY_PCP, "assign.txt": "1 u 1\n2 v\n"},
      ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "out.whg3"]),
+    *[({"inst.jc": "jc 4 3 2 2\n1 2 3\n1 2 4\n"},
+       ["reduce", "-i", "inst.jc", "--mode", mode, "--metric", "l1", "--q", "5",
+        "--eta", "1", "--exponent", exponent, "-o", "out.pts"])
+      for mode in ("discrete", "continuous") for exponent in ("0", "-3")],
+    ({"neg.pts": NEG_EXPONENT_PTS}, ["brute-opt", "-i", "neg.pts", "--mode", "discrete"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--delta", "1/0", "-o", "out.whg3"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--mode", "montecarlo",
                             "--samples", "-5", "-o", "out.whg3"]),
@@ -221,6 +229,8 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
+        *[f"reduce-{mode}-exponent-{exponent}" for mode in ("discrete", "continuous")
+          for exponent in ("0", "-3")], "points-exponent-negative",
         "delta-zero-denominator", "montecarlo-negative-samples", "center-coords-nan", "center-coords-inf",
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan"])

@@ -1,0 +1,107 @@
+"""Start-up guard: commands that build no array never load numpy, and the
+package's lazy exports resolve to the objects of their defining modules.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported every layer.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the public names of the package, and the submodules it resolves by name
+NAMES = """
+JohnsonInstance CoverageReport FactorTable cov coverage_fraction
+brute_force_max_coverage fpt_cover_decide gen_instance turan_random_uncovered
+inapprox_factors read_instance write_instance
+RsCode rs_encode verify_relative_distance pick_code_params message_for_element
+is_prime next_prime
+GapRealization GapReport embed_l0 embed_l1 embed_l2_scaled embed_lp_halfshift
+embed_indicator_lp verify_gap_realization realized_distance empirical_gamma
+export_realization
+kmeans_partition_cost kmeans_partition_cost_centroid best_center_continuous
+weiszfeld_geometric_median coordinate_median min_enclosing_ball
+separation_center_bound_check l1sq_pairwise_lower_bound pointwise_distance
+Metric parse_metric
+ClusteringInstance CostBreakdown build_discrete_instance
+build_continuous_indicator_instance clustering_cost brute_force_optimal_cost
+centers_by_labels soundness_floor meets_soundness_floor read_points write_points
+CliqueGapInstance SdpSolution build_clique_gap_instance build_sdp_solution
+verify_sdp_solution lp_fractional_value integral_min_uncovered gap_report
+reiher_uncovered_fraction asymptotic_gap
+LayeredPcp WeightedHypergraph3 SimpleHypergraph layer_pair_distribution
+layer_marginal build_weighted_hypergraph completeness_cover_check densify
+retained_count_bound cover_transfers read_pcp write_pcp read_weighted_hypergraph
+write_weighted_hypergraph write_simple_hypergraph
+BudgetExceededError CertificationError ConvergenceError
+""".split()
+LAYERS = ("coverage", "codes", "embeddings", "metric", "geometry", "reduction",
+          "relaxations", "hypergraph", "errors")
+
+TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
+
+# run one command, then print whether numpy was loaded as the last line
+PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
+         "print('numpy' in sys.modules); sys.exit(code)")
+
+
+def fresh_python(tmp_path, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("numpy-free")
+    (path / "inst.jc").write_text("jc 5 3 2 2\n1 2 3\n1 2 4\n1 3 5\n2 4 5\n")
+    (path / "toy.pcp").write_text(TOY_PCP)
+    (path / "assign.txt").write_text("1 u 1\n2 v 1\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-jc", "--kind", "complete", "--n", "5", "--z", "3", "--y", "2", "--k", "2",
+     "-o", "gen.jc"],
+    ["solve-jc", "-i", "inst.jc", "--alg", "brute"],
+    ["solve-jc", "-i", "inst.jc", "--alg", "fpt"],
+    ["embed", "--metric", "l1", "--q", "5", "--t", "3", "--s", "2", "-o", "real.txt"],
+    ["verify-embed", "--metric", "l0", "--q", "5", "--t", "3", "--s", "2"],
+    ["verify-embed", "--metric", "l1", "--q", "5", "--t", "3", "--s", "2"],
+    ["verify-embed", "--metric", "l2", "--q", "5", "--t", "3", "--s", "2"],
+    ["verify-embed", "--metric", "lp", "--q", "5", "--t", "3", "--p", "3"],
+    ["factors", "--p", "1", "--delta", "1", "--alpha", "0.6321"],
+    ["factors", "--p", "3", "--delta", "1", "--alpha", "0.5", "--q", "5"],
+    ["turan", "--z", "4"],
+    ["hvc-build", "-i", "toy.pcp", "--delta", "1/8", "-o", "exact.whg3"],
+    ["hvc-build", "-i", "toy.pcp", "--mode", "montecarlo", "--samples", "200",
+     "-o", "mc.whg3"],
+    ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "cover.whg3"],
+], ids=" ".join)
+def test_command_runs_without_numpy(workdir, argv):
+    proc = fresh_python(workdir, "-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_lazy_exports_resolve_to_defining_modules(tmp_path):
+    check = (
+        "import importlib, sys, jchlab\n"
+        "assert 'numpy' not in sys.modules\n"
+        "names, layers = sys.argv[1].split(','), sys.argv[2].split(',')\n"
+        "for name in layers:\n"
+        "    assert getattr(jchlab, name) is importlib.import_module('jchlab.' + name), name\n"
+        "for name in names:\n"
+        "    obj = getattr(jchlab, name)\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "    assert name in dir(jchlab), name\n"
+        "print('ok')\n")
+    proc = fresh_python(tmp_path, "-c", check, ",".join(NAMES), ",".join(LAYERS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -202,10 +202,10 @@ def test_points_file_continuous_roundtrip():
 
 def test_pointwise_distance_modes():
     a, b = np.array([0, 1, 1]), np.array([1, 1, 0])
-    assert pointwise_distance(a, b, "l0") == 2
-    assert pointwise_distance(a, b, "l1") == 2
-    assert pointwise_distance(a, b, "l2") == pytest.approx(math.sqrt(2))
-    assert pointwise_distance(a, b, "lp", 3) == pytest.approx(2 ** (1 / 3))
+    assert pointwise_distance(a, b, parse_metric("l0")) == 2
+    assert pointwise_distance(a, b, parse_metric("l1")) == 2
+    assert pointwise_distance(a, b, parse_metric("l2")) == pytest.approx(math.sqrt(2))
+    assert pointwise_distance(a, b, parse_metric("lp3")) == pytest.approx(2 ** (1 / 3))
 
 
 # ---------------------------------------------------------------------------
