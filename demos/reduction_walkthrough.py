@@ -15,7 +15,7 @@ from jchlab import (
     clustering_cost, centers_by_labels, brute_force_optimal_cost,
     soundness_floor, meets_soundness_floor,
     best_center_continuous, kmeans_partition_cost,
-    separation_center_bound_check,
+    separation_center_bound_check, parse_metric,
 )
 
 inst = gen_instance("complete", n=4, z=3, y=2, k=2)
@@ -57,7 +57,7 @@ print("pairwise-form cost of that partition:",
 
 # Exact center oracles at work.
 tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-c, geo = best_center_continuous(tri, "l2", 1)
+c, geo = best_center_continuous(tri, parse_metric("l2"), 1)
 print(f"\ngeometric median of the unit triangle: cost {geo:.6f} "
       f"(= sqrt(3) = {np.sqrt(3):.6f})")
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import coverage, codes, embeddings, hypergraph
 from .errors import BudgetExceededError, CertificationError, ConvergenceError
+from .metric import METRICS, lp_metric
 
 
 def _jsonable(value):
@@ -193,9 +194,7 @@ def cmd_reduce(args):
                      "provenance": "formula"})
     else:
         ci = reduction.build_continuous_indicator_instance(
-            inst, metric=args.metric,
-            exponent=(args.exponent if args.exponent is not None
-                      else 1 if args.metric == "l0" else 2))
+            inst, METRICS.get(args.metric) or lp_metric(args.p), exponent=args.exponent)
     with open(args.output, "w") as fh:
         reduction.write_points(ci, fh)
     recs.append({"record": "pointset", "points": len(ci.point_labels),
@@ -271,12 +270,13 @@ def cmd_hvc_build(args):
         pcp = hypergraph.read_pcp(fh)
     delta = _fraction(args.delta) if "/" in args.delta else Fraction(float(args.delta))
     hg = hypergraph.build_weighted_hypergraph(
-        pcp, delta, mode=args.mode, samples=args.samples, seed=args.seed)
+        pcp, delta, mode=args.mode, samples=args.samples, seed=args.seed,
+        budget=args.budget)
     with open(args.output, "w") as fh:
         hypergraph.write_weighted_hypergraph(hg, fh)
     recs = [_config_record(args, "hvc-build",
                            ["input", "delta", "mode", "samples", "seed",
-                            "assignment", "output"])]
+                            "assignment", "budget", "output"])]
     recs.append({"record": "hypergraph", "edges": len(hg.edges),
                  "edge_weight_total": hg.edge_weight_total(),
                  "vertex_weight_total": hg.vertex_weight_total(),
@@ -319,7 +319,7 @@ def cmd_densify(args):
 
 def cmd_factors(args):
     alpha = _parse_alpha(args.alpha)
-    recs = [_config_record(args, "factors", ["p", "delta", "alpha", "q", "t"])]
+    recs = [_config_record(args, "factors", ["p", "delta", "alpha", "q", "t", "budget"])]
     if args.p in (1, 2):
         table = coverage.inapprox_factors(int(args.p), args.delta, alpha)
         recs.append({"record": "factors", "gamma": table.gamma_lower,
@@ -328,8 +328,8 @@ def cmd_factors(args):
     else:
         if args.q is None:
             raise ValueError("p outside {1,2} needs --q (empirical gap check)")
-        ratio, real, report = embeddings.empirical_gamma(args.p, args.delta,
-                                                         args.q, t=args.t)
+        ratio, real, report = embeddings.empirical_gamma(args.p, args.delta, args.q,
+                                                         t=args.t, budget=args.budget)
         zeta1 = 1 + (1 - alpha) * (ratio - 1)
         zeta2 = 1 + (1 - alpha) * (ratio ** 2 - 1)
         recs.append({"record": "factors", "gamma": ratio,
@@ -359,8 +359,9 @@ def build_parser():
                     "and relaxation-gap certification")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json-lines"), default="text")
-    common.add_argument("--budget", type=int, default=None,
-                        help="search-space cap; exceeding it is exit status 3")
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget", type=int, default=coverage.DEFAULT_BUDGET,
+                          help="search-space cap; exceeding it is exit status 3")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-jc", parents=[common], help="generate an instance file")
@@ -376,13 +377,14 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_jc)
 
-    p = sub.add_parser("solve-jc", parents=[common], help="exact solvers")
+    p = sub.add_parser("solve-jc", parents=[budgeted], help="exact solvers")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--alg", choices=("brute", "fpt"), default="brute")
     p.set_defaults(func=cmd_solve_jc)
 
-    for name, fn in (("embed", cmd_embed), ("verify-embed", cmd_verify_embed)):
-        p = sub.add_parser(name, parents=[common])
+    for name, fn, parent in (("embed", cmd_embed, common),
+                             ("verify-embed", cmd_verify_embed, budgeted)):
+        p = sub.add_parser(name, parents=[parent])
         p.add_argument("--metric", choices=tuple(REALIZATIONS), required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
@@ -418,12 +420,12 @@ def build_parser():
                    help="explicit center vectors like 0.5,0.5,1")
     p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser("brute-opt", parents=[common], help="exact optimum")
+    p = sub.add_parser("brute-opt", parents=[budgeted], help="exact optimum")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--mode", choices=("discrete", "continuous"), required=True)
     p.set_defaults(func=cmd_brute_opt)
 
-    p = sub.add_parser("sdp-gap", parents=[common], help="clique gap certification")
+    p = sub.add_parser("sdp-gap", parents=[budgeted], help="clique gap certification")
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--t", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -431,7 +433,7 @@ def build_parser():
                    help="sweep fractions of extra integral centers")
     p.set_defaults(func=cmd_sdp_gap)
 
-    p = sub.add_parser("hvc-build", parents=[common], help="layered system to hypergraph")
+    p = sub.add_parser("hvc-build", parents=[budgeted], help="layered system to hypergraph")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--delta", default="0")
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
@@ -450,7 +452,7 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_densify)
 
-    p = sub.add_parser("factors", parents=[common], help="inapproximability factors")
+    p = sub.add_parser("factors", parents=[budgeted], help="inapproximability factors")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--alpha", required=True, help="float or fraction like 7/8")
@@ -467,8 +469,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None:
-        args.budget = coverage.DEFAULT_BUDGET
     try:
         records = args.func(args)
     except BudgetExceededError as exc:

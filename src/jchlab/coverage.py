@@ -101,7 +101,7 @@ def coverage_fraction(cover, inst):
 # brute force
 # ---------------------------------------------------------------------------
 
-def _cover_masks(inst):
+def cover_masks(inst):
     """Bitmask over the edge list of the edges containing each y-subset."""
     covers = {}
     for j, t in enumerate(inst.edges):
@@ -195,7 +195,7 @@ def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"brute force needs {total} collections, budget is {budget}",
             required=total, budget=budget)
-    covers = _cover_masks(inst)
+    covers = cover_masks(inst)
     _, best_idx, visited, pruned = max_union_search(
         [covers.get(s, 0) for s in cands], r, inst.num_edges)
     best = tuple(cands[i] for i in best_idx)
@@ -216,7 +216,7 @@ def fpt_cover_decide(inst):
     """
     if inst.y != inst.z - 1:
         raise ValueError("branching decision procedure requires y = z-1")
-    covers = _cover_masks(inst)
+    covers = cover_masks(inst)
     # per edge: its (z-1)-subsets in branching order, with their cover masks
     branches = [[(s, covers[s]) for s in combinations(t, inst.y)] for t in inst.edges]
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .coverage import DEFAULT_BUDGET
 from .errors import BudgetExceededError, CertificationError
 from .metric import METRICS, Metric, lp_metric
 
 TOL = 1e-9
-DEFAULT_PAIR_BUDGET = 10_000_000
 
 
 # kind -> (t, s) -> entries (off, on) of the t-set side and of the s-set side:
@@ -163,7 +163,7 @@ class GapReport:
         return float(self.min_nonedge_over_edge)
 
 
-def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_PAIR_BUDGET,
+def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET,
                            tol=TOL):
     """Exhaustively check every (t-set, s-set) pair of the realization.
 
@@ -245,12 +245,13 @@ def _close_pow(d, expected, real, tol):
     return abs(float(d) - float(expected)) <= tol * max(1.0, float(expected))
 
 
-def empirical_gamma(p, delta, q, t=None):
+def empirical_gamma(p, delta, q, t=None, budget=DEFAULT_BUDGET):
     """Best certified gap ratio for lp at co-arity delta, by construction + check.
 
     Used for p outside {1, 2}, where no closed form is tabulated.  Tries the
     characteristic-vector map (any delta) and the half-shift map (delta = 1),
     returning (ratio, realization, report) for the larger certified ratio.
+    Each check refuses (loudly) above budget pairs.
     """
     if t is None:
         t = delta + 1
@@ -260,7 +261,7 @@ def empirical_gamma(p, delta, q, t=None):
         candidates.append(embed_lp_halfshift(q, t, p))
     best = None
     for real in candidates:
-        report = verify_gap_realization(real)
+        report = verify_gap_realization(real, budget=budget)
         ratio = report.certified_ratio
         if best is None or ratio > best[0]:
             best = (ratio, real, report)

@@ -160,28 +160,41 @@ def l1sq_center_heuristic(points):
     return best
 
 
+def centroid(points):
+    """The mean and its squared-l2 cost: the exact l2 means center."""
+    pts = as_points(points)
+    c = pts.astype(float).mean(axis=0)
+    return c, float(((pts - c) ** 2).sum())
+
+
+def median_center(points):
+    """The lower coordinate median and its l1 cost: the exact l1 medians center."""
+    pts = as_points(points)
+    c = coordinate_median(pts)
+    cost = np.abs(pts - c).sum()
+    return c, (int(cost) if np.issubdtype(pts.dtype, np.integer) else float(cost))
+
+
+def binary_median_center(points):
+    """median_center on 0/1 data, where l0 and l1 agree."""
+    pts = as_points(points)
+    if not np.isin(pts, (0, 1)).all():
+        raise ValueError("l0 center requires 0/1 data")
+    return median_center(pts)
+
+
 def best_center_continuous(points, metric, exponent):
     """Optimal (or flagged-heuristic) single center for one cluster.
 
-    (l2, 2) centroid; (l1/l0, 1) coordinatewise lower median; (l2, 1)
-    Weiszfeld; (l1, 2) local-search heuristic (squared-l1 cost is not
-    coordinatewise separable, so no exact closed form is used).
+    The rule is metric.centers[exponent]: (l2, 2) centroid; (l1/l0, 1)
+    coordinatewise lower median; (l2, 1) Weiszfeld; (l1, 2) local-search
+    heuristic (squared-l1 cost is not coordinatewise separable, so no exact
+    closed form is used).
     """
-    pts = as_points(points)
-    if metric == "l2" and exponent == 2:
-        c = pts.astype(float).mean(axis=0)
-        return c, float(((pts - c) ** 2).sum())
-    if metric in ("l0", "l1") and exponent == 1:
-        if metric == "l0" and not np.isin(pts, (0, 1)).all():
-            raise ValueError("l0 center requires 0/1 data")
-        c = coordinate_median(pts)
-        cost = np.abs(pts - c).sum()
-        return c, (int(cost) if np.issubdtype(pts.dtype, np.integer) else float(cost))
-    if metric == "l2" and exponent == 1:
-        return weiszfeld_geometric_median(pts)
-    if metric == "l1" and exponent == 2:
-        return l1sq_center_heuristic(pts)
-    raise ValueError(f"no center rule for metric={metric!r} exponent={exponent}")
+    rule = metric.centers.get(exponent)
+    if rule is None:
+        raise ValueError(f"no center rule for metric={metric.token!r} exponent={exponent}")
+    return rule(points)
 
 
 # ---------------------------------------------------------------------------

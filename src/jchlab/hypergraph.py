@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .coverage import DEFAULT_BUDGET
 from .errors import BudgetExceededError
-
-DEFAULT_EXACT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def _z_factor(xval, yb, zb, delta):
 
 
 def build_weighted_hypergraph(pcp, delta, mode="exact", samples=None, seed=None,
-                              budget=DEFAULT_EXACT_BUDGET):
+                              budget=DEFAULT_BUDGET):
     """Hypergraph over (layer, vertex, cube point) triples.
 
     Exact mode enumerates every (x, y, z) outcome per edge--2^(|S_i|+2|S_j|)

@@ -4,6 +4,7 @@ the operators and methods of the numpy rows they are given.
 
 import math
 from dataclasses import dataclass, field
+from importlib import import_module
 from operator import sub
 
 
@@ -13,7 +14,8 @@ class Metric:
 
     Realized vectors (Python numbers) are compared through pair_pow, the sum
     of |a - b|^root, which stays an int or a Fraction on exact metrics;
-    numpy rows are compared through distance.
+    numpy rows are compared through distance, and a cluster's continuous
+    center comes from the rule centers holds for the cost exponent.
     """
     token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
     root: object       # 1 on l0 and l1, else p
@@ -21,6 +23,8 @@ class Metric:
     exponent: int      # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
     distance: object = field(compare=False, repr=False)   # (row, row) -> distance
     pair_pow: object = field(compare=False, repr=False)   # (seq, seq) -> sum |a-b|^root
+    # cost exponent -> (points) -> (center, cost); none on lp
+    centers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def take_root(self, dpow):
         """dpow^(1/root): a float, or dpow itself (int and Fraction kept) at root 1."""
@@ -31,11 +35,19 @@ def _sum_abs(u, v):
     return sum(map(abs, map(sub, u, v)))
 
 
+def _geometry(name):
+    # a center rule of jchlab.geometry, imported (with numpy) when it first runs
+    return lambda points: getattr(import_module("jchlab.geometry"), name)(points)
+
+
 METRICS = {m.token: m for m in (
-    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), _sum_abs),
-    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs),
+    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), _sum_abs,
+           {1: _geometry("binary_median_center")}),
+    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs,
+           {1: _geometry("median_center"), 2: _geometry("l1sq_center_heuristic")}),
     Metric("l2", 2, False, 2, lambda u, v: math.sqrt(float(((u - v) ** 2).sum())),
-           lambda u, v: sum(d * d for d in map(sub, u, v))),
+           lambda u, v: sum(d * d for d in map(sub, u, v)),
+           {1: _geometry("weiszfeld_geometric_median"), 2: _geometry("centroid")}),
 )}
 
 

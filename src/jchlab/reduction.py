@@ -15,13 +15,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .coverage import JohnsonInstance
+from .coverage import DEFAULT_BUDGET, JohnsonInstance
 from .codes import message_for_element, rs_encode
 from .errors import BudgetExceededError
 from .geometry import best_center_continuous, pointwise_distance
 from .metric import METRICS, Metric, parse_metric
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass
@@ -151,10 +149,17 @@ def meets_soundness_floor(ci, distance):
     return distance >= soundness_floor(ci) - 1e-9
 
 
-def build_continuous_indicator_instance(inst, metric="l2", exponent=2):
-    """Indicator vectors of the edges in dimension n; no candidate centers."""
-    if metric not in METRICS:
-        raise ValueError(f"continuous indicator instance needs l0, l1 or l2, not {metric!r}")
+def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=None):
+    """Indicator vectors of the edges in dimension n; no candidate centers.
+
+    The cost exponent defaults to the largest one the metric has a center
+    rule for: 2 on l1 and l2, 1 on l0.
+    """
+    if not metric.centers:
+        raise ValueError(f"continuous indicator instance needs l0, l1 or l2, "
+                         f"not {metric.token!r}")
+    if exponent is None:
+        exponent = max(metric.centers)
     points = np.zeros((inst.num_edges, inst.n), dtype=np.int8)
     for i, t in enumerate(inst.edges):
         for u in t:
@@ -162,7 +167,7 @@ def build_continuous_indicator_instance(inst, metric="l2", exponent=2):
     meta = {"z": inst.z, "y": inst.y, "n": inst.n}
     return ClusteringInstance(points=points, point_labels=inst.edges,
                               centers=None, center_labels=None, k=inst.k,
-                              metric=METRICS[metric], exponent=exponent, meta=meta)
+                              metric=metric, exponent=exponent, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
             for block in partition:
                 if block not in block_cost:
                     block_cost[block] = float(best_center_continuous(
-                        ci.points[list(block)], ci.metric.token, ci.exponent)[1])
+                        ci.points[list(block)], ci.metric, ci.exponent)[1])
                 cost += block_cost[block]
             if best is None or cost < best[1] - 1e-12:
                 best = (partition, cost)

@@ -1,10 +1,11 @@
 """The 4-clique integrality-gap instance and its explicit SDP certificate.
 
-Points are the C(n,4) vertex sets of 4-cliques of K_n (as indicator vectors),
-candidate centers the C(n,2) edges; a center covers a point at l1 distance 2
-(squared l2 distance 2), everything else sits at distance >= 4.  An explicit
-feasible SDP solution connects every point only to covering centers while
-opening 1/5 of each center, so its objective is 2*C(n,4); integrally, at
+Points are the C(n,4) 4-cliques of K_n, candidate centers the C(n,2) edges,
+both kept as vertex labels; as indicator vectors a point p and a center e
+sit at l1 distance |p ^ e|: 2 when e covers p, at least 4 otherwise.  An
+explicit feasible SDP solution connects every point only to covering centers
+while opening 1/5 of each center, so its objective is 2*C(n,4).  Integrally
+this is Max k'-Coverage on the complete Johnson instance (n, z=4, y=2); at
 least a 24/125 fraction of the 4-cliques must escape any k chosen edges
 asymptotically, giving the gap (2 + 2*(24/125))/2 = 149/125.  Finite n
 deviates (small n even reaches uncovered = 0) and the report says so.
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coverage import DEFAULT_BUDGET, max_union_search
+from .coverage import DEFAULT_BUDGET, cover_masks, gen_instance, max_union_search
 from .errors import BudgetExceededError, CertificationError
 
 CONSTRAINT_FAMILIES = (
@@ -33,9 +34,7 @@ CONSTRAINT_FAMILIES = (
 @dataclass(frozen=True)
 class CliqueGapInstance:
     n: int
-    points: np.ndarray          # indicator vectors of 4-cliques
     point_labels: tuple         # 4-tuples of vertices
-    centers: np.ndarray         # indicator vectors of edges
     center_labels: tuple        # 2-tuples of vertices
     k: int                      # integral budget floor(C(n,2)/5)
 
@@ -47,18 +46,8 @@ class CliqueGapInstance:
 def build_clique_gap_instance(n):
     if n < 5:
         raise ValueError("need n >= 5")
-    point_labels = tuple(combinations(range(1, n + 1), 4))
-    center_labels = tuple(combinations(range(1, n + 1), 2))
-    points = np.zeros((len(point_labels), n), dtype=np.int8)
-    for i, p in enumerate(point_labels):
-        for v in p:
-            points[i, v - 1] = 1
-    centers = np.zeros((len(center_labels), n), dtype=np.int8)
-    for i, e in enumerate(center_labels):
-        for v in e:
-            centers[i, v - 1] = 1
-    return CliqueGapInstance(n=n, points=points, point_labels=point_labels,
-                             centers=centers, center_labels=center_labels,
+    return CliqueGapInstance(n=n, point_labels=tuple(combinations(range(1, n + 1), 4)),
+                             center_labels=tuple(combinations(range(1, n + 1), 2)),
                              k=math.comb(n, 2) // 5)
 
 
@@ -177,10 +166,9 @@ def verify_sdp_solution(sol, tol=1e-8):
 
     n4 = math.comb(inst.n, 4)
     numeric = 0.0
-    for pi, edges in enumerate(sol.cover_edges):
+    for pi, (p, edges) in enumerate(zip(inst.point_labels, sol.cover_edges)):
         for slot, ei in enumerate(edges):
-            d = int(np.abs(inst.points[pi].astype(np.int16)
-                           - inst.centers[ei]).sum())
+            d = len(set(p).symmetric_difference(inst.center_labels[ei]))
             numeric += float(vnorms[pi, slot]) * d
     return SdpCheck(max_residual=worst, residuals=res, worst_family=worst_family,
                     objective_exact=Fraction(2 * n4),
@@ -216,73 +204,31 @@ def lp_fractional_value(inst):
 class IntegralResult:
     uncovered: int
     witness: tuple
-    method: str          # "exact" | "heuristic"
+    method: str          # "exact"; sdp-gap prints it as the provenance
     nodes_visited: int = field(default=0, compare=False, repr=False)
     nodes_pruned: int = field(default=0, compare=False, repr=False)
 
 
-def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET, heuristic=False,
-                           seed=None):
+def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET):
     """Minimum number of 4-cliques containing none of k' chosen edges.
 
-    Exact (coverage.max_union_search) when the C(C(n,2), k') edge subsets
-    fit the budget; otherwise a seeded swap local search, clearly labeled
-    heuristic (an upper bound on the true minimum).
+    Max k'-Coverage on the complete Johnson instance (n, 4, 2), exact by
+    coverage.max_union_search; refuses (loudly) when the C(C(n,2), k') edge
+    subsets exceed the budget.
     """
     m = len(inst.center_labels)
     k_prime = min(k_prime, m)
     total = math.comb(m, k_prime)
-    masks = _coverage_masks(inst)
+    if budget is not None and total > budget:
+        raise BudgetExceededError(f"{total} edge subsets exceed budget {budget}",
+                                  required=total, budget=budget)
+    covers = cover_masks(gen_instance("complete", inst.n, 4, 2, k_prime))
     npoints = len(inst.point_labels)
-    if budget is None or total <= budget:
-        covered, idx, visited, pruned = max_union_search(masks, k_prime, npoints)
-        return IntegralResult(uncovered=npoints - covered, method="exact",
-                              witness=tuple(inst.center_labels[i] for i in idx),
-                              nodes_visited=visited, nodes_pruned=pruned)
-    if not heuristic:
-        raise BudgetExceededError(
-            f"{total} edge subsets exceed budget {budget}; pass heuristic=True "
-            f"for a labeled local search", required=total, budget=budget)
-    import random
-    rng = random.Random(seed)
-    current = list(rng.sample(range(m), k_prime))
-    def uncovered_of(sel):
-        mask = 0
-        for i in sel:
-            mask |= masks[i]
-        return npoints - mask.bit_count()
-    cur_val = uncovered_of(current)
-    improved = True
-    while improved and cur_val > 0:
-        improved = False
-        outside = [i for i in range(m) if i not in set(current)]
-        for pos in range(k_prime):
-            for cand in outside:
-                trial = current.copy()
-                trial[pos] = cand
-                val = uncovered_of(trial)
-                if val < cur_val:
-                    current, cur_val = trial, val
-                    improved = True
-                    break
-            if improved:
-                break
-    witness = tuple(inst.center_labels[i] for i in sorted(current))
-    return IntegralResult(uncovered=cur_val, witness=witness, method="heuristic")
-
-
-def _coverage_masks(inst):
-    # per center: bitmask of the 4-cliques it covers
-    point_index = {p: i for i, p in enumerate(inst.point_labels)}
-    masks = []
-    for e in inst.center_labels:
-        mask = 0
-        others = [v for v in range(1, inst.n + 1) if v not in e]
-        for extra in combinations(others, 2):
-            p = tuple(sorted(e + extra))
-            mask |= 1 << point_index[p]
-        masks.append(mask)
-    return masks
+    covered, idx, visited, pruned = max_union_search(
+        [covers[e] for e in inst.center_labels], k_prime, npoints)
+    return IntegralResult(uncovered=npoints - covered, method="exact",
+                          witness=tuple(inst.center_labels[i] for i in idx),
+                          nodes_visited=visited, nodes_pruned=pruned)
 
 
 def reiher_uncovered_fraction(t=5):

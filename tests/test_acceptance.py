@@ -24,7 +24,7 @@ from jchlab import (
     reiher_uncovered_fraction, asymptotic_gap,
     kmeans_partition_cost, kmeans_partition_cost_centroid,
     weiszfeld_geometric_median, best_center_continuous,
-    separation_center_bound_check,
+    separation_center_bound_check, parse_metric,
     LayeredPcp, WeightedHypergraph3, layer_marginal,
     build_weighted_hypergraph, completeness_cover_check, densify,
     retained_count_bound, cover_transfers,
@@ -208,7 +208,7 @@ def test_criterion_9_continuous_oracles():
     assert wcost <= float(total.min()) + 1e-4
 
     pts01 = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]])
-    _, med_cost = best_center_continuous(pts01, "l1", 1)
+    _, med_cost = best_center_continuous(pts01, parse_metric("l1"), 1)
     assert med_cost == 3
 
     assert separation_center_bound_check(np.eye(50), 0.1)

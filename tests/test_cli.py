@@ -243,6 +243,38 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "0.5", "--q", "12",
+          "--budget", "10"]),
+    ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--budget", "1", "-o", "out.whg3"]),
+], ids=["factors", "hvc-build"])
+def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, err = run_err(capsys, *argv)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+
+
+# commands that enumerate nothing take no --budget
+@pytest.mark.parametrize("argv", [
+    ["gen-jc", "--kind", "complete", "--n", "4", "--z", "3", "--y", "2", "--k", "2",
+     "-o", "out.jc"],
+    ["embed", "--metric", "l1", "--q", "5", "--t", "3", "--s", "2"],
+    ["reduce", "-i", "inst.jc", "--mode", "continuous", "-o", "out.pts"],
+    ["cost", "-i", "pts.txt", "--centers", "1"],
+    ["densify", "-i", "toy.whg3", "--b", "2", "--c", "3", "-o", "out.hg3"],
+    ["turan", "--z", "4"],
+], ids=["gen-jc", "embed", "reduce", "cost", "densify", "turan"])
+def test_budget_option_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e20"])
 @pytest.mark.parametrize("command", [
     ["brute-opt", "--mode", "discrete"], ["cost", "--centers", "1"]],

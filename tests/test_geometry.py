@@ -8,7 +8,7 @@ from jchlab import (
     kmeans_partition_cost, kmeans_partition_cost_centroid,
     best_center_continuous, weiszfeld_geometric_median, coordinate_median,
     min_enclosing_ball, separation_center_bound_check,
-    l1sq_pairwise_lower_bound,
+    l1sq_pairwise_lower_bound, parse_metric,
 )
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
@@ -87,7 +87,7 @@ def test_weiszfeld_optimum_at_data_point():
 def test_coordinate_median_examples():
     pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]])
     assert coordinate_median(pts).tolist() == [0, 0, 1]
-    c, cost = best_center_continuous(pts, "l1", 1)
+    c, cost = best_center_continuous(pts, parse_metric("l1"), 1)
     assert cost == 3 and isinstance(cost, int)
     # even count with a 50/50 split resolves downward
     even = np.array([[0], [0], [1], [1]])
@@ -95,14 +95,14 @@ def test_coordinate_median_examples():
 
 
 def test_best_center_centroid():
-    c, cost = best_center_continuous(TRIANGLE, "l2", 2)
+    c, cost = best_center_continuous(TRIANGLE, parse_metric("l2"), 2)
     assert np.allclose(c, TRIANGLE.mean(axis=0))
     assert cost == pytest.approx(1.0, abs=1e-12)
 
 
 def test_best_center_l1sq_heuristic_vs_bound():
     pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]], dtype=float)
-    c, cost = best_center_continuous(pts, "l1", 2)
+    c, cost = best_center_continuous(pts, parse_metric("l1"), 2)
     lb = l1sq_pairwise_lower_bound(pts)
     assert lb <= cost + 1e-9
     assert cost <= 3.0 + 1e-6  # coordinate median already achieves 3
@@ -110,9 +110,11 @@ def test_best_center_l1sq_heuristic_vs_bound():
 
 def test_best_center_rejects_unknown():
     with pytest.raises(ValueError):
-        best_center_continuous(TRIANGLE, "l2", 3)
+        best_center_continuous(TRIANGLE, parse_metric("l2"), 3)
+    with pytest.raises(ValueError, match="no center rule for metric='l0' exponent=2"):
+        best_center_continuous(np.eye(3, dtype=int), parse_metric("l0"), 2)
     with pytest.raises(ValueError):
-        best_center_continuous(np.empty((0, 2)), "l2", 2)
+        best_center_continuous(np.empty((0, 2)), parse_metric("l2"), 2)
 
 
 def test_meb_basis_vectors():

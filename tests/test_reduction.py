@@ -156,6 +156,16 @@ def test_discrete_brute_force_matches_completeness():
     assert witness == ((1, 2), (3, 4))
 
 
+@pytest.mark.parametrize("token, exponent", [("l0", 1), ("l1", 2), ("l2", 2)])
+def test_continuous_default_exponent_has_a_center_rule(token, exponent):
+    # the largest exponent with a center rule, so brute-opt can score the file
+    ci = build_continuous_indicator_instance(INST, parse_metric(token))
+    assert ci.exponent == exponent and ci.metric == parse_metric(token)
+    brute_force_optimal_cost(ci, "continuous")
+    with pytest.raises(ValueError, match="needs l0, l1 or l2, not 'lp3'"):
+        build_continuous_indicator_instance(INST, parse_metric("lp3"))
+
+
 def test_continuous_brute_force():
     inst = gen_instance("complete", 4, 3, 2, 2)
     ci = build_continuous_indicator_instance(inst)
@@ -353,7 +363,7 @@ ROUNDTRIP_REALIZATIONS = {
 def test_points_roundtrip_keeps_metric(token, mode):
     ci = build_discrete_instance(INST, RsCode(5, 1), ROUNDTRIP_REALIZATIONS[token]())
     if mode == "continuous" and token in ("l0", "l1", "l2"):
-        ci = build_continuous_indicator_instance(INST, metric=token)
+        ci = build_continuous_indicator_instance(INST, metric=parse_metric(token))
     elif mode == "continuous":    # no continuous builder for lp: drop the centers
         ci = dataclasses.replace(ci, centers=None, center_labels=None)
     buf = io.StringIO()

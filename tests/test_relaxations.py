@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from jchlab import (
-    BudgetExceededError, CertificationError,
+    BudgetExceededError, CertificationError, brute_force_max_coverage, gen_instance,
     build_clique_gap_instance, build_sdp_solution, verify_sdp_solution,
     lp_fractional_value, integral_min_uncovered, gap_report,
     reiher_uncovered_fraction, asymptotic_gap,
 )
+from jchlab.coverage import DEFAULT_BUDGET
 from jchlab.relaxations import IntegralResult
+
+
+def indicators(labels, n):
+    """0/1 rows over the vertices [n], one per label."""
+    return np.array([[int(v in label) for v in range(1, n + 1)] for label in labels])
 
 
 def test_instance_shapes():
@@ -26,8 +32,9 @@ def test_instance_shapes():
 
 def test_each_point_covered_by_six_centers():
     inst = build_clique_gap_instance(6)
-    for row in inst.points:
-        d = np.abs(inst.centers.astype(int) - row.astype(int)).sum(axis=1)
+    centers = indicators(inst.center_labels, inst.n)
+    for row in indicators(inst.point_labels, inst.n):
+        d = np.abs(centers - row).sum(axis=1)
         assert (d == 2).sum() == 6
         assert set(np.unique(d)) <= {2, 4, 6}
 
@@ -36,7 +43,7 @@ def test_well_separated():
     # all pairwise distances among points and centers at least the base 2
     for n in (6, 7, 8):
         inst = build_clique_gap_instance(n)
-        allv = np.concatenate([inst.points, inst.centers]).astype(int)
+        allv = indicators(inst.point_labels + inst.center_labels, n)
         for i in range(len(allv)):
             d = np.abs(allv[i + 1:] - allv[i]).sum(axis=1)
             assert (d >= 2).all()
@@ -122,14 +129,25 @@ def test_integral_matches_enumeration():
             assert got.nodes_visited >= 1
 
 
-def test_integral_budget_and_heuristic():
+def test_integral_matches_johnson_coverage():
+    # the integral side is Max k'-Coverage on the complete Johnson instance (n, 4, 2)
+    for n in range(5, 10):
+        inst = build_clique_gap_instance(n)
+        for kp in range(0, 8):
+            if math.comb(len(inst.center_labels), kp) > DEFAULT_BUDGET:
+                continue
+            got = integral_min_uncovered(inst, kp)
+            best, rep = brute_force_max_coverage(gen_instance("complete", n, 4, 2, kp))
+            assert (got.uncovered, got.witness) == (rep.total - rep.covered, best), (n, kp)
+            assert (got.nodes_visited, got.nodes_pruned) == \
+                (rep.nodes_visited, rep.nodes_pruned), (n, kp)
+
+
+def test_integral_budget():
     inst = build_clique_gap_instance(8)
     with pytest.raises(BudgetExceededError):
         integral_min_uncovered(inst, 5, budget=10)
-    h = integral_min_uncovered(inst, 5, budget=10, heuristic=True, seed=3)
-    assert h.method == "heuristic"
     exact = integral_min_uncovered(inst, 5)
-    assert h.uncovered >= exact.uncovered   # heuristic is an upper bound
     assert integral_min_uncovered(inst, 5, budget=None) == exact   # no cap
 
 
