@@ -3,8 +3,10 @@
 
 Points are 4-cliques of a complete graph, candidate centers are edges.  An
 explicit feasible SDP solution connects every point at distance 2 while
-opening a fifth of each center; integrally, a guaranteed fraction of the
-cliques escapes any comparable budget, and the two sides meet at 149/125.
+opening a fifth of each center; every constraint holds exactly, with
+rational residual 0, and a float cross-check sits beside it.  Integrally, a
+guaranteed fraction of the cliques escapes any comparable budget, and the
+two sides meet at 149/125.
 """
 
 import math
@@ -21,9 +23,9 @@ print(f"n=6: {len(inst.point_labels)} 4-cliques, "
 
 sol = build_sdp_solution(inst, t=5)
 chk = verify_sdp_solution(sol)
-print("constraint residuals:")
+print("constraint residuals (exact, then the float cross-check):")
 for fam, r in chk.residuals.items():
-    print(f"  {fam:>17}: {r:.2e}")
+    print(f"  {fam:>17}: {chk.exact_residuals[fam]}  {r:.2e}")
 print(f"SDP objective: {chk.objective_exact} "
       f"(numeric cross-check {chk.objective_float:.12f})")
 print("LP value:", lp_fractional_value(inst).objective,

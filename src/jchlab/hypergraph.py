@@ -153,7 +153,7 @@ def build_weighted_hypergraph(pcp, delta, mode="exact", samples=None, seed=None,
                 continue
             es = pair_edges[(i, j)]
             si, sj = pcp.alphabets[i - 1], pcp.alphabets[j - 1]
-            if 2 ** (si + 2 * sj) > budget:
+            if budget is not None and 2 ** (si + 2 * sj) > budget:
                 raise BudgetExceededError(
                     f"exact enumeration needs 2^{si + 2 * sj} outcomes per edge",
                     required=2 ** (si + 2 * sj), budget=budget)

@@ -153,13 +153,15 @@ def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=Non
     """Indicator vectors of the edges in dimension n; no candidate centers.
 
     The cost exponent defaults to the largest one the metric has a center
-    rule for: 2 on l1 and l2, 1 on l0.
+    rule for: 2 on l1 and l2, 1 on l0.  An exponent without a rule is refused.
     """
     if not metric.centers:
         raise ValueError(f"continuous indicator instance needs l0, l1 or l2, "
                          f"not {metric.token!r}")
     if exponent is None:
         exponent = max(metric.centers)
+    if exponent not in metric.centers:
+        raise ValueError(f"no center rule for metric={metric.token!r} exponent={exponent}")
     points = np.zeros((inst.num_edges, inst.n), dtype=np.int8)
     for i, t in enumerate(inst.edges):
         for u in t:

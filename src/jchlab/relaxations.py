@@ -4,7 +4,9 @@ Points are the C(n,4) 4-cliques of K_n, candidate centers the C(n,2) edges,
 both kept as vertex labels; as indicator vectors a point p and a center e
 sit at l1 distance |p ^ e|: 2 when e covers p, at least 4 otherwise.  An
 explicit feasible SDP solution connects every point only to covering centers
-while opening 1/5 of each center, so its objective is 2*C(n,4).  Integrally
+while opening 1/5 of each center, so its objective is 2*C(n,4); it is stored
+per coordinate class and every constraint family is verified in exact
+arithmetic, with a float cross-check.  Integrally
 this is Max k'-Coverage on the complete Johnson instance (n, z=4, y=2); at
 least a 24/125 fraction of the 4-cliques must escape any k chosen edges
 asymptotically, giving the gap (2 + 2*(24/125))/2 = 149/125.  Finite n
@@ -53,24 +55,26 @@ def build_clique_gap_instance(n):
 
 @dataclass
 class SdpSolution:
-    """Explicit vectors in dimension 1 + 2*C(n,2).
+    """Explicit vectors in dimension 1 + 2*C(n,2), stored per coordinate class.
 
-    Coordinate 0 carries v0; coordinates 1 + 2i and 2 + 2i carry the two
-    orthonormal directions attached to edge i.  v_pe is zero unless e lies in
-    the 4-clique p; the nonzero ones are stored per point, aligned with
-    cover_edges.
+    Coordinate 0 carries v0; edge e has two orthonormal directions w_e and
+    w'_e.  Every u_e has three nonzeros: coordinate 0, w_e and w'_e.  Every
+    v_pe with e in the 4-clique p has seven: coordinate 0, w_e, and w_f for
+    each of the five other edges f of p; v_pe is zero when e is not in p.
+    A coefficient is r*sqrt(k): the *_exact tuples hold the Fractions r, and
+    k is 1 on coordinate 0, t+1 on every w and t-1 on every w'.  v0, u and v
+    hold the coefficients as floats.
     """
 
     inst: CliqueGapInstance
     t: int
-    v0: np.ndarray
-    u: np.ndarray                # (m_centers, dim)
-    v: np.ndarray                # (m_points, 6, dim) nonzero assignment vectors
+    v0: np.ndarray               # (1,): coordinate 0
+    u: np.ndarray                # (3,): coordinate 0, w_e, w'_e
+    v: np.ndarray                # (3,): coordinate 0, w_e, each other w_f
     cover_edges: tuple           # per point: the 6 center indices with e in p
-
-    @property
-    def dim(self):
-        return 1 + 2 * len(self.inst.center_labels)
+    v0_exact: tuple
+    u_exact: tuple
+    v_exact: tuple
 
 
 def build_sdp_solution(inst, t=5):
@@ -83,96 +87,90 @@ def build_sdp_solution(inst, t=5):
     """
     if t < 2:
         raise ValueError("need t >= 2")
-    m = len(inst.center_labels)
-    dim = 1 + 2 * m
     edge_index = {e: i for i, e in enumerate(inst.center_labels)}
-
-    v0 = np.zeros(dim)
-    v0[0] = 1.0
-
-    u = np.zeros((m, dim))
-    u[:, 0] = 1.0 / t
-    for i in range(m):
-        u[i, 1 + 2 * i] = (t - 1) * math.sqrt(t + 1) / t ** 2
-        u[i, 2 + 2 * i] = math.sqrt(t - 1) / t ** 2
-
-    cover_edges = []
-    v = np.zeros((len(inst.point_labels), 6, dim))
-    on = t / (t + 1) ** 1.5
-    off = 1.0 / (t + 1) ** 1.5
-    for pi, p in enumerate(inst.point_labels):
-        edges = tuple(edge_index[e] for e in combinations(p, 2))
-        cover_edges.append(edges)
-        for slot, ei in enumerate(edges):
-            v[pi, slot, 0] = 1.0 / (t + 1)
-            v[pi, slot, 1 + 2 * ei] = on
-            for fj in edges:
-                if fj != ei:
-                    v[pi, slot, 1 + 2 * fj] -= off
-    return SdpSolution(inst=inst, t=t, v0=v0, u=u, v=v,
-                       cover_edges=tuple(cover_edges))
+    v0 = (Fraction(1),)
+    u = (Fraction(1, t), Fraction(t - 1, t ** 2), Fraction(1, t ** 2))
+    v = (Fraction(1, t + 1), Fraction(t, (t + 1) ** 2), Fraction(-1, (t + 1) ** 2))
+    floats = (np.array([r.numerator * math.sqrt(k) / r.denominator for r, k in zip(c, ks)])
+              for c, ks in ((v0, (1,)), (u, (1, t + 1, t - 1)), (v, (1, t + 1, t + 1))))
+    return SdpSolution(
+        inst, t, *floats, v0_exact=v0, u_exact=u, v_exact=v,
+        cover_edges=tuple(tuple(edge_index[e] for e in combinations(p, 2))
+                          for p in inst.point_labels))
 
 
 @dataclass
 class SdpCheck:
     max_residual: float
-    residuals: dict
-    worst_family: str
+    residuals: dict              # float cross-check per family
     objective_exact: Fraction
     objective_float: float
+    exact_residuals: dict        # per family; all 0 once certified
+
+
+def _residuals(v0, u, v, kw, kw2, m, budget):
+    """Each family's residual, and |v_pe|^2, from class coefficients.
+
+    One slot stands for all: v0, u_e and v_pe on the coordinates 0, w_e, w'_e
+    and the other five w_f of p, radicands 1, kw, kw2, kw (a short list is 0
+    past its end).  A point's six slots minus v0 leave coordinate 0 and one
+    w_f per edge of p.  Floats (radicands 1) add in coordinate order.
+    """
+    (one,), (ua, ub, uw), (vc, von, voff) = v0, u, v
+    xu, xv = [ua, ub, uw], [vc, von, 0] + [voff] * 5
+    total = [sum([vc] * 6) - one] + [sum([von] + [voff] * 5)] * 6
+
+    def inner(x, y, ks=(1, kw, kw2) + (kw,) * 5):
+        return sum(a * b * k for a, b, k in zip(x, y, ks))
+
+    vv, uu = inner(xv, xv), inner(xu, xu)
+    return {
+        "v0_unit": abs(inner([one], [one]) - 1),
+        "assign_v0": abs(inner(xv, [one]) - vv),
+        "open_v0": abs(inner(xu, [one]) - uu),
+        "assign_open": abs(inner(xv, xu) - vv),
+        "assignment_total": inner(total, total, (1,) + (kw,) * 6),
+        "budget": max(0, m * uu - budget),
+    }, vv
 
 
 def verify_sdp_solution(sol, tol=1e-8):
-    """Residuals of all five vector-constraint families plus the budget.
+    """Certify the solution exactly, with a float cross-check.
 
-    Raises CertificationError naming the worst family if any residual
-    exceeds tol.  The objective is also assembled: every assignment weight
-    |v_pe|^2 multiplies the point-center distance 2, and since each point
-    uses exactly its six covering centers the exact value is 2*C(n,4).
+    (a) Each point's cover edges must be six distinct edges inside it, so one
+    slot stands for all; a fault counts as assignment_total.  (b) Every
+    residual, exact from the class coefficients, must be 0.  (c) The float
+    residuals from v0, u and v must not exceed tol.  A failure raises
+    CertificationError naming the first violated family.  The objective is
+    |v_pe|^2 times the sum of |p ^ e| over the assignments: 2*C(n,4) at t = 5.
     """
     inst = sol.inst
-    res = {}
-    res["v0_unit"] = abs(float(sol.v0 @ sol.v0) - 1.0)
+    m = len(inst.center_labels)
+    distance_total = 0
+    for p, edges in zip(inst.point_labels, sol.cover_edges):
+        dists = [len(set(p).symmetric_difference(inst.center_labels[ei]))
+                 for ei in edges if 0 <= ei < m]
+        if len(set(edges)) != 6 or dists != [2] * 6:
+            raise CertificationError(f"point {p} is not assigned its six edges",
+                                     witness="assignment_total")
+        distance_total += sum(dists)
 
-    vnorms = (sol.v * sol.v).sum(axis=2)           # (P, 6)
-    vdotv0 = sol.v[:, :, 0]
-    res["assign_v0"] = float(np.abs(vdotv0 - vnorms).max())
-
-    unorms = (sol.u * sol.u).sum(axis=1)
-    res["open_v0"] = float(np.abs(sol.u[:, 0] - unorms).max())
-
-    worst_uv = 0.0
-    for pi, edges in enumerate(sol.cover_edges):
-        for slot, ei in enumerate(edges):
-            lhs = float(sol.v[pi, slot] @ sol.u[ei])
-            worst_uv = max(worst_uv, abs(lhs - float(vnorms[pi, slot])))
-    res["assign_open"] = worst_uv
-
-    sums = sol.v.sum(axis=1) - sol.v0              # (P, dim)
-    res["assignment_total"] = float((sums * sums).sum(axis=1).max())
-
-    budget = float(inst.fractional_budget)
-    res["budget"] = max(0.0, float(unorms.sum()) - budget)
-
-    worst_family = max(CONSTRAINT_FAMILIES, key=lambda f: res[f])
-    worst = res[worst_family]
-    if worst > tol:
+    exact, vv = _residuals(sol.v0_exact, sol.u_exact, sol.v_exact, sol.t + 1, sol.t - 1,
+                           m, inst.fractional_budget)
+    floats, vv_float = _residuals(*(map(float, a) for a in (sol.v0, sol.u, sol.v)),
+                                  1, 1, m, float(inst.fractional_budget))
+    res = {f: float(r) for f, r in floats.items()}
+    for found, bound in ((exact, 0), (res, tol)):
         # name the first violated family in declaration order; a single fault
         # usually trips several numerically-coupled constraints at once
-        named = next(f for f in CONSTRAINT_FAMILIES if res[f] > tol)
-        raise CertificationError(
-            f"SDP residual up to {worst:.3e}, first violated family {named}",
-            witness=named)
-
-    n4 = math.comb(inst.n, 4)
-    numeric = 0.0
-    for pi, (p, edges) in enumerate(zip(inst.point_labels, sol.cover_edges)):
-        for slot, ei in enumerate(edges):
-            d = len(set(p).symmetric_difference(inst.center_labels[ei]))
-            numeric += float(vnorms[pi, slot]) * d
-    return SdpCheck(max_residual=worst, residuals=res, worst_family=worst_family,
-                    objective_exact=Fraction(2 * n4),
-                    objective_float=numeric)
+        named = next((f for f in CONSTRAINT_FAMILIES if found[f] > bound), None)
+        if named:
+            raise CertificationError(
+                f"SDP residual up to {float(max(found.values())):.3e}, "
+                f"first violated family {named}", witness=named)
+    return SdpCheck(max_residual=max(res.values()), residuals=res,
+                    objective_exact=vv * distance_total,
+                    objective_float=vv_float * distance_total, exact_residuals=exact)
 
 
 @dataclass
@@ -247,7 +245,7 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
                extra_center_fractions=(0.0, 0.1, 0.2)):
     """Per-n certification rows plus the asymptotic gap arithmetic.
 
-    For each n: verify the explicit SDP solution, record its objective
+    For each n: verify the explicit SDP solution exactly, record its objective
     2*C(n,4), check the LP value, and where enumeration fits the budget
     compute the exact minimum uncovered count at k' = floor(k*(1+delta)) for
     each sweep fraction delta.  The integral cost lower bound is

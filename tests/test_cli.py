@@ -214,6 +214,9 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
        ["reduce", "-i", "inst.jc", "--mode", mode, "--metric", "l1", "--q", "5",
         "--eta", "1", "--exponent", exponent, "-o", "out.pts"])
       for mode in ("discrete", "continuous") for exponent in ("0", "-3")],
+    ({"inst.jc": "jc 4 3 2 2\n1 2 3\n1 2 4\n"},
+     ["reduce", "-i", "inst.jc", "--mode", "continuous", "--metric", "l0",
+      "--exponent", "2", "-o", "out.pts"]),
     ({"neg.pts": NEG_EXPONENT_PTS}, ["brute-opt", "-i", "neg.pts", "--mode", "discrete"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--delta", "1/0", "-o", "out.whg3"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--mode", "montecarlo",
@@ -230,7 +233,8 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
         *[f"reduce-{mode}-exponent-{exponent}" for mode in ("discrete", "continuous")
-          for exponent in ("0", "-3")], "points-exponent-negative",
+          for exponent in ("0", "-3")], "reduce-continuous-l0-exponent-2",
+        "points-exponent-negative",
         "delta-zero-denominator", "montecarlo-negative-samples", "center-coords-nan", "center-coords-inf",
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan"])

@@ -77,6 +77,11 @@ def test_exact_budget():
         build_weighted_hypergraph(big, 0, budget=1000)
 
 
+def test_exact_budget_none_is_no_cap():
+    assert build_weighted_hypergraph(TWO_SYMBOL, 0, budget=None) == \
+        build_weighted_hypergraph(TWO_SYMBOL, 0)
+
+
 def test_missing_layer_pair_edges_rejected():
     three = LayeredPcp(layers=(("a",), ("b",), ("c",)), alphabets=(1, 1, 1),
                        edges=((1, 2, "a", "b", (0,)),))   # no (1,3), (2,3) edges

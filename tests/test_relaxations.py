@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -49,14 +51,98 @@ def test_well_separated():
             assert (d >= 2).all()
 
 
+def dense_oracle(inst, t=5):
+    """The dense (C(n,4), 6, 1+2*C(n,2)) construction the class storage replaced."""
+    m = len(inst.center_labels)
+    dim = 1 + 2 * m
+    edge_index = {e: i for i, e in enumerate(inst.center_labels)}
+    v0 = np.zeros(dim)
+    v0[0] = 1.0
+    u = np.zeros((m, dim))
+    u[:, 0] = 1.0 / t
+    for i in range(m):
+        u[i, 1 + 2 * i] = (t - 1) * math.sqrt(t + 1) / t ** 2
+        u[i, 2 + 2 * i] = math.sqrt(t - 1) / t ** 2
+    cover_edges = []
+    v = np.zeros((len(inst.point_labels), 6, dim))
+    on = t / (t + 1) ** 1.5
+    off = 1.0 / (t + 1) ** 1.5
+    for pi, p in enumerate(inst.point_labels):
+        edges = tuple(edge_index[e] for e in combinations(p, 2))
+        cover_edges.append(edges)
+        for slot, ei in enumerate(edges):
+            v[pi, slot, 0] = 1.0 / (t + 1)
+            v[pi, slot, 1 + 2 * ei] = on
+            for fj in edges:
+                if fj != ei:
+                    v[pi, slot, 1 + 2 * fj] -= off
+    return v0, u, v, tuple(cover_edges)
+
+
+def dense_residuals(inst, v0, u, v, cover_edges):
+    """The float residuals of the dense arrays, family by family."""
+    vnorms = (v * v).sum(axis=2)
+    unorms = (u * u).sum(axis=1)
+    uv = max(abs(float(v[pi, slot] @ u[ei]) - float(vnorms[pi, slot]))
+             for pi, edges in enumerate(cover_edges) for slot, ei in enumerate(edges))
+    sums = v.sum(axis=1) - v0
+    return {"v0_unit": abs(float(v0 @ v0) - 1.0),
+            "assign_v0": float(np.abs(v[:, :, 0] - vnorms).max()),
+            "open_v0": float(np.abs(u[:, 0] - unorms).max()),
+            "assign_open": uv,
+            "assignment_total": float((sums * sums).sum(axis=1).max()),
+            "budget": max(0.0, float(unorms.sum()) - float(inst.fractional_budget))}
+
+
+def expand(sol):
+    """The dense arrays the class coefficients stand for."""
+    m = len(sol.inst.center_labels)
+    dim = 1 + 2 * m
+    v0 = np.zeros(dim)
+    v0[0] = sol.v0[0]
+    u = np.zeros((m, dim))
+    u[:, 0] = sol.u[0]
+    u[np.arange(m), 1 + 2 * np.arange(m)] = sol.u[1]
+    u[np.arange(m), 2 + 2 * np.arange(m)] = sol.u[2]
+    v = np.zeros((len(sol.cover_edges), 6, dim))
+    v[:, :, 0] = sol.v[0]
+    for pi, edges in enumerate(sol.cover_edges):
+        for slot, ei in enumerate(edges):
+            v[pi, slot, [1 + 2 * fj for fj in edges]] = sol.v[2]
+            v[pi, slot, 1 + 2 * ei] = sol.v[1]
+    return v0, u, v
+
+
+def test_sparse_expands_to_dense_oracle():
+    for n in range(5, 11):
+        inst = build_clique_gap_instance(n)
+        sol = build_sdp_solution(inst, t=5)
+        *oracle, cover_edges = dense_oracle(inst, t=5)
+        assert sol.cover_edges == cover_edges
+        for got, want in zip(expand(sol), oracle):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
+
+def test_float_cross_check_matches_dense_residuals():
+    for n in range(5, 11):
+        inst = build_clique_gap_instance(n)
+        chk = verify_sdp_solution(build_sdp_solution(inst, t=5))
+        assert chk.residuals == dense_residuals(inst, *dense_oracle(inst, t=5)), n
+        assert chk.max_residual == 2.0 ** -54
+
+
 def test_sdp_norms():
-    inst = build_clique_gap_instance(6)
-    sol = build_sdp_solution(inst, t=5)
-    assert (sol.u ** 2).sum(axis=1) == pytest.approx(np.full(15, 1 / 5), abs=1e-12)
-    vn = (sol.v ** 2).sum(axis=2)
-    assert vn == pytest.approx(np.full(vn.shape, 1 / 6), abs=1e-12)
-    sums = sol.v.sum(axis=1)
-    assert np.allclose(sums, np.tile(sol.v0, (len(inst.point_labels), 1)), atol=1e-12)
+    sol = build_sdp_solution(build_clique_gap_instance(6), t=5)
+    radicands = (1, 6, 4)                       # coordinate 0, w, w'
+    (one,), (ua, ub, uw), (vc, von, voff) = sol.v0_exact, sol.u_exact, sol.v_exact
+    assert one == 1
+    assert sum(r * r * k for r, k in zip((ua, ub, uw), radicands)) == Fraction(1, 5)
+    assert vc ** 2 + (von ** 2 + 5 * voff ** 2) * 6 == Fraction(1, 6)
+    # the six slots of a point add up to v0: coordinate 0 and every w_f
+    assert 6 * vc == one and von + 5 * voff == 0
+    chk = verify_sdp_solution(sol)
+    assert set(chk.exact_residuals.values()) == {0}
+    assert chk.objective_exact == 30
 
 
 def test_sdp_residuals_tiny():
@@ -70,10 +156,40 @@ def test_sdp_residuals_tiny():
 
 def test_sdp_perturbation_fails_open_constraint():
     sol = build_sdp_solution(build_clique_gap_instance(6), t=5)
-    sol.u[2, 2 + 2 * 2] += 1e-3   # w'_e coordinate of u_2
+    ua, ub, uw = sol.u_exact
+    exact = dataclasses.replace(sol, u_exact=(ua, ub, uw + Fraction(1, 1000)))
+    with pytest.raises(CertificationError) as err:
+        verify_sdp_solution(exact)
+    assert err.value.witness == "open_v0"
+    sol.u[2] += 1e-3                            # the float w'_e coefficient only
     with pytest.raises(CertificationError) as err:
         verify_sdp_solution(sol)
     assert err.value.witness == "open_v0"
+
+
+def test_sdp_structure_fault_names_assignment_total():
+    inst = build_clique_gap_instance(6)
+    sol = build_sdp_solution(inst, t=5)
+    outside = inst.center_labels.index((5, 6))   # not an edge of point (1, 2, 3, 4)
+    first = sol.cover_edges[0]
+    for bad in ((outside,) + first[1:], (first[1],) + first[1:], (-1,) + first[1:],
+                (len(inst.center_labels),) + first[1:], first[:5]):
+        broken = dataclasses.replace(sol, cover_edges=(bad,) + sol.cover_edges[1:])
+        with pytest.raises(CertificationError) as err:
+            verify_sdp_solution(broken)
+        assert err.value.witness == "assignment_total", bad
+
+
+def test_sdp_certifies_n30_in_small_memory():
+    tracemalloc.start()
+    try:
+        chk = verify_sdp_solution(build_sdp_solution(build_clique_gap_instance(30)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.objective_exact == 2 * math.comb(30, 4)
+    assert chk.max_residual == 2.0 ** -54
+    assert peak < 50 * 2 ** 20
 
 
 def test_lp_values():
@@ -180,7 +296,8 @@ def test_sdp_residuals_full_range():
 def test_sdp_geometry_needs_t5():
     # the assignment vectors of a 4-clique only sum to v0 when t = 5
     inst = build_clique_gap_instance(6)
-    with pytest.raises(CertificationError) as err:
-        verify_sdp_solution(build_sdp_solution(inst, t=4))
-    assert err.value.witness in ("assign_v0", "open_v0", "assign_open",
-                                 "assignment_total")
+    for t, worst in ((4, "7.500e-01"), (6, "3.790e-02")):
+        with pytest.raises(CertificationError) as err:
+            verify_sdp_solution(build_sdp_solution(inst, t=t))
+        assert err.value.witness == "assign_v0"
+        assert str(err.value).startswith(f"SDP residual up to {worst}, ")
