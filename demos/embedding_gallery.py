@@ -3,8 +3,9 @@
 
 Each construction maps the t-subsets and s-subsets of {0..q-1} into a metric
 space so that containment pairs share one distance and everything else is
-separated by a certified factor.  The verifier re-derives every claim by
-exhaustive pairwise distances.
+separated by a certified factor.  The verifier re-derives every claim
+exhaustively: it checks every realized vector, takes |T cap S| of every
+(t-set, s-set) pair, and computes one distance per intersection class.
 """
 
 import io

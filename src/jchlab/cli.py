@@ -319,6 +319,8 @@ def cmd_densify(args):
 
 def cmd_factors(args):
     alpha = _parse_alpha(args.alpha)
+    if not 0 <= alpha <= 1:
+        raise ValueError("need 0 <= alpha <= 1")
     recs = [_config_record(args, "factors", ["p", "delta", "alpha", "q", "t", "budget"])]
     if args.p in (1, 2):
         table = coverage.inapprox_factors(int(args.p), args.delta, alpha)

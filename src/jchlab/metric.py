@@ -13,9 +13,10 @@ class Metric:
     """One l_p metric and everything the lab decides by which metric it is.
 
     Realized vectors (Python numbers) are compared through pair_pow, the sum
-    of |a - b|^root, which stays an int or a Fraction on exact metrics;
-    numpy rows are compared through distance, and a cluster's continuous
-    center comes from the rule centers holds for the cost exponent.
+    of |a - b|^root, which stays an int or a Fraction on exact metrics and is
+    correctly rounded (math.fsum), so independent of coordinate order, on
+    the others; numpy rows are compared through distance, and a cluster's
+    continuous center comes from the rule centers holds for the cost exponent.
     """
     token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
     root: object       # 1 on l0 and l1, else p
@@ -46,7 +47,7 @@ METRICS = {m.token: m for m in (
     Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs,
            {1: _geometry("median_center"), 2: _geometry("l1sq_center_heuristic")}),
     Metric("l2", 2, False, 2, lambda u, v: math.sqrt(float(((u - v) ** 2).sum())),
-           lambda u, v: sum(d * d for d in map(sub, u, v)),
+           lambda u, v: math.fsum(d * d for d in map(sub, u, v)),
            {1: _geometry("weiszfeld_geometric_median"), 2: _geometry("centroid")}),
 )}
 
@@ -55,10 +56,12 @@ def lp_metric(p):
     """lp for a finite p >= 1; an int p keeps realized distances exact."""
     if p is None or not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"lp needs a finite p >= 1, not {p!r}")
+    exact = isinstance(p, int)
+    total = sum if exact else math.fsum
     return Metric(
-        f"lp{p}", p, isinstance(p, int), 1,
+        f"lp{p}", p, exact, 1,
         lambda u, v: float((abs(u - v).astype(float) ** p).sum() ** (1.0 / p)),
-        lambda u, v: sum(d ** p for d in map(abs, map(sub, u, v))))
+        lambda u, v: total(d ** p for d in map(abs, map(sub, u, v))))
 
 
 def parse_metric(token):

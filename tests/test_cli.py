@@ -229,6 +229,8 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
       for token in BAD_LP_TOKENS],
     ({}, ["factors", "--p", "inf", "--delta", "1", "--alpha", "0.5", "--q", "4"]),
     ({}, ["factors", "--p", "nan", "--delta", "1", "--alpha", "0.5", "--q", "4"]),
+    ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "2", "--q", "6"]),
+    ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "nan", "--q", "6"]),
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
@@ -237,7 +239,8 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
         "points-exponent-negative",
         "delta-zero-denominator", "montecarlo-negative-samples", "center-coords-nan", "center-coords-inf",
         "center-coords-too-long", "center-coords-too-short",
-        *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan"])
+        *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan",
+        "factors-p3-alpha-2", "factors-p3-alpha-nan"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -251,7 +254,9 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "0.5", "--q", "12",
           "--budget", "10"]),
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--budget", "1", "-o", "out.whg3"]),
-], ids=["factors", "hvc-build"])
+    # C(40,20)*C(40,10) pairs: refused before any t-set is built
+    ({}, ["verify-embed", "--metric", "l1", "--q", "40", "--t", "20", "--s", "10"]),
+], ids=["factors", "hvc-build", "verify-embed"])
 def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
