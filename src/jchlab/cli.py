@@ -1,10 +1,13 @@
 """Command-line entry point.
 
 Every run echoes its full configuration (seed included) as the first record,
-so reports are reproducible byte for byte from their own output.  Numeric
-claims carry a provenance tag (formula / brute-force / exhaustive / sampled /
-heuristic).  Exit status: 0 success or certified, 1 certification failure,
-2 usage or validation error, 3 search-space budget exceeded.
+so reports are reproducible byte for byte from their own output: main()
+builds it from the parsed options, every option of the command except
+--format, in declaration order.  Numeric claims carry a provenance tag
+(formula / brute-force / exhaustive / sampled / heuristic).  Exit status:
+0 success or certified, 1 certification failure, 2 usage or validation
+error, 3 search-space budget exceeded (errors.check_budget, before any
+search runs).
 """
 
 import argparse
@@ -14,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import coverage, codes, embeddings, hypergraph
-from .errors import BudgetExceededError, CertificationError, ConvergenceError
+from .errors import BudgetExceededError, CertificationError, ConvergenceError, check_budget
 from .metric import METRICS, lp_metric
 
 
@@ -54,13 +57,6 @@ def emit(records, fmt, out=None):
             out.write(" ".join(parts) + "\n")
 
 
-def _config_record(args, command, keys):
-    rec = {"record": "config", "command": command}
-    for k in keys:
-        rec[k] = getattr(args, k.replace("-", "_"), None)
-    return rec
-
-
 def _fraction(text):
     try:
         return Fraction(text)
@@ -90,15 +86,15 @@ REALIZATIONS = {
 }
 
 
-def _metric_args(args):
-    realize, needed = REALIZATIONS[args.metric]
-    if getattr(args, needed) is None:
-        raise ValueError(f"--metric {args.metric} needs --{needed}")
-    return realize(args.q, args.t, args.s, args.p)
+def _metric_args(metric, q, t, s, p):
+    realize, needed = REALIZATIONS[metric]
+    if {"s": s, "p": p}[needed] is None:
+        raise ValueError(f"--metric {metric} needs --{needed}")
+    return realize(q, t, s, p)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns the records that follow the config record
 # ---------------------------------------------------------------------------
 
 def cmd_gen_jc(args):
@@ -106,45 +102,39 @@ def cmd_gen_jc(args):
                                  m=args.m, seed=args.seed, dense=args.dense)
     with open(args.output, "w") as fh:
         coverage.write_instance(inst, fh)
-    return [
-        _config_record(args, "gen-jc", ["kind", "n", "z", "y", "k", "m", "seed",
-                                        "dense", "output"]),
-        {"record": "instance", "edges": inst.num_edges, "path": args.output,
-         "provenance": "generator"},
-    ]
+    return [{"record": "instance", "edges": inst.num_edges, "path": args.output,
+             "provenance": "generator"}]
 
 
 def cmd_solve_jc(args):
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
-    recs = [_config_record(args, "solve-jc", ["input", "alg", "budget"])]
     if args.alg == "brute":
         best, rep = coverage.brute_force_max_coverage(inst, budget=args.budget)
-        recs.append({"record": "solution", "covered": rep.covered,
-                     "total": rep.total, "fraction": rep.fraction,
-                     "complete": rep.is_complete, "witness": best,
-                     "provenance": "brute-force"})
-    else:
-        decision, witness = coverage.fpt_cover_decide(inst)
-        recs.append({"record": "decision", "full_cover": decision,
-                     "witness": witness, "provenance": "branching"})
-    return recs
+        return [{"record": "solution", "covered": rep.covered,
+                 "total": rep.total, "fraction": rep.fraction,
+                 "complete": rep.is_complete, "witness": best,
+                 "provenance": "brute-force"}]
+    decision, witness = coverage.fpt_cover_decide(inst, budget=args.budget)
+    return [{"record": "decision", "full_cover": decision,
+             "witness": witness, "provenance": "branching"}]
 
 
 def cmd_embed(args):
-    real = _metric_args(args)
-    recs = [_config_record(args, "embed", ["metric", "q", "t", "s", "p", "output"])]
+    real = _metric_args(args.metric, args.q, args.t, args.s, args.p)
     if args.output:
+        # one line per t-set and s-set: refused like a search, before the file opens
+        check_budget(math.comb(real.q, real.t) + math.comb(real.q, real.s),
+                     coverage.DEFAULT_BUDGET, "lines")
         with open(args.output, "w") as fh:
             embeddings.export_realization(real, fh)
-    recs.append({"record": "realization", "kind": real.kind, "dim": real.dim,
-                 "beta": real.beta, "lambda_claimed": real.lambda_claimed,
-                 "provenance": "formula"})
-    return recs
+    return [{"record": "realization", "kind": real.kind, "dim": real.dim,
+             "beta": real.beta, "lambda_claimed": real.lambda_claimed,
+             "provenance": "formula"}]
 
 
 def cmd_verify_embed(args):
-    real = _metric_args(args)
+    real = _metric_args(args.metric, args.q, args.t, args.s, args.p)
     edge_subset = None
     if args.restrict:
         with open(args.restrict) as fh:
@@ -154,25 +144,19 @@ def cmd_verify_embed(args):
         edge_subset = [tuple(x - 1 for x in t) for t in sub.edges]
     report = embeddings.verify_gap_realization(real, edge_subset=edge_subset,
                                                budget=args.budget)
-    return [
-        _config_record(args, "verify-embed",
-                       ["metric", "q", "t", "s", "p", "restrict", "budget"]),
-        {"record": "certification", "beta": report.edge_distance,
-         "lambda_claimed": real.lambda_claimed,
-         "certified_ratio": report.min_nonedge_over_edge,
-         "pairs_checked": report.pairs_checked,
-         "edge_pairs": report.edge_pairs, "nonedge_pairs": report.nonedge_pairs,
-         "worst_pair": report.worst_pair, "provenance": "exhaustive"},
-    ]
+    return [{"record": "certification", "beta": report.edge_distance,
+             "lambda_claimed": real.lambda_claimed,
+             "certified_ratio": report.min_nonedge_over_edge,
+             "pairs_checked": report.pairs_checked,
+             "edge_pairs": report.edge_pairs, "nonedge_pairs": report.nonedge_pairs,
+             "worst_pair": report.worst_pair, "provenance": "exhaustive"}]
 
 
 def cmd_reduce(args):
     from . import reduction
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
-    recs = [_config_record(args, "reduce",
-                           ["input", "mode", "metric", "p", "q", "eta", "eps",
-                            "relaxed", "centers_from_edges", "exponent", "output"])]
+    recs = []
     if args.mode == "discrete":
         if args.q:
             code = codes.RsCode(args.q, args.eta or 1)
@@ -183,9 +167,7 @@ def cmd_reduce(args):
                     "--relaxed or an explicit --q/--eta for a desk-scale build")
             code = codes.pick_code_params(inst.n, inst.z, inst.y,
                                           args.eps, relaxed=args.relaxed)
-        args.t, args.s = inst.z, inst.y
-        args.q = code.q
-        real = _metric_args(args)
+        real = _metric_args(args.metric, code.q, inst.z, inst.y, args.p)
         ci = reduction.build_discrete_instance(
             inst, code, real, centers_from_edges=args.centers_from_edges,
             exponent=args.exponent)
@@ -219,13 +201,10 @@ def cmd_cost(args):
             raise ValueError(f"center {item!r} needs {ci.dim} finite coordinates")
         chosen.append(center)
     bd = reduction.clustering_cost(ci, chosen)
-    recs = [_config_record(args, "cost", ["input", "centers", "center_coords"])]
-    recs.append({"record": "cost", "total": bd.total, "at_base": bd.at_base,
-                 "provenance": "evaluation"})
-    for label, ci_idx, d in bd.per_point:
-        recs.append({"record": "assignment", "point": label,
-                     "center_index": ci_idx, "distance": d})
-    return recs
+    return [{"record": "cost", "total": bd.total, "at_base": bd.at_base,
+             "provenance": "evaluation"},
+            *({"record": "assignment", "point": label, "center_index": ci_idx,
+               "distance": d} for label, ci_idx, d in bd.per_point)]
 
 
 def cmd_brute_opt(args):
@@ -234,11 +213,8 @@ def cmd_brute_opt(args):
         ci = reduction.read_points(fh)
     witness, cost = reduction.brute_force_optimal_cost(ci, args.mode,
                                                        budget=args.budget)
-    return [
-        _config_record(args, "brute-opt", ["input", "mode", "budget"]),
-        {"record": "optimum", "cost": cost, "witness": witness,
-         "provenance": "brute-force"},
-    ]
+    return [{"record": "optimum", "cost": cost, "witness": witness,
+             "provenance": "brute-force"}]
 
 
 def cmd_sdp_gap(args):
@@ -246,12 +222,10 @@ def cmd_sdp_gap(args):
     report = relaxations.gap_report(args.n, t=args.t, exact_budget=args.budget,
                                     tol=args.tol,
                                     extra_center_fractions=tuple(args.extra_centers))
-    recs = [_config_record(args, "sdp-gap", ["n", "t", "tol", "budget",
-                                             "extra_centers"])]
-    recs.append({"record": "asymptotics", "t": report["t"],
-                 "reiher_uncovered_fraction": report["reiher_uncovered_fraction"],
-                 "asymptotic_gap": report["asymptotic_gap"],
-                 "provenance": "formula"})
+    recs = [{"record": "asymptotics", "t": report["t"],
+             "reiher_uncovered_fraction": report["reiher_uncovered_fraction"],
+             "asymptotic_gap": report["asymptotic_gap"],
+             "provenance": "formula"}]
     for row in report["rows"]:
         base = {"record": "instance", **{k: row[k] for k in
                 ("n", "k", "fractional_budget", "points", "centers",
@@ -274,14 +248,11 @@ def cmd_hvc_build(args):
         budget=args.budget)
     with open(args.output, "w") as fh:
         hypergraph.write_weighted_hypergraph(hg, fh)
-    recs = [_config_record(args, "hvc-build",
-                           ["input", "delta", "mode", "samples", "seed",
-                            "assignment", "budget", "output"])]
-    recs.append({"record": "hypergraph", "edges": len(hg.edges),
-                 "edge_weight_total": hg.edge_weight_total(),
-                 "vertex_weight_total": hg.vertex_weight_total(),
-                 "path": args.output,
-                 "provenance": "exact" if args.mode == "exact" else "sampled"})
+    recs = [{"record": "hypergraph", "edges": len(hg.edges),
+             "edge_weight_total": hg.edge_weight_total(),
+             "vertex_weight_total": hg.vertex_weight_total(),
+             "path": args.output,
+             "provenance": "exact" if args.mode == "exact" else "sampled"}]
     if args.assignment:
         assignment = {}
         with open(args.assignment) as fh:
@@ -308,51 +279,47 @@ def cmd_densify(args):
     with open(args.output, "w") as fh:
         hypergraph.write_simple_hypergraph(dense, fh)
     bound = hypergraph.retained_count_bound(args.c, dense.source_edges, args.b)
-    return [
-        _config_record(args, "densify", ["input", "b", "c", "seed", "output"]),
-        {"record": "densified", "replicas": dense.replicas,
-         "kept": len(dense.edges), "deleted": dense.deleted,
-         "retained_bound": bound, "meets_bound": len(dense.edges) >= bound,
-         "path": args.output, "provenance": "seeded-replication"},
-    ]
+    return [{"record": "densified", "replicas": dense.replicas,
+             "kept": len(dense.edges), "deleted": dense.deleted,
+             "retained_bound": bound, "meets_bound": len(dense.edges) >= bound,
+             "path": args.output, "provenance": "seeded-replication"}]
 
 
 def cmd_factors(args):
     alpha = _parse_alpha(args.alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("need 0 <= alpha <= 1")
-    recs = [_config_record(args, "factors", ["p", "delta", "alpha", "q", "t", "budget"])]
     if args.p in (1, 2):
         table = coverage.inapprox_factors(int(args.p), args.delta, alpha)
-        recs.append({"record": "factors", "gamma": table.gamma_lower,
-                     "gamma_sq": table.gamma_sq, "zeta1": table.zeta1,
-                     "zeta2": table.zeta2, "provenance": "formula"})
-    else:
-        if args.q is None:
-            raise ValueError("p outside {1,2} needs --q (empirical gap check)")
-        ratio, real, report = embeddings.empirical_gamma(args.p, args.delta, args.q,
-                                                         t=args.t, budget=args.budget)
-        zeta1 = 1 + (1 - alpha) * (ratio - 1)
-        zeta2 = 1 + (1 - alpha) * (ratio ** 2 - 1)
-        recs.append({"record": "factors", "gamma": ratio,
-                     "gamma_sq": ratio ** 2, "zeta1": zeta1, "zeta2": zeta2,
-                     "kind": real.kind, "pairs_checked": report.pairs_checked,
-                     "provenance": "empirical-exhaustive"})
-    return recs
+        return [{"record": "factors", "gamma": table.gamma_lower,
+                 "gamma_sq": table.gamma_sq, "zeta1": table.zeta1,
+                 "zeta2": table.zeta2, "provenance": "formula"}]
+    if args.q is None:
+        raise ValueError("p outside {1,2} needs --q (empirical gap check)")
+    ratio, real, report = embeddings.empirical_gamma(args.p, args.delta, args.q,
+                                                     t=args.t, budget=args.budget)
+    zeta1 = 1 + (1 - alpha) * (ratio - 1)
+    zeta2 = 1 + (1 - alpha) * (ratio ** 2 - 1)
+    return [{"record": "factors", "gamma": ratio,
+             "gamma_sq": ratio ** 2, "zeta1": zeta1, "zeta2": zeta2,
+             "kind": real.kind, "pairs_checked": report.pairs_checked,
+             "provenance": "empirical-exhaustive"}]
 
 
 def cmd_turan(args):
     value = coverage.turan_random_uncovered(args.z)
-    return [
-        _config_record(args, "turan", ["z"]),
-        {"record": "turan", "uncovered_fraction": value,
-         "float": float(value), "provenance": "formula"},
-    ]
+    return [{"record": "turan", "uncovered_fraction": value,
+             "float": float(value), "provenance": "formula"}]
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _add_budget(p):
+    p.add_argument("--budget", type=int, default=coverage.DEFAULT_BUDGET,
+                   help="search-space cap; exceeding it is exit status 3")
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -361,9 +328,6 @@ def build_parser():
                     "and relaxation-gap certification")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json-lines"), default="text")
-    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
-    budgeted.add_argument("--budget", type=int, default=coverage.DEFAULT_BUDGET,
-                          help="search-space cap; exceeding it is exit status 3")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-jc", parents=[common], help="generate an instance file")
@@ -379,14 +343,14 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_jc)
 
-    p = sub.add_parser("solve-jc", parents=[budgeted], help="exact solvers")
+    p = sub.add_parser("solve-jc", parents=[common], help="exact solvers")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--alg", choices=("brute", "fpt"), default="brute")
+    _add_budget(p)
     p.set_defaults(func=cmd_solve_jc)
 
-    for name, fn, parent in (("embed", cmd_embed, common),
-                             ("verify-embed", cmd_verify_embed, budgeted)):
-        p = sub.add_parser(name, parents=[parent])
+    for name, fn in (("embed", cmd_embed), ("verify-embed", cmd_verify_embed)):
+        p = sub.add_parser(name, parents=[common])
         p.add_argument("--metric", choices=tuple(REALIZATIONS), required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
@@ -397,6 +361,7 @@ def build_parser():
         else:
             p.add_argument("--restrict", default=None,
                            help="instance file of t-sets to restrict the points side")
+            _add_budget(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("reduce", parents=[common], help="coverage-to-clustering")
@@ -422,20 +387,22 @@ def build_parser():
                    help="explicit center vectors like 0.5,0.5,1")
     p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser("brute-opt", parents=[budgeted], help="exact optimum")
+    p = sub.add_parser("brute-opt", parents=[common], help="exact optimum")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--mode", choices=("discrete", "continuous"), required=True)
+    _add_budget(p)
     p.set_defaults(func=cmd_brute_opt)
 
-    p = sub.add_parser("sdp-gap", parents=[budgeted], help="clique gap certification")
+    p = sub.add_parser("sdp-gap", parents=[common], help="clique gap certification")
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--t", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-8)
+    _add_budget(p)
     p.add_argument("--extra-centers", type=float, nargs="*", default=[0.0, 0.1, 0.2],
                    help="sweep fractions of extra integral centers")
     p.set_defaults(func=cmd_sdp_gap)
 
-    p = sub.add_parser("hvc-build", parents=[budgeted], help="layered system to hypergraph")
+    p = sub.add_parser("hvc-build", parents=[common], help="layered system to hypergraph")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--delta", default="0")
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
@@ -443,6 +410,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assignment", default=None,
                    help="file of 'layer vertex symbol' lines for the cover check")
+    _add_budget(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_hvc_build)
 
@@ -454,12 +422,13 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_densify)
 
-    p = sub.add_parser("factors", parents=[budgeted], help="inapproximability factors")
+    p = sub.add_parser("factors", parents=[common], help="inapproximability factors")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--alpha", required=True, help="float or fraction like 7/8")
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
+    _add_budget(p)
     p.set_defaults(func=cmd_factors)
 
     p = sub.add_parser("turan", parents=[common], help="random-extremal uncovered fraction")
@@ -469,8 +438,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the namespace holds "command", then the command's options in declaration order
+    config = {"record": "config", **{k: v for k, v in vars(args).items()
+                                      if k not in ("format", "func")}}
     try:
         records = args.func(args)
     except BudgetExceededError as exc:
@@ -485,7 +456,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(records, args.format)
+    emit([config, *records], args.format)
     return 0
 
 

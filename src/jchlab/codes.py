@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -113,11 +113,7 @@ def verify_relative_distance(code, mode="exhaustive", seed=None, budget=1024,
     distance, good for smoke checks.
     """
     if mode == "exhaustive":
-        count = code.q ** code.eta
-        if count > budget:
-            raise BudgetExceededError(
-                f"{count} codewords exceed exhaustive budget {budget}",
-                required=count, budget=budget)
+        check_budget(code.q ** code.eta, budget, "codewords")
         words = [rs_encode(code, msg) for msg in product(range(code.q), repeat=code.eta)]
         best = code.ell
         for i in range(len(words)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -190,11 +190,7 @@ def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
     """
     cands = list(combinations(range(1, inst.n + 1), inst.y))
     r = min(inst.k, len(cands))
-    total = math.comb(len(cands), r)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"brute force needs {total} collections, budget is {budget}",
-            required=total, budget=budget)
+    check_budget(math.comb(len(cands), r), budget, "collections")
     covers = cover_masks(inst)
     _, best_idx, visited, pruned = max_union_search(
         [covers.get(s, 0) for s in cands], r, inst.num_edges)
@@ -207,15 +203,18 @@ def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
 # FPT branching for full-cover decision (y = z-1)
 # ---------------------------------------------------------------------------
 
-def fpt_cover_decide(inst):
+def fpt_cover_decide(inst, budget=DEFAULT_BUDGET):
     """Decide full coverage by depth-<=k branching over the z subsets of an edge.
 
     Only the y = z-1 regime is supported; each uncovered edge has exactly z
-    candidate (z-1)-subsets, giving a branching tree of size at most z^k.
-    Returns (decision, witness or None); the witness lists at most k subsets.
+    candidate (z-1)-subsets, and each branch covers at least one edge, so the
+    tree has at most z^min(k, |E|) leaves; refuses (loudly) when that bound
+    exceeds the budget.  Returns (decision, witness or None); the witness
+    lists at most k subsets.
     """
     if inst.y != inst.z - 1:
         raise ValueError("branching decision procedure requires y = z-1")
+    check_budget(inst.z ** min(inst.k, inst.num_edges), budget, "branches")
     covers = cover_masks(inst)
     # per edge: its (z-1)-subsets in branching order, with their cover masks
     branches = [[(s, covers[s]) for s in combinations(t, inst.y)] for t in inst.edges]

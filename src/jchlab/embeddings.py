@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .coverage import DEFAULT_BUDGET
-from .errors import BudgetExceededError, CertificationError
+from .errors import CertificationError, check_budget
 from .metric import METRICS, Metric, lp_metric
 
 TOL = 1e-9
@@ -194,9 +194,7 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET,
             raise ValueError("duplicate t-sets in edge subset")
         ntsets = len(tsets)
     pairs = ntsets * math.comb(q, s)
-    if budget is not None and pairs > budget:
-        raise BudgetExceededError(f"{pairs} pairs exceed budget {budget}",
-                                  required=pairs, budget=budget)
+    check_budget(pairs, budget, "pairs")
 
     # |T cap S| -> number of pairs, and ((t-index, s-index), pair) of its first
     ssets = list(combinations(range(q), s))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from .coverage import DEFAULT_BUDGET
-from .errors import BudgetExceededError
+from .errors import check_budget
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,7 @@ def build_weighted_hypergraph(pcp, delta, mode="exact", samples=None, seed=None,
                 continue
             es = pair_edges[(i, j)]
             si, sj = pcp.alphabets[i - 1], pcp.alphabets[j - 1]
-            if budget is not None and 2 ** (si + 2 * sj) > budget:
-                raise BudgetExceededError(
-                    f"exact enumeration needs 2^{si + 2 * sj} outcomes per edge",
-                    required=2 ** (si + 2 * sj), budget=budget)
+            check_budget(2 ** (si + 2 * sj), budget, "outcomes per edge")
             edge_prob = prob / len(es)
             base = Fraction(1, 2 ** (si + sj))
             for (ei, ej, vi, vj, proj) in es:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coverage import DEFAULT_BUDGET, JohnsonInstance
 from .codes import message_for_element, rs_encode
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .geometry import best_center_continuous, pointwise_distance
 from .metric import METRICS, Metric, parse_metric
 
@@ -34,6 +34,8 @@ class ClusteringInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if len(self.points) == 0:
+            raise ValueError("clustering instance needs at least one point")
         if self.k < 1:
             raise ValueError("need k >= 1")
         if self.exponent < 1:
@@ -290,10 +292,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
             raise ValueError("discrete optimum needs candidate centers")
         mc = len(ci.center_labels)
         r = min(ci.k, mc)
-        total = math.comb(mc, r)
-        if budget is not None and total > budget:
-            raise BudgetExceededError(f"{total} center subsets exceed budget {budget}",
-                                      required=total, budget=budget)
+        check_budget(math.comb(mc, r), budget, "center subsets")
         table = _distance_table(ci, ci.centers)
         best_idx, best_cost = None, None
         for idx in combinations(range(mc), r):
@@ -303,10 +302,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
         return tuple(ci.center_labels[i] for i in best_idx), best_cost
     if mode == "continuous":
         m = len(ci.points)
-        count = _partition_count_upto(m, ci.k)
-        if budget is not None and count > budget:
-            raise BudgetExceededError(f"{count} partitions exceed budget {budget}",
-                                      required=count, budget=budget)
+        check_budget(_partition_count_upto(m, ci.k), budget, "partitions")
         block_cost = {}   # blocks recur across partitions; solve each once
         best = None
         for partition in _partitions_upto(m, ci.k):

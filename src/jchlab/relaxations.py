@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .coverage import DEFAULT_BUDGET, cover_masks, gen_instance, max_union_search
-from .errors import BudgetExceededError, CertificationError
+from .errors import BudgetExceededError, CertificationError, check_budget
 
 CONSTRAINT_FAMILIES = (
     "v0_unit",              # <v0, v0> = 1
@@ -216,10 +216,7 @@ def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET):
     """
     m = len(inst.center_labels)
     k_prime = min(k_prime, m)
-    total = math.comb(m, k_prime)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(f"{total} edge subsets exceed budget {budget}",
-                                  required=total, budget=budget)
+    check_budget(math.comb(m, k_prime), budget, "edge subsets")
     covers = cover_masks(gen_instance("complete", inst.n, 4, 2, k_prime))
     npoints = len(inst.point_labels)
     covered, idx, visited, pruned = max_union_search(

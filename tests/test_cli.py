@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from jchlab import parse_metric, pointwise_distance, read_points
-from jchlab.cli import main
+from jchlab.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,6 +195,11 @@ NEG_EXPONENT_PTS = ("pts 25 l1 -3 2\n1,2,3 " + " ".join("0" * 25) + "\n1,2 "
 BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
 
 
+def disjoint_pairs(k):
+    # the edges (1,2), (3,4), ...: a full cover needs all k branching levels
+    return f"jc {2 * k} 2 1 {k}\n" + "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(k))
+
+
 @pytest.mark.parametrize("files, argv", [
     ({}, ["verify-embed", "--metric", "l1", "--q", "5", "--t", "3"]),
     ({}, ["factors", "--p", "1", "--delta", "1", "--alpha", "1/0"]),
@@ -231,6 +237,10 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
     ({}, ["factors", "--p", "nan", "--delta", "1", "--alpha", "0.5", "--q", "4"]),
     ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "2", "--q", "6"]),
     ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "nan", "--q", "6"]),
+    ({"empty.pts": "pts 2 l1 1 1\n"}, ["cost", "-i", "empty.pts", "--center-coords", "0,0"]),
+    *[({"zero.jc": "jc 6 3 2 2\n"},
+       ["reduce", "-i", "zero.jc", "--mode", mode, "--metric", "l1", "--q", "7", "-o", "out.pts"])
+      for mode in ("discrete", "continuous")],
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
@@ -240,7 +250,8 @@ BAD_LP_TOKENS = ["lp0", "lpnan", "lpinf", "lp0.5", "lp-1"]
         "delta-zero-denominator", "montecarlo-negative-samples", "center-coords-nan", "center-coords-inf",
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan",
-        "factors-p3-alpha-2", "factors-p3-alpha-nan"])
+        "factors-p3-alpha-2", "factors-p3-alpha-nan", "points-header-only",
+        "reduce-discrete-no-edges", "reduce-continuous-no-edges"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -256,7 +267,13 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     ({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", "--budget", "1", "-o", "out.whg3"]),
     # C(40,20)*C(40,10) pairs: refused before any t-set is built
     ({}, ["verify-embed", "--metric", "l1", "--q", "40", "--t", "20", "--s", "10"]),
-], ids=["factors", "hvc-build", "verify-embed"])
+    # 1200 disjoint pairs: the fpt tree bound 2^1200, refused before any branching
+    ({"pairs.jc": disjoint_pairs(1200)}, ["solve-jc", "-i", "pairs.jc", "--alg", "fpt"]),
+    # a bound whose decimal form is past the int-to-str digit limit
+    ({"pairs.jc": disjoint_pairs(20000)}, ["solve-jc", "-i", "pairs.jc", "--alg", "fpt"]),
+    # C(30,15) + C(30,2) lines, refused before the file is opened
+    ({}, ["embed", "--metric", "l1", "--q", "30", "--t", "15", "--s", "2", "-o", "out.txt"]),
+], ids=["factors", "hvc-build", "verify-embed", "fpt", "fpt-huge-bound", "embed-output"])
 def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -264,6 +281,7 @@ def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
     code, err = run_err(capsys, *argv)
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+    assert "-o" not in argv or not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
 # commands that enumerate nothing take no --budget
@@ -296,15 +314,66 @@ def test_unloadable_coordinates_exit_2(tmp_path, capsys, token, command):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_readme_command_block(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+def readme_lines():
+    readme = (ROOT / "README.md").read_text()
     lines = [line for line in readme.splitlines() if line.startswith("jchlab ")]
     assert lines[0].startswith("jchlab gen-jc") and lines[-1] == "jchlab turan --z 4"
+    return lines
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "toy.pcp").write_text(TOY_PCP)
-    for line in lines:
+    for line in readme_lines():
         code, err = run_err(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line}: {err}"
+
+
+# the config record of each README command, byte for byte
+README_CONFIGS = [
+    "record=config command=gen-jc kind=complete n=6 z=3 y=2 k=3 m=None seed=0 dense=False "
+    "output=inst.jc",
+    "record=config command=solve-jc input=inst.jc alg=brute budget=5000000",
+    "record=config command=solve-jc input=inst.jc alg=fpt budget=5000000",
+    "record=config command=embed metric=l1 q=5 t=3 s=2 p=None output=realization.txt",
+    "record=config command=verify-embed metric=l2 q=5 t=3 s=2 p=None restrict=None "
+    "budget=5000000",
+    "record=config command=reduce input=inst.jc mode=discrete metric=l1 p=None q=7 eta=1 "
+    "eps=0.55 relaxed=False centers_from_edges=False exponent=None output=pts.txt",
+    'record=config command=cost input=pts.txt centers=["1,2","3,4"] center_coords=None',
+    "record=config command=brute-opt input=pts.txt mode=discrete budget=5000000",
+    "record=config command=sdp-gap n=[6,8] t=5 tol=1e-08 budget=5000000 "
+    "extra_centers=[0.0,0.1,0.2]",
+    "record=config command=hvc-build input=toy.pcp delta=1/8 mode=exact samples=None seed=0 "
+    "assignment=None budget=5000000 output=toy.whg3",
+    "record=config command=densify input=toy.whg3 b=8 c=181 seed=1 output=toy.hg3",
+    "record=config command=factors p=1.0 delta=1 alpha=0.6321 q=None t=None budget=5000000",
+    "record=config command=turan z=4",
+]
+
+
+def test_config_record(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.pcp").write_text(TOY_PCP)
+    (tmp_path / "toy.asg").write_text("1 u 0\n2 v 0\n")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for line, want in zip(readme_lines(), README_CONFIGS, strict=True):
+        argv = shlex.split(line)[1:]
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[0] == want
+        code, out = run(capsys, *argv, "--format", "json-lines")
+        config = json.loads(out.splitlines()[0])
+        declared = [a.dest for a in sub.choices[argv[0]]._actions
+                    if a.dest not in ("help", "format")]
+        assert code == 0 and sorted(config) == sorted(["record", "command", *declared])
+        seen.add(argv[0])
+    assert seen == set(sub.choices)
+    code, out = run(capsys, "hvc-build", "-i", "toy.pcp", "--delta", "1/8",
+                    "--assignment", "toy.asg", "-o", "toy.whg3")
+    assert code == 0 and out.splitlines()[0] == (
+        "record=config command=hvc-build input=toy.pcp delta=1/8 mode=exact samples=None "
+        "seed=0 assignment=toy.asg budget=5000000 output=toy.whg3")
 
 
 def test_reduce_discrete_exponent(tmp_path, monkeypatch, capsys):

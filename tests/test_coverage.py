@@ -88,6 +88,19 @@ def test_brute_force_budget_error():
         brute_force_max_coverage(COMPLETE_432, budget=3)
 
 
+def test_fpt_budget():
+    # the tree bound is z^min(k, |E|): 3^2 here, 3^4 once k exceeds the 4 edges
+    assert fpt_cover_decide(COMPLETE_432, budget=9)[0]
+    with pytest.raises(BudgetExceededError) as err:
+        fpt_cover_decide(COMPLETE_432, budget=8)
+    assert err.value.required == 9 and str(err.value) == "9 branches exceed budget 8"
+    wide = JohnsonInstance(4, 3, 2, COMPLETE_432.edges, 5)
+    with pytest.raises(BudgetExceededError) as err:
+        fpt_cover_decide(wide, budget=80)
+    assert err.value.required == 81
+    assert fpt_cover_decide(wide, budget=None)[0]
+
+
 def scan_reference(masks, r, target):
     """The full lexicographic scan: first strict maximum, stop at target."""
     best_count, best_idx = -1, None
