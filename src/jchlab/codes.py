@@ -66,10 +66,6 @@ class RsCode:
         return self.q
 
     @property
-    def evaluation_points(self):
-        return range(self.q)
-
-    @property
     def relative_distance(self):
         return 1 - Fraction(self.eta - 1, self.q)
 

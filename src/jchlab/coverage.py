@@ -216,25 +216,19 @@ def fpt_cover_decide(inst, budget=DEFAULT_BUDGET):
         raise ValueError("branching decision procedure requires y = z-1")
     check_budget(inst.z ** min(inst.k, inst.num_edges), budget, "branches")
     covers = cover_masks(inst)
-    # per edge: its (z-1)-subsets in branching order, with their cover masks
-    branches = [[(s, covers[s]) for s in combinations(t, inst.y)] for t in inst.edges]
-
-    def branch(remaining, k, chosen):
+    # per edge: its (z-1)-subsets with their cover masks, last branch first, so
+    # that a depth-first search on an explicit stack pops them in branching order
+    branches = [[(s, covers[s]) for s in combinations(t, inst.y)][::-1] for t in inst.edges]
+    stack = [((1 << inst.num_edges) - 1, inst.k, ())]
+    while stack:
+        remaining, left, chosen = stack.pop()
         if not remaining:
-            return tuple(chosen)
-        if k == 0:
-            return None
-        first = (remaining & -remaining).bit_length() - 1
-        for s, mask in branches[first]:
-            got = branch(remaining & ~mask, k - 1, chosen + [s])
-            if got is not None:
-                return got
-        return None
-
-    witness = branch((1 << inst.num_edges) - 1, inst.k, [])
-    if witness is None:
-        return False, None
-    return True, tuple(sorted(witness))
+            return True, tuple(sorted(chosen))
+        if left:
+            first = (remaining & -remaining).bit_length() - 1
+            for s, mask in branches[first]:
+                stack.append((remaining & ~mask, left - 1, chosen + (s,)))
+    return False, None
 
 
 # ---------------------------------------------------------------------------

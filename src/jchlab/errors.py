@@ -21,9 +21,9 @@ class BudgetExceededError(RuntimeError):
 def check_budget(required, budget, unit):
     """Refuse a search of `required` units above `budget`; None means no cap."""
     if budget is not None and required > budget:
-        # a count past the int-to-str digit limit is shown as a power of two
-        shown = (required if required.bit_length() < 10_000
-                 else f"more than 2^{required.bit_length() - 1}")
+        # a count of 64 bits or more is shown by its leading power of two
+        shown = (required if required.bit_length() < 64
+                 else f"at least 2^{required.bit_length() - 1}")
         raise BudgetExceededError(f"{shown} {unit} exceed budget {budget}",
                                   required=required, budget=budget)
 

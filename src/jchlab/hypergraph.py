@@ -53,10 +53,6 @@ class LayeredPcp:
     def edges_between(self, i, j):
         return tuple(e for e in self.edges if (e[0], e[1]) == (i, j))
 
-    def satisfied(self, edge, assignment):
-        i, j, vi, vj, proj = edge
-        return proj[assignment[(j, vj)]] == assignment[(i, vi)]
-
 
 def layer_pair_distribution(ell):
     """Exact distribution over layer pairs (i, j), i < j.
@@ -289,7 +285,9 @@ def completeness_cover_check(pcp, hg, assignment):
 
 @dataclass
 class SimpleHypergraph:
-    edges: tuple           # frozensets of (vertex, coordinate) pairs
+    pairs: tuple           # the distinct drawn (vertex, coordinate) pairs, by repr
+    edges: object          # (kept, width) int array, one row per kept edge in
+                           # output order: its pair ranks ascending, then -1s
     b: int
     source_edges: int
     replicas: int          # edges emitted before duplicate deletion
@@ -303,48 +301,58 @@ def densify(hg, b, c, seed=None):
     Replicas draw one coordinate per vertex, rng.randrange(b) from a single
     random.Random(seed) stream, walking the edges and each edge's vertices
     in a deterministic order, so the output is reproducible from
-    (b, c, seed).
+    (b, c, seed).  A replica is the row of its pairs' ranks in `pairs`,
+    ascending and padded with -1; one sort of the rows puts equal replicas
+    side by side and orders the kept ones by their sorted pair reprs.
     """
     import numpy as np
     if b < 1 or c < 1:
         raise ValueError("need b >= 1 and c >= 1")
     ordered, reprs = _sorted_edges(hg.edges)
-    members = [sorted(t, key=reprs.__getitem__) for t, _ in ordered]
-    sizes = np.array([len(m) for m in members], dtype=np.int64)
-    owner = np.repeat(np.arange(len(members)),
+    vertices = sorted(reprs, key=reprs.__getitem__)
+    index = {v: i for i, v in enumerate(vertices)}
+    sizes = np.array([len(t) for t, _ in ordered], dtype=np.int64)
+    owner = np.repeat(np.arange(len(ordered)),
                       [int(math.floor(c * Fraction(w))) for _, w in ordered])
     width = sizes[owner]
-    start = np.cumsum(width) - width
     draws = _randrange_words(random.Random(seed), b, int(width.sum()))
-    # replicas of different source edges are different sets, so a replica is
-    # a duplicate when its source edge and its coordinates repeat
-    words, most = draws.shape[1], int(sizes.max(initial=0))
-    key = np.zeros((len(owner), 1 + words * most), dtype=np.int64)
-    key[:, 0] = owner
-    for m in range(most):
-        rows = width > m
-        key[rows, 1 + m * words:1 + (m + 1) * words] = draws[start[rows] + m]
-    order = np.lexsort(key.T)
-    repeat = (key[order[1:]] == key[order[:-1]]).all(axis=1)
-    single = np.ones(len(key), dtype=bool)
-    single[order[1:][repeat]] = single[order[:-1][repeat]] = False
-    # the kept replicas' coordinates as ints, replica after replica
-    kept_draws = draws[np.repeat(single, width)]
-    values = sum(kept_draws[:, i].astype(object) << 32 * i for i in range(words)).tolist()
-    # kept edges are ordered by the sorted reprs of their (vertex, coordinate)
-    # pairs; repr text holds no NUL, so joining that list on NUL keeps its
-    # order, and a string key leaves the garbage collector less to scan
-    prefixes = [[f"({reprs[v]}, " for v in m] for m in members]
-    keys, sets = [], []
-    first = 0
-    for e in owner[single].tolist():
-        coords = values[first:first + len(members[e])]
-        keys.append("\0".join(sorted([p + f"{x!r})" for p, x in zip(prefixes[e], coords)])))
-        sets.append(frozenset(zip(members[e], coords)))
-        first += len(coords)
-    kept = tuple(sets[i] for i in sorted(range(len(keys)), key=keys.__getitem__))
-    return SimpleHypergraph(edges=kept, b=b, source_edges=len(hg.edges),
-                            replicas=len(owner), deleted=len(owner) - len(kept))
+    # each edge's vertex ids in repr order, the order its replicas draw in, as
+    # uint32 like the coordinate words; at least one column, so lexsort has a key
+    most = int(sizes.max(initial=1))
+    ids = np.zeros((len(ordered), most), dtype=np.uint32)
+    ids[np.arange(most) < sizes[:, None]] = [i for t, _ in ordered
+                                             for i in sorted(map(index.__getitem__, t))]
+    drawn = np.arange(most) < width[:, None]
+    vertex = ids[owner][drawn]
+    # number the distinct (vertex, coordinate) pairs, then rank them by repr
+    key = np.vstack([draws.T, vertex])
+    order = np.lexsort(key)
+    key = key[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    pair_id = np.empty_like(order)
+    pair_id[order] = np.cumsum(new) - 1
+    firsts = order[new]
+    coords = sum(draws[firsts, i].astype(object) << 32 * i for i in range(draws.shape[1]))
+    found = list(zip([vertices[v] for v in vertex[firsts].tolist()], coords.tolist()))
+    text = [f"({reprs[v]}, {x!r})" for v, x in found]
+    by_repr = sorted(range(len(found)), key=text.__getitem__)
+    rank = np.argsort(by_repr)
+    # a replica is the row of its pairs' ranks, ascending, then -1s; the filler
+    # is above every rank, so sorting moves it past the drawn places
+    rows = np.full(drawn.shape, len(found), dtype=np.int64)
+    rows[drawn] = rank[pair_id]
+    rows.sort(axis=1)
+    rows[~drawn] = -1
+    # equal rows are equal replicas; a row without an equal neighbour is kept
+    rows = rows[np.lexsort(rows.T[::-1])]
+    repeat = (rows[1:] == rows[:-1]).all(axis=1)
+    single = np.ones(len(rows), dtype=bool)
+    single[1:][repeat] = single[:-1][repeat] = False
+    kept = rows[single]
+    return SimpleHypergraph(pairs=tuple(found[i] for i in by_repr), edges=kept, b=b,
+                            source_edges=len(hg.edges), replicas=len(owner),
+                            deleted=len(owner) - len(kept))
 
 
 def _randrange_words(rng, n, count):
@@ -382,7 +390,9 @@ def retained_count_bound(c, m, b):
 
 def cover_transfers(cover, dense):
     """True when cover x [b] hits every densified edge."""
-    return all(any(v in cover for v, _ in t) for t in dense.edges)
+    import numpy as np
+    hit = np.array([v in cover for v, _ in dense.pairs] + [False])   # -1 hits nothing
+    return bool(hit[dense.edges].any(axis=1).all())
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +486,6 @@ def read_weighted_hypergraph(fh):
 
 def write_simple_hypergraph(dense, fh):
     fh.write(f"hg3 {dense.b}\n")
-    token = functools.cache(vertex_token)
-    for t in dense.edges:
-        toks = " ".join(sorted(f"{token(v)}@{coord}" for v, coord in t))
-        fh.write(toks + "\n")
+    tokens = [f"{vertex_token(v)}@{coord}" for v, coord in dense.pairs]
+    for row in dense.edges.tolist():
+        fh.write(" ".join(sorted(tokens[r] for r in row if r >= 0)) + "\n")

@@ -284,6 +284,15 @@ def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
     assert "-o" not in argv or not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
+def test_fpt_runs_every_branching_level(tmp_path, monkeypatch, capsys):
+    # a budget of the tree bound 2^1200 lets all 1200 levels run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.jc").write_text(disjoint_pairs(1200))
+    code, out = run(capsys, "solve-jc", "-i", "pairs.jc", "--alg", "fpt",
+                    "--budget", str(2 ** 1200))
+    assert code == 0 and "full_cover=True" in out
+
+
 # commands that enumerate nothing take no --budget
 @pytest.mark.parametrize("argv", [
     ["gen-jc", "--kind", "complete", "--n", "4", "--z", "3", "--y", "2", "--k", "2",

@@ -14,6 +14,7 @@ from jchlab import (
     read_instance, write_instance,
 )
 from jchlab.coverage import max_union_search
+from jchlab.errors import check_budget
 
 COMPLETE_432 = gen_instance("complete", 4, 3, 2, 2)
 
@@ -99,6 +100,25 @@ def test_fpt_budget():
         fpt_cover_decide(wide, budget=80)
     assert err.value.required == 81
     assert fpt_cover_decide(wide, budget=None)[0]
+
+
+def test_refusal_counts_of_64_bits_or_more_show_a_power_of_two():
+    with pytest.raises(BudgetExceededError) as err:
+        check_budget(2 ** 63 - 1, 10, "branches")
+    assert str(err.value) == "9223372036854775807 branches exceed budget 10"
+    for required, shown in [(2 ** 63, "2^63"), (2 ** 64 - 1, "2^63"), (2 ** 1200, "2^1200"),
+                            (3 ** 1200, "2^1901")]:
+        with pytest.raises(BudgetExceededError) as err:
+            check_budget(required, 10, "branches")
+        assert str(err.value) == f"at least {shown} branches exceed budget 10"
+        assert err.value.required == required
+
+
+def test_fpt_deep_tree_needs_no_recursion():
+    # 1200 disjoint pairs: a full cover takes all 1200 branching levels
+    pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(1200))
+    decision, witness = fpt_cover_decide(JohnsonInstance(2400, 2, 1, pairs, 1200), budget=None)
+    assert decision and witness == tuple((2 * i + 1,) for i in range(1200))
 
 
 def scan_reference(masks, r, target):

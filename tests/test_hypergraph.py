@@ -10,7 +10,7 @@ from jchlab import (
     layer_pair_distribution, layer_marginal, build_weighted_hypergraph,
     completeness_cover_check, densify, retained_count_bound, cover_transfers,
     read_pcp, write_pcp, read_weighted_hypergraph, write_weighted_hypergraph,
-    write_simple_hypergraph, SimpleHypergraph,
+    write_simple_hypergraph,
 )
 from jchlab.hypergraph import vertex_token
 
@@ -142,18 +142,36 @@ def four_edge_graph():
                                edges=edges, mode="exact")
 
 
+def edge_sets(dense):
+    """The kept edges as frozensets of (vertex, coordinate) pairs, in output order."""
+    return tuple(frozenset(dense.pairs[r] for r in row if r >= 0)
+                 for row in dense.edges.tolist())
+
+
+def check_rank_table(dense):
+    """Pairs in repr order; rows ascending, -1 only at the end, strictly increasing."""
+    assert list(dense.pairs) == sorted(set(dense.pairs), key=repr)
+    rows = dense.edges.tolist()
+    for row in rows:
+        size = sum(r >= 0 for r in row)
+        assert all(0 <= r < len(dense.pairs) for r in row[:size])
+        assert all(x < y for x, y in zip(row[:size], row[1:size]))
+        assert row[size:] == [-1] * (len(row) - size)
+    assert all(x < y for x, y in zip(rows, rows[1:]))    # sorted and simple
+
+
 def test_densify_counts_and_simplicity():
     hg = four_edge_graph()
     d = densify(hg, b=8, c=181, seed=1)
     assert d.replicas == 4 * 45
-    assert len(set(d.edges)) == len(d.edges)
+    check_rank_table(d)
     assert d.replicas - d.deleted == len(d.edges)
 
 
 def test_densify_determinism():
     hg = four_edge_graph()
-    assert densify(hg, 8, 181, seed=5).edges == densify(hg, 8, 181, seed=5).edges
-    assert densify(hg, 8, 181, seed=5).edges != densify(hg, 8, 181, seed=6).edges
+    assert edge_sets(densify(hg, 8, 181, seed=5)) == edge_sets(densify(hg, 8, 181, seed=5))
+    assert edge_sets(densify(hg, 8, 181, seed=5)) != edge_sets(densify(hg, 8, 181, seed=6))
 
 
 def test_densify_b1_collapses():
@@ -251,8 +269,7 @@ def reference_densify(hg, b, c, seed):
             replicas += 1
     kept = tuple(sorted((t for t, cnt in seen.items() if cnt == 1),
                         key=lambda t: sorted(map(repr, t))))
-    return SimpleHypergraph(edges=kept, b=b, source_edges=len(hg.edges),
-                            replicas=replicas, deleted=replicas - len(kept))
+    return kept, replicas
 
 
 def reference_whg3(edges):
@@ -262,9 +279,9 @@ def reference_whg3(edges):
     return "".join(lines)
 
 
-def reference_hg3(dense):
-    lines = [f"hg3 {dense.b}\n"]
-    for t in dense.edges:
+def reference_hg3(b, edges):
+    lines = [f"hg3 {b}\n"]
+    for t in edges:
         lines.append(" ".join(sorted(f"{vertex_token(v)}@{coord}" for v, coord in t)) + "\n")
     return "".join(lines)
 
@@ -327,9 +344,12 @@ def test_densify_matches_per_draw_loop(b):
         for c in (1, 40, 700):
             for seed in (0, 5):
                 dense = densify(hg, b, c, seed=seed)
-                ref = reference_densify(hg, b, c, seed)
-                assert dense == ref
-                assert written(write_simple_hypergraph, dense) == reference_hg3(ref)
+                kept, replicas = reference_densify(hg, b, c, seed)
+                check_rank_table(dense)
+                assert edge_sets(dense) == kept
+                assert (dense.b, dense.source_edges, dense.replicas, dense.deleted) == \
+                    (b, len(hg.edges), replicas, replicas - len(kept))
+                assert written(write_simple_hypergraph, dense) == reference_hg3(b, kept)
 
 
 class BoundaryRandom(random.Random):
