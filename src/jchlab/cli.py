@@ -153,7 +153,6 @@ def cmd_verify_embed(args):
 
 
 def cmd_reduce(args):
-    from . import reduction
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
     recs = []
@@ -168,6 +167,8 @@ def cmd_reduce(args):
             code = codes.pick_code_params(inst.n, inst.z, inst.y,
                                           args.eps, relaxed=args.relaxed)
         real = _metric_args(args.metric, code.q, inst.z, inst.y, args.p)
+        codes.message_for_element(code, inst.n)    # q^eta >= n, checked before numpy loads
+        from . import reduction
         ci = reduction.build_discrete_instance(
             inst, code, real, centers_from_edges=args.centers_from_edges,
             exponent=args.exponent)
@@ -175,6 +176,7 @@ def cmd_reduce(args):
                      "relative_distance": code.relative_distance,
                      "provenance": "formula"})
     else:
+        from . import reduction
         ci = reduction.build_continuous_indicator_instance(
             inst, METRICS.get(args.metric) or lp_metric(args.p), exponent=args.exponent)
     with open(args.output, "w") as fh:

@@ -283,8 +283,21 @@ def completeness_cover_check(pcp, hg, assignment):
 # densification
 # ---------------------------------------------------------------------------
 
+# replicas densify draws and deduplicates at once (a block holds whole source
+# edges, so only an edge of more replicas makes a larger one), and hg3 rows
+# written at once
+BLOCK_REPLICAS = 2 ** 15
+
+
 @dataclass
 class SimpleHypergraph:
+    """A densified hypergraph as one table of pair ranks.
+
+    The blocks densify draws in leave no trace: `pairs` holds the pairs of
+    every replica, deleted ones included, and `edges` the kept replicas of all
+    blocks in one order, so both are the same whatever BLOCK_REPLICAS is.
+    """
+
     pairs: tuple           # the distinct drawn (vertex, coordinate) pairs, by repr
     edges: object          # (kept, width) int array, one row per kept edge in
                            # output order: its pair ranks ascending, then -1s
@@ -301,9 +314,14 @@ def densify(hg, b, c, seed=None):
     Replicas draw one coordinate per vertex, rng.randrange(b) from a single
     random.Random(seed) stream, walking the edges and each edge's vertices
     in a deterministic order, so the output is reproducible from
-    (b, c, seed).  A replica is the row of its pairs' ranks in `pairs`,
-    ascending and padded with -1; one sort of the rows puts equal replicas
-    side by side and orders the kept ones by their sorted pair reprs.
+    (b, c, seed).  A replica's pairs fix its vertex set and so its source
+    edge: duplicates never cross source edges.  So the replicas are drawn and
+    deduplicated in blocks of consecutive source edges, about BLOCK_REPLICAS
+    replicas each, and a block keeps only its distinct pairs and its
+    surviving rows of pair ids; no array holds an entry per draw of the run.
+    At the end one sort numbers the blocks' pairs globally, the pairs are
+    ranked by repr, and one gather turns the kept rows into rank rows, which
+    one sort puts in output order.
     """
     import numpy as np
     if b < 1 or c < 1:
@@ -312,75 +330,107 @@ def densify(hg, b, c, seed=None):
     vertices = sorted(reprs, key=reprs.__getitem__)
     index = {v: i for i, v in enumerate(vertices)}
     sizes = np.array([len(t) for t, _ in ordered], dtype=np.int64)
-    owner = np.repeat(np.arange(len(ordered)),
-                      [int(math.floor(c * Fraction(w))) for _, w in ordered])
-    width = sizes[owner]
-    draws = _randrange_words(random.Random(seed), b, int(width.sum()))
+    copies = np.array([int(math.floor(c * Fraction(w))) for _, w in ordered], dtype=np.int64)
     # each edge's vertex ids in repr order, the order its replicas draw in, as
     # uint32 like the coordinate words; at least one column, so lexsort has a key
     most = int(sizes.max(initial=1))
     ids = np.zeros((len(ordered), most), dtype=np.uint32)
     ids[np.arange(most) < sizes[:, None]] = [i for t, _ in ordered
                                              for i in sorted(map(index.__getitem__, t))]
-    drawn = np.arange(most) < width[:, None]
-    vertex = ids[owner][drawn]
-    # number the distinct (vertex, coordinate) pairs, then rank them by repr
-    key = np.vstack([draws.T, vertex])
+    blocks, start, held = [], 0, 0
+    for e, n in enumerate(copies.tolist()):
+        if held and held + n > BLOCK_REPLICAS:
+            blocks.append((start, e))
+            start, held = e, 0
+        held += n
+    blocks.append((start, len(ordered)))
+    stream = _randrange_words(random.Random(seed), b,
+                              [int(copies[lo:hi] @ sizes[lo:hi]) for lo, hi in blocks])
+    tables, kept, numbered = [], [], 0
+    for (lo, hi), draws in zip(blocks, stream):
+        owner = np.repeat(np.arange(lo, hi), copies[lo:hi])
+        drawn = np.arange(most) < sizes[owner, None]
+        # number the block's distinct (vertex, coordinate) pairs after the earlier blocks'
+        pair_id, table = _distinct_columns(np.vstack([draws.T, ids[owner][drawn]]))
+        rows = np.full(drawn.shape, -1, dtype=np.int64)
+        rows[drawn] = pair_id + numbered
+        tables.append(table)
+        numbered += table.shape[1]
+        # a row holds its replica's pair ids in drawing order, which the source
+        # edge fixes, so equal rows are equal replicas; a row without an equal
+        # neighbour is kept
+        rows = rows[np.lexsort(rows.T)]
+        repeat = (rows[1:] == rows[:-1]).all(axis=1)
+        single = np.ones(len(rows), dtype=bool)
+        single[1:][repeat] = single[:-1][repeat] = False
+        kept.append(rows[single])
+    # number the pairs globally, then rank them by repr
+    pair_id, table = _distinct_columns(np.hstack(tables))
+    coords = sum(table[i].astype(object) << 32 * i for i in range(len(table) - 1))
+    found = list(zip([vertices[v] for v in table[-1].tolist()], coords.tolist()))
+    text = [f"({reprs[v]}, {x!r})" for v, x in found]
+    by_repr = sorted(range(len(found)), key=text.__getitem__)
+    # a kept row as its pairs' ranks, ascending, then -1s: id -1 reads the
+    # filler, which is above every rank, so sorting moves it past the drawn places
+    rank = np.append(np.argsort(by_repr)[pair_id], len(found))
+    rows = rank[np.vstack(kept)]
+    rows.sort(axis=1)
+    rows[rows == len(found)] = -1
+    rows = rows[np.lexsort(rows.T[::-1])]
+    replicas = int(copies.sum())
+    return SimpleHypergraph(pairs=tuple(found[i] for i in by_repr), edges=rows, b=b,
+                            source_edges=len(hg.edges), replicas=replicas,
+                            deleted=replicas - len(rows))
+
+
+def _distinct_columns(key):
+    """Each column's id among the distinct columns of `key`, and those columns,
+    in lexsort order (last row first)."""
+    import numpy as np
     order = np.lexsort(key)
     key = key[:, order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    pair_id = np.empty_like(order)
-    pair_id[order] = np.cumsum(new) - 1
-    firsts = order[new]
-    coords = sum(draws[firsts, i].astype(object) << 32 * i for i in range(draws.shape[1]))
-    found = list(zip([vertices[v] for v in vertex[firsts].tolist()], coords.tolist()))
-    text = [f"({reprs[v]}, {x!r})" for v, x in found]
-    by_repr = sorted(range(len(found)), key=text.__getitem__)
-    rank = np.argsort(by_repr)
-    # a replica is the row of its pairs' ranks, ascending, then -1s; the filler
-    # is above every rank, so sorting moves it past the drawn places
-    rows = np.full(drawn.shape, len(found), dtype=np.int64)
-    rows[drawn] = rank[pair_id]
-    rows.sort(axis=1)
-    rows[~drawn] = -1
-    # equal rows are equal replicas; a row without an equal neighbour is kept
-    rows = rows[np.lexsort(rows.T[::-1])]
-    repeat = (rows[1:] == rows[:-1]).all(axis=1)
-    single = np.ones(len(rows), dtype=bool)
-    single[1:][repeat] = single[:-1][repeat] = False
-    kept = rows[single]
-    return SimpleHypergraph(pairs=tuple(found[i] for i in by_repr), edges=kept, b=b,
-                            source_edges=len(hg.edges), replicas=len(owner),
-                            deleted=len(owner) - len(kept))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, key[:, new]
 
 
-def _randrange_words(rng, n, count):
-    """The next `count` values of rng.randrange(n), drawn in bulk.
+def _randrange_words(rng, n, counts):
+    """For each count in `counts`, the next `count` values of rng.randrange(n),
+    drawn in bulk.
 
     randrange(n) repeats getrandbits(k), k = n.bit_length(), until the value
     is below n.  getrandbits(k) takes the next ceil(k/32) 32-bit words, least
     significant first, and shifts the last right by 32 ceil(k/32) - k, and
-    getrandbits(32 N) is the next N words in the same order.  Returns a
-    (count, ceil(k/32)) uint32 array of each value's words.
+    getrandbits(32 N) is the next N words in the same order.  Yields a
+    (count, ceil(k/32)) uint32 array of each value's words per count.  The
+    accepted values drawn past one count are spent first on the next, so the
+    values are those of one per-draw loop whatever the counts.
     """
     import numpy as np
     k = n.bit_length()
     words = -(-k // 32)
     limit = [(n >> 32 * i) & 0xFFFFFFFF for i in range(words)]
-    chunks, need = [], count
-    while need > 0:
-        m = need + need // 2 + 16      # a draw is accepted with probability > 1/2
-        raw = np.frombuffer(rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little"),
-                            dtype="<u4").reshape(m, words).copy()
-        raw[:, -1] >>= 32 * words - k
-        below, equal = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
-        for i in reversed(range(words)):
-            below |= equal & (raw[:, i] < limit[i])
-            equal &= raw[:, i] == limit[i]
-        chunks.append(raw[below][:need])
-        need -= len(chunks[-1])
-    return np.concatenate(chunks) if chunks else np.zeros((0, words), dtype=np.uint32)
+    spare = np.zeros((0, words), dtype=np.uint32)
+    for count in counts:
+        chunks = [spare[:count]]
+        spare = spare[count:]
+        need = count - len(chunks[0])
+        while need > 0:
+            m = need + need // 2 + 16      # a draw is accepted with probability > 1/2
+            data = rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little")
+            raw = np.frombuffer(data, dtype="<u4").reshape(m, words).copy()
+            raw[:, -1] >>= 32 * words - k
+            below, equal = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+            for i in reversed(range(words)):
+                below |= equal & (raw[:, i] < limit[i])
+                equal &= raw[:, i] == limit[i]
+            accepted = raw[below]
+            chunks.append(accepted[:need])
+            spare = accepted[need:]
+            need -= len(chunks[-1])
+        yield np.concatenate(chunks)
 
 
 def retained_count_bound(c, m, b):
@@ -487,5 +537,6 @@ def read_weighted_hypergraph(fh):
 def write_simple_hypergraph(dense, fh):
     fh.write(f"hg3 {dense.b}\n")
     tokens = [f"{vertex_token(v)}@{coord}" for v, coord in dense.pairs]
-    for row in dense.edges.tolist():
-        fh.write(" ".join(sorted(tokens[r] for r in row if r >= 0)) + "\n")
+    for start in range(0, len(dense.edges), BLOCK_REPLICAS):
+        fh.writelines(" ".join(sorted(tokens[r] for r in row if r >= 0)) + "\n"
+                      for row in dense.edges[start:start + BLOCK_REPLICAS].tolist())

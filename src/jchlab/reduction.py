@@ -89,8 +89,6 @@ def build_discrete_instance(inst, code, real, centers_from_edges=False,
                          f"instance has (z={inst.z}, y={inst.y})")
     if code.q != real.q:
         raise ValueError(f"code field size {code.q} != realization ground set {real.q}")
-    if inst.n > code.q ** code.eta:
-        raise ValueError("message space too small for the universe")
 
     codewords = {u: rs_encode(code, message_for_element(code, u))
                  for u in range(1, inst.n + 1)}

@@ -245,8 +245,8 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
     For each n: verify the explicit SDP solution exactly, record its objective
     2*C(n,4), check the LP value, and where enumeration fits the budget
     compute the exact minimum uncovered count at k' = floor(k*(1+delta)) for
-    each sweep fraction delta.  The integral cost lower bound is
-    2*covered + 4*uncovered.  Finite-size rows reaching uncovered = 0 are
+    each sweep fraction delta, searching each distinct k' once.  The integral
+    cost lower bound is 2*covered + 4*uncovered.  Finite-size rows reaching uncovered = 0 are
     flagged as deviations from the asymptotic 24/125 bound.
     """
     rows = []
@@ -256,13 +256,16 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
         check = verify_sdp_solution(sol, tol=tol)
         lp = lp_fractional_value(inst)
         npoints = len(inst.point_labels)
-        sweeps = []
+        sweeps, results = [], {}
         for delta in extra_center_fractions:
             k_prime = int(math.floor(inst.k * (1 + delta)))
-            try:
-                res = integral_min_uncovered(inst, k_prime, budget=exact_budget)
-            except BudgetExceededError:
-                res = None
+            if k_prime not in results:      # fractions whose k' coincide share one search
+                try:
+                    results[k_prime] = integral_min_uncovered(inst, k_prime,
+                                                              budget=exact_budget)
+                except BudgetExceededError:
+                    results[k_prime] = None
+            res = results[k_prime]
             if res is None:
                 sweeps.append({"delta": delta, "k_prime": k_prime,
                                "uncovered": None, "method": "skipped(budget)"})

@@ -1,8 +1,10 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jchlab import (
@@ -12,6 +14,7 @@ from jchlab import (
     read_pcp, write_pcp, read_weighted_hypergraph, write_weighted_hypergraph,
     write_simple_hypergraph,
 )
+from jchlab import hypergraph
 from jchlab.hypergraph import vertex_token
 
 SINGLETON = LayeredPcp(layers=(("a",), ("b",)), alphabets=(1, 1),
@@ -330,8 +333,7 @@ def test_montecarlo_needs_a_sample(samples):
 DENSIFY_BS = [1, 2, 3, 8, 1000, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3, 2 ** 70 + 1]
 
 
-@pytest.mark.parametrize("b", DENSIFY_BS)
-def test_densify_matches_per_draw_loop(b):
+def check_densify_against_loop(b):
     # edges of 0 to 3 vertices, as a whg3 file may hold
     mixed = WeightedHypergraph3(vertices=(), mode="file", edges={
         frozenset(): Fraction(1, 5), frozenset({(1, "a", (1,))}): Fraction(1, 5),
@@ -350,6 +352,45 @@ def test_densify_matches_per_draw_loop(b):
                 assert (dense.b, dense.source_edges, dense.replicas, dense.deleted) == \
                     (b, len(hg.edges), replicas, replicas - len(kept))
                 assert written(write_simple_hypergraph, dense) == reference_hg3(b, kept)
+
+
+@pytest.mark.parametrize("b", DENSIFY_BS)
+def test_densify_matches_per_draw_loop(b):
+    check_densify_against_loop(b)
+
+
+# a block of one edge, edges of more replicas than a block (c = 40, 700), blocks
+# of empty edges, and accepted words drawn in one block and spent in the next
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("b", DENSIFY_BS)
+def test_densify_blocks_match_per_draw_loop(b, block, monkeypatch):
+    monkeypatch.setattr(hypergraph, "BLOCK_REPLICAS", block)
+    check_densify_against_loop(b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 2 ** 32 - 1, 2 ** 32 + 3, 2 ** 70 + 1])
+def test_randrange_stream_matches_per_draw_loop(n):
+    counts = [0, 1, 5, 0, 300, 2, 0]
+    rng = random.Random(7)
+    values = [rng.randrange(n) for _ in range(sum(counts))]
+    words = np.concatenate(list(hypergraph._randrange_words(random.Random(7), n, counts)))
+    assert words.shape == (sum(counts), -(-n.bit_length() // 32))
+    assert [sum(int(w) << 32 * i for i, w in enumerate(row)) for row in words.tolist()] \
+        == values
+
+
+def test_densify_memory_stays_within_blocks():
+    # 199,648 replicas of the 832-edge THREE_LAYER hypergraph; drawing them all
+    # at once traced a 32.3 MiB peak, drawing them in blocks 7.1 MiB
+    hg = build_weighted_hypergraph(THREE_LAYER, Fraction(1, 8))
+    tracemalloc.start()
+    try:
+        dense = densify(hg, 8, 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.replicas == 199_648
+    assert peak < 16 * 2 ** 20
 
 
 class BoundaryRandom(random.Random):

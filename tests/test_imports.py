@@ -90,6 +90,19 @@ def test_command_runs_without_numpy(workdir, argv):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_undersized_code_refused_without_numpy(workdir):
+    # the README's q^eta = 5 < n = 6
+    gen = ["gen-jc", "--kind", "complete", "--n", "6", "--z", "3", "--y", "2", "--k", "3",
+           "-o", "six.jc"]
+    assert fresh_python(workdir, "-c", PROBE, *gen).returncode == 0
+    proc = fresh_python(workdir, "-c", PROBE, "reduce", "-i", "six.jc", "--mode", "discrete",
+                        "--metric", "l1", "--q", "5", "--eta", "1", "-o", "pts.txt")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert not (workdir / "pts.txt").exists()
+
+
 def test_lazy_exports_resolve_to_defining_modules(tmp_path):
     check = (
         "import importlib, sys, jchlab\n"

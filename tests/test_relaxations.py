@@ -14,6 +14,7 @@ from jchlab import (
     reiher_uncovered_fraction, asymptotic_gap,
 )
 from jchlab.coverage import DEFAULT_BUDGET
+from jchlab import relaxations
 from jchlab.relaxations import IntegralResult
 
 
@@ -285,6 +286,26 @@ def test_gap_report_rows():
     assert sweep0["integral_cost_lb"] == 30
     # opening 20% more centers can only help
     assert row["integral_sweeps"][1]["uncovered"] <= sweep0["uncovered"]
+
+
+def test_gap_report_searches_each_k_prime_once(monkeypatch):
+    calls = []
+
+    def counted(inst, k_prime, budget):
+        calls.append((inst.n, k_prime))
+        return integral_min_uncovered(inst, k_prime, budget=budget)
+
+    monkeypatch.setattr(relaxations, "integral_min_uncovered", counted)
+    rep = gap_report([6, 8], t=5, extra_center_fractions=(0.0, 0.1, 0.2))
+    # k = 3 at n = 6 and 5 at n = 8: k' = 3, 3, 3 and 5, 5, 6
+    assert calls == [(6, 3), (8, 5), (8, 6)]
+    for row in rep["rows"]:
+        inst = build_clique_gap_instance(row["n"])
+        for sweep in row["integral_sweeps"]:
+            res = integral_min_uncovered(inst, sweep["k_prime"])
+            assert (sweep["uncovered"], sweep["method"]) == (res.uncovered, res.method)
+    assert [[s["k_prime"] for s in row["integral_sweeps"]] for row in rep["rows"]] == \
+        [[3, 3, 3], [5, 5, 6]]
 
 
 def test_sdp_residuals_full_range():
