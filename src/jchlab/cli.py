@@ -153,12 +153,14 @@ def cmd_verify_embed(args):
 
 
 def cmd_reduce(args):
+    if args.eta is not None and args.q is None:
+        raise ValueError("--eta needs --q")
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
     recs = []
     if args.mode == "discrete":
-        if args.q:
-            code = codes.RsCode(args.q, args.eta or 1)
+        if args.q is not None:
+            code = codes.RsCode(args.q, 1 if args.eta is None else args.eta)
         else:
             if not args.relaxed:
                 raise ValueError(
@@ -167,9 +169,9 @@ def cmd_reduce(args):
             code = codes.pick_code_params(inst.n, inst.z, inst.y,
                                           args.eps, relaxed=args.relaxed)
         real = _metric_args(args.metric, code.q, inst.z, inst.y, args.p)
-        codes.message_for_element(code, inst.n)    # q^eta >= n, checked before numpy loads
+        codes.message_for_element(code, inst.n)    # q^eta >= n, checked before reduction loads
         from . import reduction
-        ci = reduction.build_discrete_instance(
+        si = reduction.composed_supports(
             inst, code, real, centers_from_edges=args.centers_from_edges,
             exponent=args.exponent)
         recs.append({"record": "code", "q": code.q, "eta": code.eta,
@@ -177,20 +179,21 @@ def cmd_reduce(args):
                      "provenance": "formula"})
     else:
         from . import reduction
-        ci = reduction.build_continuous_indicator_instance(
+        si = reduction.indicator_supports(
             inst, METRICS.get(args.metric) or lp_metric(args.p), exponent=args.exponent)
+    # every refusal is raised above: the file opens only for a valid instance
     with open(args.output, "w") as fh:
-        reduction.write_points(ci, fh)
-    recs.append({"record": "pointset", "points": len(ci.point_labels),
-                 "centers": 0 if ci.centers is None else len(ci.center_labels),
-                 "dim": ci.dim, "base_distance": ci.meta.get("base_distance"),
+        reduction.write_supports(si, fh)
+    recs.append({"record": "pointset", "points": len(si.points.labels),
+                 "centers": 0 if si.centers is None else len(si.centers.labels),
+                 "dim": si.dim, "base_distance": si.meta.get("base_distance"),
                  "path": args.output, "provenance": "construction"})
     return recs
 
 
 def cmd_cost(args):
+    from . import reduction     # before numpy: its import transient then adds less to peak RSS
     import numpy as np
-    from . import reduction
     with open(args.input) as fh:
         ci = reduction.read_points(fh)
     chosen = []

@@ -6,6 +6,10 @@ realizes the set of codeword symbols at one coordinate (padded back to full
 arity when symbols collide), and covered pairs land at the uniform base
 distance beta * ell^(1/p) while uncovered pairs stay above the certified
 floor.  The continuous reduction is the plain indicator embedding.
+
+Both constructions first describe every row by its support, the coordinates
+holding the `on` entry (SupportInstance); `reduce` writes the points file
+from the supports, and only the array builders load numpy.
 """
 
 import math
@@ -13,18 +17,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from .coverage import DEFAULT_BUDGET, JohnsonInstance
+from .coverage import DEFAULT_BUDGET
 from .codes import message_for_element, rs_encode
 from .errors import check_budget
-from .geometry import best_center_continuous, pointwise_distance
 from .metric import METRICS, Metric, parse_metric
+
+
+def _check_counts(points, centers, k, exponent):
+    # centers is None for a continuous instance, else the candidate count
+    if points == 0:
+        raise ValueError("clustering instance needs at least one point")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if exponent < 1:
+        raise ValueError(f"cost exponent must be >= 1, not {exponent}")
+    if centers == 0:
+        raise ValueError("discrete instance needs a nonempty center list")
 
 
 @dataclass
 class ClusteringInstance:
-    points: np.ndarray
+    points: object             # np.ndarray of shape (m, dim)
     point_labels: tuple
     centers: object            # np.ndarray or None (continuous case)
     center_labels: object
@@ -34,20 +47,71 @@ class ClusteringInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("clustering instance needs at least one point")
-        if self.k < 1:
-            raise ValueError("need k >= 1")
-        if self.exponent < 1:
-            raise ValueError(f"cost exponent must be >= 1, not {self.exponent}")
-        if self.centers is not None and len(self.centers) == 0:
-            raise ValueError("discrete instance needs a nonempty center list")
+        _check_counts(len(self.points), None if self.centers is None else len(self.centers),
+                      self.k, self.exponent)
         if self.centers is not None and self.centers.shape[1] != self.points.shape[1]:
             raise ValueError("points and centers must share one dimension")
 
     @property
     def dim(self):
         return self.points.shape[1]
+
+
+@dataclass(frozen=True)
+class SupportRows:
+    """Rows sharing one (off, on) entry pair: row `label` is off everywhere
+    except at the ascending coordinates support(label), which hold on."""
+    labels: tuple
+    entries: tuple      # (off, on)
+    support: object     # label -> ascending list of coordinates
+
+
+@dataclass
+class SupportInstance:
+    """A clustering instance held as row supports, before any array exists.
+
+    write_supports writes it as a points file; dense() fills the arrays of
+    the equal ClusteringInstance.  Coordinates are ints when all the entries
+    are, floats otherwise.
+    """
+    dim: int
+    points: SupportRows
+    centers: object     # SupportRows or None (continuous case)
+    k: int
+    metric: Metric
+    exponent: int
+    meta: dict
+
+    def __post_init__(self):
+        _check_counts(len(self.points.labels),
+                      None if self.centers is None else len(self.centers.labels),
+                      self.k, self.exponent)
+
+    @property
+    def groups(self):
+        return (self.points,) if self.centers is None else (self.points, self.centers)
+
+    @property
+    def integral(self):
+        return all(type(e) is int for rows in self.groups for e in rows.entries)
+
+    def dense(self):
+        import numpy as np
+        dtype = np.int8 if self.integral else np.float64
+
+        def fill(rows):
+            off, on = rows.entries
+            out = np.full((len(rows.labels), self.dim), off, dtype=dtype)
+            for i, label in enumerate(rows.labels):
+                out[i, rows.support(label)] = on
+            return out
+
+        centers = self.centers
+        return ClusteringInstance(
+            points=fill(self.points), point_labels=self.points.labels,
+            centers=None if centers is None else fill(centers),
+            center_labels=None if centers is None else centers.labels,
+            k=self.k, metric=self.metric, exponent=self.exponent, meta=self.meta)
 
 
 def _pad_to_arity(symbols, arity, q):
@@ -60,26 +124,13 @@ def _pad_to_arity(symbols, arity, q):
     return tuple(sorted(out))
 
 
-def _composed_vector(members, arity, codewords, real, out):
-    # same entries as real.vector per block, written sparsely: every block is
-    # the off entry except at the (padded) symbol set
-    q = real.q
-    off, on = real.entries(arity)
-    if off:
-        out[:] = off
-    for gamma in range(q):
-        block = _pad_to_arity({codewords[u][gamma] for u in members}, arity, q)
-        base = gamma * q
-        for mu in block:
-            out[base + mu] = on
-    return out
-
-
-def build_discrete_instance(inst, code, real, centers_from_edges=False,
-                            exponent=None):
+def composed_supports(inst, code, real, centers_from_edges=False, exponent=None):
     """Points for edges, candidate centers for y-subsets, one block per symbol.
 
-    The realization must match the instance arities (t=z, s=y) and the code's
+    Row supports: in block gamma (coordinates gamma*q .. gamma*q + q-1) a row
+    holds the realization's on entry at its members' padded symbol set, and
+    the off entry elsewhere, the same entries as real.vector per block.  The
+    realization must match the instance arities (t=z, s=y) and the code's
     field size.  centers_from_edges restricts the candidate centers to the
     y-subsets of actual edges to keep their count polynomial in |E|.  The
     cost exponent defaults to 2 (means) for l2 and 1 (median) otherwise.
@@ -90,37 +141,39 @@ def build_discrete_instance(inst, code, real, centers_from_edges=False,
     if code.q != real.q:
         raise ValueError(f"code field size {code.q} != realization ground set {real.q}")
 
+    q = code.q
     codewords = {u: rs_encode(code, message_for_element(code, u))
                  for u in range(1, inst.n + 1)}
-    ell = code.ell
-    dim = ell * real.dim
-    entries = real.entries(inst.z) + real.entries(inst.y)
-    dtype = np.int8 if all(type(e) is int for e in entries) else np.float64
 
-    point_labels = inst.edges
-    points = np.zeros((len(point_labels), dim), dtype=dtype)
-    for i, t in enumerate(point_labels):
-        _composed_vector(t, inst.z, codewords, real, points[i])
+    def rows(labels, arity):
+        def support(label):
+            out = []
+            for gamma, symbols in enumerate(zip(*(codewords[u] for u in label))):
+                base = gamma * q
+                out.extend(base + mu for mu in _pad_to_arity(symbols, arity, q))
+            return out
+        return SupportRows(labels, real.entries(arity), support)
 
     if centers_from_edges:
         center_labels = tuple(sorted({s for t in inst.edges
                                       for s in combinations(t, inst.y)}))
     else:
         center_labels = tuple(combinations(range(1, inst.n + 1), inst.y))
-    centers = np.zeros((len(center_labels), dim), dtype=dtype)
-    for i, s in enumerate(center_labels):
-        _composed_vector(s, inst.y, codewords, real, centers[i])
-
+    ell = code.ell
     # beta * ell^(1/p), exact on l0/l1 where p = 1 and beta is an integer
     base = real.beta * real.metric.take_root(ell)
-    meta = {"beta": real.beta, "ell": ell, "q": code.q, "z": inst.z, "y": inst.y,
+    meta = {"beta": real.beta, "ell": ell, "q": q, "z": inst.z, "y": inst.y,
             "lambda": real.lambda_claimed, "base_distance": base}
-    if exponent is None:
-        exponent = real.metric.exponent
-    return ClusteringInstance(points=points, point_labels=point_labels,
-                              centers=centers, center_labels=center_labels,
-                              k=inst.k, metric=real.metric,
-                              exponent=exponent, meta=meta)
+    return SupportInstance(
+        dim=ell * real.dim, points=rows(inst.edges, inst.z),
+        centers=rows(center_labels, inst.y), k=inst.k, metric=real.metric,
+        exponent=real.metric.exponent if exponent is None else exponent, meta=meta)
+
+
+def build_discrete_instance(inst, code, real, centers_from_edges=False,
+                            exponent=None):
+    """The arrays of composed_supports (same arguments)."""
+    return composed_supports(inst, code, real, centers_from_edges, exponent).dense()
 
 
 def soundness_floor(ci):
@@ -149,9 +202,10 @@ def meets_soundness_floor(ci, distance):
     return distance >= soundness_floor(ci) - 1e-9
 
 
-def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=None):
+def indicator_supports(inst, metric=METRICS["l2"], exponent=None):
     """Indicator vectors of the edges in dimension n; no candidate centers.
 
+    Row supports: edge t holds 1 at the coordinates u - 1 of its members.
     The cost exponent defaults to the largest one the metric has a center
     rule for: 2 on l1 and l2, 1 on l0.  An exponent without a rule is refused.
     """
@@ -162,14 +216,15 @@ def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=Non
         exponent = max(metric.centers)
     if exponent not in metric.centers:
         raise ValueError(f"no center rule for metric={metric.token!r} exponent={exponent}")
-    points = np.zeros((inst.num_edges, inst.n), dtype=np.int8)
-    for i, t in enumerate(inst.edges):
-        for u in t:
-            points[i, u - 1] = 1
+    points = SupportRows(inst.edges, (0, 1), lambda t: [u - 1 for u in t])
     meta = {"z": inst.z, "y": inst.y, "n": inst.n}
-    return ClusteringInstance(points=points, point_labels=inst.edges,
-                              centers=None, center_labels=None, k=inst.k,
-                              metric=metric, exponent=exponent, meta=meta)
+    return SupportInstance(dim=inst.n, points=points, centers=None, k=inst.k,
+                           metric=metric, exponent=exponent, meta=meta)
+
+
+def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=None):
+    """The arrays of indicator_supports (same arguments)."""
+    return indicator_supports(inst, metric, exponent).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +259,7 @@ def clustering_cost(ci, chosen):
 
 def _distance_table(ci, centers):
     """Rows of Python-number distances, one row per point, one entry per center."""
+    from .geometry import pointwise_distance
     return [[pointwise_distance(pt, c, ci.metric) for c in centers]
             for pt in ci.points]
 
@@ -299,6 +355,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
                 best_idx, best_cost = idx, cost
         return tuple(ci.center_labels[i] for i in best_idx), best_cost
     if mode == "continuous":
+        from .geometry import best_center_continuous
         m = len(ci.points)
         check_budget(_partition_count_upto(m, ci.k), budget, "partitions")
         block_cost = {}   # blocks recur across partitions; solve each once
@@ -327,7 +384,8 @@ def write_points(ci, fh):
     Each distinct value of a row is formatted once; a float is keyed on its
     bit pattern, so 0.0 and -0.0 keep their own text.
     """
-    fh.write(f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n")
+    import numpy as np
+    fh.write(_header(ci))
     integral = np.issubdtype(ci.points.dtype, np.integer)
     fmt = str if integral else repr
     rows = [(ci.point_labels, ci.points)]
@@ -342,6 +400,47 @@ def write_points(ci, fh):
             fh.write(f"{','.join(map(str, label))} {' '.join(tokens[index].tolist())}\n")
 
 
+_RUN = 1024         # off tokens in the string every gap of a row is cut from
+_FLUSH = 1 << 16    # characters of a row gathered before they are written
+
+
+def write_supports(si, fh):
+    """Write a SupportInstance exactly as write_points writes si.dense().
+
+    Tokens are str(e) when every entry is an int, else repr(float(e)).  A
+    row is the runs of off tokens between its on coordinates, each run a
+    slice of one string of _RUN off tokens, written about _FLUSH characters
+    at a time: no list or array of dim values is ever built.
+    """
+    fh.write(_header(si))
+    fmt = str if si.integral else (lambda e: repr(float(e)))
+    for rows in si.groups:
+        off, on = (" " + fmt(e) for e in rows.entries)
+        run, width = off * _RUN, len(off)
+        for label in rows.labels:
+            parts, size, prev = [",".join(map(str, label))], 0, 0
+            # dim closes the row: its trailing on token becomes the newline
+            for c in (*rows.support(label), si.dim):
+                if size > _FLUSH:
+                    fh.write("".join(parts))
+                    parts.clear()
+                    size = 0
+                gap = c - prev
+                size += gap * width
+                while gap > _RUN:
+                    parts.append(run)
+                    gap -= _RUN
+                parts.append(run[:gap * width])
+                parts.append(on)
+                prev = c + 1
+            parts[-1] = "\n"
+            fh.write("".join(parts))
+
+
+def _header(ci):
+    return f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n"
+
+
 def read_points(fh):
     """Rebuild an instance from a points file.
 
@@ -350,6 +449,7 @@ def read_points(fh):
     they load as int64 when every one is integral, else as float64.
     Construction metadata (the base distance) is not serialized.
     """
+    import numpy as np
     header = fh.readline().split()
     if len(header) != 5 or header[0] != "pts":
         raise ValueError("points file must start with 'pts dim metric exponent k'")

@@ -241,6 +241,13 @@ def disjoint_pairs(k):
     *[({"zero.jc": "jc 6 3 2 2\n"},
        ["reduce", "-i", "zero.jc", "--mode", mode, "--metric", "l1", "--q", "7", "-o", "out.pts"])
       for mode in ("discrete", "continuous")],
+    ({"inst.jc": "jc 4 3 2 2\n1 2 3\n1 2 4\n"},
+     ["reduce", "-i", "inst.jc", "--mode", "discrete", "--q", "7", "--eta", "0", "-o", "out.pts"]),
+    ({"inst.jc": "jc 4 3 2 2\n1 2 3\n1 2 4\n"},
+     ["reduce", "-i", "inst.jc", "--mode", "discrete", "--relaxed", "--eta", "3",
+      "-o", "out.pts"]),
+    ({"inst.jc": "jc 6 3 2 2\n1 2 6\n"},
+     ["reduce", "-i", "inst.jc", "--mode", "discrete", "--q", "5", "--eta", "1", "-o", "out.pts"]),
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
@@ -251,7 +258,8 @@ def disjoint_pairs(k):
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan",
         "factors-p3-alpha-2", "factors-p3-alpha-nan", "points-header-only",
-        "reduce-discrete-no-edges", "reduce-continuous-no-edges"])
+        "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
+        "reduce-eta-without-q", "reduce-q-eta-below-n"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -259,6 +267,8 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     code, err = run_err(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # reduce checks every rule before it opens its output: a refusal leaves no file
+    assert argv[0] != "reduce" or not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
 @pytest.mark.parametrize("files, argv", [

@@ -31,6 +31,7 @@ Metric parse_metric
 ClusteringInstance CostBreakdown build_discrete_instance
 build_continuous_indicator_instance clustering_cost brute_force_optimal_cost
 centers_by_labels soundness_floor meets_soundness_floor read_points write_points
+SupportRows SupportInstance composed_supports indicator_supports write_supports
 CliqueGapInstance SdpSolution build_clique_gap_instance build_sdp_solution
 verify_sdp_solution lp_fractional_value integral_min_uncovered gap_report
 reiher_uncovered_fraction asymptotic_gap
@@ -79,6 +80,9 @@ def workdir(tmp_path_factory):
     ["factors", "--p", "1", "--delta", "1", "--alpha", "0.6321"],
     ["factors", "--p", "3", "--delta", "1", "--alpha", "0.5", "--q", "5"],
     ["turan", "--z", "4"],
+    *[["reduce", "-i", "inst.jc", "--mode", "discrete", "--q", "5", *metric, "-o", "reduced.pts"]
+      for metric in (["--metric", "l1"], ["--metric", "l2"], ["--metric", "lp", "--p", "3"])],
+    ["reduce", "-i", "inst.jc", "--mode", "continuous", "-o", "reduced.pts"],
     ["hvc-build", "-i", "toy.pcp", "--delta", "1/8", "-o", "exact.whg3"],
     ["hvc-build", "-i", "toy.pcp", "--mode", "montecarlo", "--samples", "200",
      "-o", "mc.whg3"],

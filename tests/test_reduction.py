@@ -1,11 +1,13 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from jchlab import reduction
 from jchlab import (
     BudgetExceededError, ClusteringInstance, RsCode,
     gen_instance, rs_encode, message_for_element,
@@ -14,6 +16,7 @@ from jchlab import (
     clustering_cost, brute_force_optimal_cost, centers_by_labels,
     soundness_floor, meets_soundness_floor, read_points, write_points,
     pointwise_distance, parse_metric,
+    composed_supports, indicator_supports, write_supports,
 )
 
 INST = gen_instance("complete", 4, 3, 2, 2)
@@ -447,3 +450,98 @@ def test_write_points_matches_per_value_writer(make):
     buf = io.StringIO()
     write_points(ci, buf)
     assert buf.getvalue() == reference_write_points(ci)
+
+
+# ---------------------------------------------------------------------------
+# the supports writer against the dense arrays and write_points
+# ---------------------------------------------------------------------------
+
+SUPPORT_REALIZATIONS = {
+    "l0": lambda q: embed_l0(q, 3, 2), "l1": lambda q: embed_l1(q, 3, 2),
+    "l2-scaled": lambda q: embed_l2_scaled(q, 3, 2),
+    "lp-halfshift": lambda q: embed_lp_halfshift(q, 3, 3),
+    "lp-indicator": lambda q: embed_indicator_lp(q, 3, 2, 3),
+}
+
+
+def supports_text(si):
+    buf = io.StringIO()
+    write_supports(si, buf)
+    return buf.getvalue()
+
+
+def dense_text(ci):
+    buf = io.StringIO()
+    write_points(ci, buf)
+    return buf.getvalue()
+
+
+def collisions(inst, code):
+    """Blocks of the edge rows where two members share a codeword symbol."""
+    cw = {u: rs_encode(code, message_for_element(code, u)) for u in range(1, inst.n + 1)}
+    return sum(len({cw[u][g] for u in t}) < len(t) for t in inst.edges for g in range(code.q))
+
+
+@pytest.mark.parametrize("seed, exponent", [(1, None), (2, None), (3, 3)])
+@pytest.mark.parametrize("centers_from_edges", [False, True], ids=["all-centers", "edge-centers"])
+@pytest.mark.parametrize("q, eta", [(5, 2), (7, 1), (13, 1)])
+@pytest.mark.parametrize("kind", list(SUPPORT_REALIZATIONS))
+def test_write_supports_matches_dense_writer(kind, q, eta, centers_from_edges, seed, exponent):
+    code = RsCode(q, eta)
+    inst = gen_instance("random", min(9, q ** eta), 3, 2, 2, m=8, seed=seed)
+    if eta == 2:
+        assert collisions(inst, code) > 0      # the padded blocks are exercised
+    real = SUPPORT_REALIZATIONS[kind](q)
+    si = composed_supports(inst, code, real, centers_from_edges, exponent)
+    ci = build_discrete_instance(inst, code, real, centers_from_edges, exponent)
+    assert ci.exponent == si.exponent == (real.metric.exponent if exponent is None else exponent)
+    assert supports_text(si) == dense_text(ci)
+
+
+@pytest.mark.parametrize("token, exponent", [("l0", None), ("l1", None), ("l1", 1),
+                                             ("l2", None), ("l2", 1)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_write_supports_matches_dense_writer_continuous(token, exponent, seed):
+    inst = gen_instance("random", 8, 3, 2, 3, m=10, seed=seed)
+    metric = parse_metric(token)
+    ci = build_continuous_indicator_instance(inst, metric, exponent)
+    assert supports_text(indicator_supports(inst, metric, exponent)) == dense_text(ci)
+
+
+@pytest.mark.parametrize("run, flush", [(1, 0), (3, 40)])
+def test_write_supports_cuts_long_runs_and_flushes(monkeypatch, run, flush):
+    # gaps longer than the run string, and rows written in many pieces
+    monkeypatch.setattr(reduction, "_RUN", run)
+    monkeypatch.setattr(reduction, "_FLUSH", flush)
+    inst = gen_instance("random", 9, 3, 2, 2, m=8, seed=1)
+    for real in (embed_l1(13, 3, 2), embed_l2_scaled(13, 3, 2)):
+        ci = build_discrete_instance(inst, RsCode(13, 1), real)
+        assert supports_text(composed_supports(inst, RsCode(13, 1), real)) == dense_text(ci)
+    cont = build_continuous_indicator_instance(inst)
+    assert supports_text(indicator_supports(inst)) == dense_text(cont)
+
+
+def test_write_supports_memory_stays_small(tmp_path):
+    # the shape of the benchmark's reduce-l1-q401 job: rows of 401^2 coordinates
+    inst = gen_instance("random", 12, 3, 2, 3, m=8, seed=1)
+    code, real = RsCode(401, 1), embed_l1(401, 3, 2)
+    path = tmp_path / "q401.pts"
+    tracemalloc.start()
+    try:
+        si = composed_supports(inst, code, real, centers_from_edges=True)
+        with open(path, "w") as fh:
+            write_supports(si, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (*si.points.labels, *si.centers.labels)
+    assert len(rows) * si.dim > 4 * 2 ** 20     # what the int8 arrays alone would take
+    assert peak < 2 ** 20
+    # one-character tokens: each line is its label, then dim times " 0" or " 1"
+    header = f"pts {si.dim} l1 1 3\n"
+    assert path.stat().st_size == len(header) + sum(
+        len(",".join(map(str, label))) + 2 * si.dim + 1 for label in rows)
+    with open(path) as fh:
+        assert fh.readline() == header
+        for label, line in zip(rows, fh):
+            assert line.count(" 1") == code.ell * len(label)
