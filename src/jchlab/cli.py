@@ -57,11 +57,13 @@ def emit(records, fmt, out=None):
             out.write(" ".join(parts) + "\n")
 
 
-def _fraction(text):
+def _fraction(value):
     try:
-        return Fraction(text)
+        return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except OverflowError:       # an infinite float has no ratio
+        raise ValueError(f"{value} is not finite") from None
 
 
 def _parse_alpha(text):
@@ -247,7 +249,7 @@ def cmd_sdp_gap(args):
 def cmd_hvc_build(args):
     with open(args.input) as fh:
         pcp = hypergraph.read_pcp(fh)
-    delta = _fraction(args.delta) if "/" in args.delta else Fraction(float(args.delta))
+    delta = _fraction(args.delta if "/" in args.delta else float(args.delta))
     hg = hypergraph.build_weighted_hypergraph(
         pcp, delta, mode=args.mode, samples=args.samples, seed=args.seed,
         budget=args.budget)

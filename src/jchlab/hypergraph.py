@@ -14,9 +14,10 @@ import functools
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .coverage import DEFAULT_BUDGET
 from .errors import check_budget
@@ -283,24 +284,12 @@ def completeness_cover_check(pcp, hg, assignment):
 # densification
 # ---------------------------------------------------------------------------
 
-# replicas densify draws and deduplicates at once (a block holds whole source
-# edges, so only an edge of more replicas makes a larger one), and hg3 rows
-# written at once
-BLOCK_REPLICAS = 2 ** 15
-
-
 @dataclass
 class SimpleHypergraph:
-    """A densified hypergraph as one table of pair ranks.
-
-    The blocks densify draws in leave no trace: `pairs` holds the pairs of
-    every replica, deleted ones included, and `edges` the kept replicas of all
-    blocks in one order, so both are the same whatever BLOCK_REPLICAS is.
-    """
+    """A densified hypergraph: its drawn pairs and its kept edges as pair ranks."""
 
     pairs: tuple           # the distinct drawn (vertex, coordinate) pairs, by repr
-    edges: object          # (kept, width) int array, one row per kept edge in
-                           # output order: its pair ranks ascending, then -1s
+    edges: tuple           # per kept edge, in output order, its pair ranks ascending
     b: int
     source_edges: int
     replicas: int          # edges emitted before duplicate deletion
@@ -315,122 +304,44 @@ def densify(hg, b, c, seed=None):
     random.Random(seed) stream, walking the edges and each edge's vertices
     in a deterministic order, so the output is reproducible from
     (b, c, seed).  A replica's pairs fix its vertex set and so its source
-    edge: duplicates never cross source edges.  So the replicas are drawn and
-    deduplicated in blocks of consecutive source edges, about BLOCK_REPLICAS
-    replicas each, and a block keeps only its distinct pairs and its
-    surviving rows of pair ids; no array holds an entry per draw of the run.
-    At the end one sort numbers the blocks' pairs globally, the pairs are
-    ranked by repr, and one gather turns the kept rows into rank rows, which
-    one sort puts in output order.
+    edge: duplicates never cross source edges.  So one Counter of coordinate
+    tuples per source edge finds the replicas drawn once, which are kept.
+    The pairs of every replica, deleted ones included, are ranked by repr at
+    the end, and the kept edges become tuples of ascending ranks, sorted.
+    More than DEFAULT_BUDGET replicas in all are refused before any draw.
     """
-    import numpy as np
     if b < 1 or c < 1:
         raise ValueError("need b >= 1 and c >= 1")
     ordered, reprs = _sorted_edges(hg.edges)
-    vertices = sorted(reprs, key=reprs.__getitem__)
-    index = {v: i for i, v in enumerate(vertices)}
-    sizes = np.array([len(t) for t, _ in ordered], dtype=np.int64)
-    copies = np.array([int(math.floor(c * Fraction(w))) for _, w in ordered], dtype=np.int64)
-    # each edge's vertex ids in repr order, the order its replicas draw in, as
-    # uint32 like the coordinate words; at least one column, so lexsort has a key
-    most = int(sizes.max(initial=1))
-    ids = np.zeros((len(ordered), most), dtype=np.uint32)
-    ids[np.arange(most) < sizes[:, None]] = [i for t, _ in ordered
-                                             for i in sorted(map(index.__getitem__, t))]
-    blocks, start, held = [], 0, 0
-    for e, n in enumerate(copies.tolist()):
-        if held and held + n > BLOCK_REPLICAS:
-            blocks.append((start, e))
-            start, held = e, 0
-        held += n
-    blocks.append((start, len(ordered)))
-    stream = _randrange_words(random.Random(seed), b,
-                              [int(copies[lo:hi] @ sizes[lo:hi]) for lo, hi in blocks])
-    tables, kept, numbered = [], [], 0
-    for (lo, hi), draws in zip(blocks, stream):
-        owner = np.repeat(np.arange(lo, hi), copies[lo:hi])
-        drawn = np.arange(most) < sizes[owner, None]
-        # number the block's distinct (vertex, coordinate) pairs after the earlier blocks'
-        pair_id, table = _distinct_columns(np.vstack([draws.T, ids[owner][drawn]]))
-        rows = np.full(drawn.shape, -1, dtype=np.int64)
-        rows[drawn] = pair_id + numbered
-        tables.append(table)
-        numbered += table.shape[1]
-        # a row holds its replica's pair ids in drawing order, which the source
-        # edge fixes, so equal rows are equal replicas; a row without an equal
-        # neighbour is kept
-        rows = rows[np.lexsort(rows.T)]
-        repeat = (rows[1:] == rows[:-1]).all(axis=1)
-        single = np.ones(len(rows), dtype=bool)
-        single[1:][repeat] = single[:-1][repeat] = False
-        kept.append(rows[single])
-    # number the pairs globally, then rank them by repr
-    pair_id, table = _distinct_columns(np.hstack(tables))
-    coords = sum(table[i].astype(object) << 32 * i for i in range(len(table) - 1))
-    found = list(zip([vertices[v] for v in table[-1].tolist()], coords.tolist()))
-    text = [f"({reprs[v]}, {x!r})" for v, x in found]
-    by_repr = sorted(range(len(found)), key=text.__getitem__)
-    # a kept row as its pairs' ranks, ascending, then -1s: id -1 reads the
-    # filler, which is above every rank, so sorting moves it past the drawn places
-    rank = np.append(np.argsort(by_repr)[pair_id], len(found))
-    rows = rank[np.vstack(kept)]
-    rows.sort(axis=1)
-    rows[rows == len(found)] = -1
-    rows = rows[np.lexsort(rows.T[::-1])]
-    replicas = int(copies.sum())
-    return SimpleHypergraph(pairs=tuple(found[i] for i in by_repr), edges=rows, b=b,
+    copies = [math.floor(c * Fraction(w)) for _, w in ordered]
+    replicas = sum(copies)
+    check_budget(replicas, DEFAULT_BUDGET, "replicas")
+    stream = _randrange_stream(random.Random(seed), b)
+    pairs, kept = set(), []
+    for (t, _), n in zip(ordered, copies):
+        members = sorted(t, key=reprs.__getitem__)
+        draws = islice(stream, n * len(members))
+        # zip() of no iterators yields nothing: the replicas of an empty edge are all ()
+        counts = Counter(zip(*[draws] * len(members))) if members else Counter({(): n})
+        for coords, count in counts.items():
+            pairs.update(zip(members, coords))
+            if count == 1:
+                kept.append((members, coords))
+    found = sorted(pairs, key=lambda p: f"({reprs[p[0]]}, {p[1]!r})")    # repr(p)
+    rank = {p: i for i, p in enumerate(found)}
+    edges = sorted(tuple(sorted(map(rank.__getitem__, zip(members, coords))))
+                   for members, coords in kept)
+    return SimpleHypergraph(pairs=tuple(found), edges=tuple(edges), b=b,
                             source_edges=len(hg.edges), replicas=replicas,
-                            deleted=replicas - len(rows))
+                            deleted=replicas - len(edges))
 
 
-def _distinct_columns(key):
-    """Each column's id among the distinct columns of `key`, and those columns,
-    in lexsort order (last row first)."""
-    import numpy as np
-    order = np.lexsort(key)
-    key = key[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, key[:, new]
-
-
-def _randrange_words(rng, n, counts):
-    """For each count in `counts`, the next `count` values of rng.randrange(n),
-    drawn in bulk.
-
-    randrange(n) repeats getrandbits(k), k = n.bit_length(), until the value
-    is below n.  getrandbits(k) takes the next ceil(k/32) 32-bit words, least
-    significant first, and shifts the last right by 32 ceil(k/32) - k, and
-    getrandbits(32 N) is the next N words in the same order.  Yields a
-    (count, ceil(k/32)) uint32 array of each value's words per count.  The
-    accepted values drawn past one count are spent first on the next, so the
-    values are those of one per-draw loop whatever the counts.
-    """
-    import numpy as np
+def _randrange_stream(rng, n):
+    """rng.randrange(n) call after call, without end: randrange(n) repeats
+    getrandbits(n.bit_length()) until the value is below n, here 1024 at a time."""
     k = n.bit_length()
-    words = -(-k // 32)
-    limit = [(n >> 32 * i) & 0xFFFFFFFF for i in range(words)]
-    spare = np.zeros((0, words), dtype=np.uint32)
-    for count in counts:
-        chunks = [spare[:count]]
-        spare = spare[count:]
-        need = count - len(chunks[0])
-        while need > 0:
-            m = need + need // 2 + 16      # a draw is accepted with probability > 1/2
-            data = rng.getrandbits(32 * words * m).to_bytes(4 * words * m, "little")
-            raw = np.frombuffer(data, dtype="<u4").reshape(m, words).copy()
-            raw[:, -1] >>= 32 * words - k
-            below, equal = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
-            for i in reversed(range(words)):
-                below |= equal & (raw[:, i] < limit[i])
-                equal &= raw[:, i] == limit[i]
-            accepted = raw[below]
-            chunks.append(accepted[:need])
-            spare = accepted[need:]
-            need -= len(chunks[-1])
-        yield np.concatenate(chunks)
+    while True:
+        yield from [x for x in map(rng.getrandbits, [k] * 1024) if x < n]
 
 
 def retained_count_bound(c, m, b):
@@ -440,9 +351,8 @@ def retained_count_bound(c, m, b):
 
 def cover_transfers(cover, dense):
     """True when cover x [b] hits every densified edge."""
-    import numpy as np
-    hit = np.array([v in cover for v, _ in dense.pairs] + [False])   # -1 hits nothing
-    return bool(hit[dense.edges].any(axis=1).all())
+    hit = [v in cover for v, _ in dense.pairs]
+    return all(any(map(hit.__getitem__, row)) for row in dense.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +437,8 @@ def read_weighted_hypergraph(fh):
         if not parts:
             continue
         w = Fraction(parts[0])
+        if w < 0:
+            raise ValueError(f"whg3 line {line.strip()!r} has a negative weight")
         t = frozenset(parse_vertex_token(tok) for tok in parts[1:])
         edges[t] = edges.get(t, Fraction(0)) + w
         vertices.update(t)
@@ -537,6 +449,5 @@ def read_weighted_hypergraph(fh):
 def write_simple_hypergraph(dense, fh):
     fh.write(f"hg3 {dense.b}\n")
     tokens = [f"{vertex_token(v)}@{coord}" for v, coord in dense.pairs]
-    for start in range(0, len(dense.edges), BLOCK_REPLICAS):
-        fh.writelines(" ".join(sorted(tokens[r] for r in row if r >= 0)) + "\n"
-                      for row in dense.edges[start:start + BLOCK_REPLICAS].tolist())
+    fh.writelines(" ".join(sorted(map(tokens.__getitem__, row))) + "\n"
+                  for row in dense.edges)

@@ -247,8 +247,13 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
     compute the exact minimum uncovered count at k' = floor(k*(1+delta)) for
     each sweep fraction delta, searching each distinct k' once.  The integral
     cost lower bound is 2*covered + 4*uncovered.  Finite-size rows reaching uncovered = 0 are
-    flagged as deviations from the asymptotic 24/125 bound.
+    flagged as deviations from the asymptotic 24/125 bound.  A negative or
+    non-finite tol, or a non-finite sweep fraction, is refused before any check.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"need a finite tol >= 0, got {tol}")
+    if not all(map(math.isfinite, extra_center_fractions)):
+        raise ValueError(f"need finite sweep fractions, got {list(extra_center_fractions)}")
     rows = []
     for n in n_list:
         inst = build_clique_gap_instance(n)

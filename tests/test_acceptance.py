@@ -237,7 +237,7 @@ def test_criterion_10_hvc_pipeline():
     met = 0
     for seed in range(20):
         dense = densify(toy, b=8, c=181, seed=seed)
-        rows = dense.edges.tolist()
+        rows = dense.edges
         assert all(x < y for x, y in zip(rows, rows[1:]))   # simple
         assert cover_transfers(cover, dense)
         if len(dense.edges) >= bound:

@@ -248,6 +248,12 @@ def disjoint_pairs(k):
       "-o", "out.pts"]),
     ({"inst.jc": "jc 6 3 2 2\n1 2 6\n"},
      ["reduce", "-i", "inst.jc", "--mode", "discrete", "--q", "5", "--eta", "1", "-o", "out.pts"]),
+    ({"neg.whg3": "whg3\n-1/2 1:a:+ 1:b:+ 1:c:+\n"},
+     ["densify", "-i", "neg.whg3", "--b", "8", "--c", "10", "-o", "out.hg3"]),
+    *[({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", f"--delta={delta}", "-o", "out.whg3"])
+      for delta in ("inf", "-inf", "1e400")],
+    *[({}, ["sdp-gap", "--n", "6", "--tol", tol]) for tol in ("nan", "inf", "-1")],
+    ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "inf"]),
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
@@ -259,7 +265,9 @@ def disjoint_pairs(k):
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan",
         "factors-p3-alpha-2", "factors-p3-alpha-nan", "points-header-only",
         "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
-        "reduce-eta-without-q", "reduce-q-eta-below-n"])
+        "reduce-eta-without-q", "reduce-q-eta-below-n", "whg3-negative-weight",
+        "delta-inf", "delta-minus-inf", "delta-1e400", "sdp-tol-nan", "sdp-tol-inf",
+        "sdp-tol-negative", "sdp-extra-centers-inf"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -267,8 +275,10 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     code, err = run_err(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    # reduce checks every rule before it opens its output: a refusal leaves no file
-    assert argv[0] != "reduce" or not (tmp_path / argv[argv.index("-o") + 1]).exists()
+    # reduce and densify check every rule before they open their output: a refusal
+    # leaves no file
+    assert argv[0] not in ("reduce", "densify") \
+        or not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -283,7 +293,11 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     ({"pairs.jc": disjoint_pairs(20000)}, ["solve-jc", "-i", "pairs.jc", "--alg", "fpt"]),
     # C(30,15) + C(30,2) lines, refused before the file is opened
     ({}, ["embed", "--metric", "l1", "--q", "30", "--t", "15", "--s", "2", "-o", "out.txt"]),
-], ids=["factors", "hvc-build", "verify-embed", "fpt", "fpt-huge-bound", "embed-output"])
+    # 10^11 / 2 replicas of each edge, refused before any is drawn or the file is opened
+    ({"toy.whg3": "whg3\n1/2 1:u:+ 2:v:+ 2:v:-\n1/2 1:u:- 2:v:+\n"},
+     ["densify", "-i", "toy.whg3", "--b", "8", "--c", str(10 ** 11), "-o", "out.hg3"]),
+], ids=["factors", "hvc-build", "verify-embed", "fpt", "fpt-huge-bound", "embed-output",
+        "densify"])
 def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -3,8 +3,8 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
-import numpy as np
 import pytest
 
 from jchlab import (
@@ -147,19 +147,17 @@ def four_edge_graph():
 
 def edge_sets(dense):
     """The kept edges as frozensets of (vertex, coordinate) pairs, in output order."""
-    return tuple(frozenset(dense.pairs[r] for r in row if r >= 0)
-                 for row in dense.edges.tolist())
+    return tuple(frozenset(dense.pairs[r] for r in row) for row in dense.edges)
 
 
 def check_rank_table(dense):
-    """Pairs in repr order; rows ascending, -1 only at the end, strictly increasing."""
+    """Pairs in repr order; rows tuples of ranks, ascending, strictly increasing."""
     assert list(dense.pairs) == sorted(set(dense.pairs), key=repr)
-    rows = dense.edges.tolist()
+    rows = dense.edges
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     for row in rows:
-        size = sum(r >= 0 for r in row)
-        assert all(0 <= r < len(dense.pairs) for r in row[:size])
-        assert all(x < y for x, y in zip(row[:size], row[1:size]))
-        assert row[size:] == [-1] * (len(row) - size)
+        assert all(0 <= r < len(dense.pairs) for r in row)
+        assert all(x < y for x, y in zip(row, row[1:]))
     assert all(x < y for x, y in zip(rows, rows[1:]))    # sorted and simple
 
 
@@ -216,6 +214,11 @@ def test_hypergraph_file_roundtrip():
     buf.seek(0)
     back = read_weighted_hypergraph(buf)
     assert back.edges == hg.edges
+
+
+def test_negative_weight_refused():
+    with pytest.raises(ValueError, match=r"'-1/2 1:a:\+ 1:b:\+' has a negative weight"):
+        read_weighted_hypergraph(io.StringIO("whg3\n-1/2 1:a:+ 1:b:+\n"))
 
 
 def test_simple_hypergraph_file():
@@ -359,29 +362,19 @@ def test_densify_matches_per_draw_loop(b):
     check_densify_against_loop(b)
 
 
-# a block of one edge, edges of more replicas than a block (c = 40, 700), blocks
-# of empty edges, and accepted words drawn in one block and spent in the next
-@pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("b", DENSIFY_BS)
-def test_densify_blocks_match_per_draw_loop(b, block, monkeypatch):
-    monkeypatch.setattr(hypergraph, "BLOCK_REPLICAS", block)
-    check_densify_against_loop(b)
-
-
 @pytest.mark.parametrize("n", [1, 3, 8, 2 ** 32 - 1, 2 ** 32 + 3, 2 ** 70 + 1])
 def test_randrange_stream_matches_per_draw_loop(n):
     counts = [0, 1, 5, 0, 300, 2, 0]
     rng = random.Random(7)
-    values = [rng.randrange(n) for _ in range(sum(counts))]
-    words = np.concatenate(list(hypergraph._randrange_words(random.Random(7), n, counts)))
-    assert words.shape == (sum(counts), -(-n.bit_length() // 32))
-    assert [sum(int(w) << 32 * i for i, w in enumerate(row)) for row in words.tolist()] \
-        == values
+    values = iter([rng.randrange(n) for _ in range(sum(counts))])
+    stream = hypergraph._randrange_stream(random.Random(7), n)
+    for count in counts:
+        assert list(islice(stream, count)) == list(islice(values, count))
 
 
 def test_densify_memory_stays_within_blocks():
-    # 199,648 replicas of the 832-edge THREE_LAYER hypergraph; drawing them all
-    # at once traced a 32.3 MiB peak, drawing them in blocks 7.1 MiB
+    # 199,648 replicas of the 832-edge THREE_LAYER hypergraph, counted one source
+    # edge at a time, traced a 10.3 MiB peak
     hg = build_weighted_hypergraph(THREE_LAYER, Fraction(1, 8))
     tracemalloc.start()
     try:

@@ -45,6 +45,8 @@ LAYERS = ("coverage", "codes", "embeddings", "metric", "geometry", "reduction",
           "relaxations", "hypergraph", "errors")
 
 TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
+# an edge of three vertices and one of two
+TOY_WHG3 = "whg3\n1/4 1:u:++ 2:v:+- 2:v:--\n3/4 1:u:-+ 2:v:++\n"
 
 # run one command, then print whether numpy was loaded as the last line
 PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
@@ -64,6 +66,7 @@ def workdir(tmp_path_factory):
     (path / "inst.jc").write_text("jc 5 3 2 2\n1 2 3\n1 2 4\n1 3 5\n2 4 5\n")
     (path / "toy.pcp").write_text(TOY_PCP)
     (path / "assign.txt").write_text("1 u 1\n2 v 1\n")
+    (path / "toy.whg3").write_text(TOY_WHG3)
     return path
 
 
@@ -87,6 +90,7 @@ def workdir(tmp_path_factory):
     ["hvc-build", "-i", "toy.pcp", "--mode", "montecarlo", "--samples", "200",
      "-o", "mc.whg3"],
     ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "cover.whg3"],
+    ["densify", "-i", "toy.whg3", "--b", "8", "--c", "181", "--seed", "1", "-o", "toy.hg3"],
 ], ids=" ".join)
 def test_command_runs_without_numpy(workdir, argv):
     proc = fresh_python(workdir, "-c", PROBE, *argv)
