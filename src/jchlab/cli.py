@@ -24,13 +24,6 @@ from .metric import METRICS, lp_metric
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    np = sys.modules.get("numpy")   # no numpy value exists before numpy loads
-    if np is not None and isinstance(value, np.integer):
-        return int(value)
-    if np is not None and isinstance(value, np.floating):
-        return float(value)
-    if np is not None and isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (tuple, list, set, frozenset)):
         items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
         return [_jsonable(v) for v in items]

@@ -364,6 +364,8 @@ def _cube_token(x):
 
 
 def _parse_cube(tok):
+    if tok.strip("+-"):
+        raise ValueError(f"hypercube point {tok!r} is not a string of + and -")
     return tuple(1 if ch == "+" else -1 for ch in tok)
 
 
@@ -436,10 +438,15 @@ def read_weighted_hypergraph(fh):
         parts = line.split()
         if not parts:
             continue
-        w = Fraction(parts[0])
+        try:
+            w = Fraction(parts[0])
+            t = frozenset(parse_vertex_token(tok) for tok in parts[1:])
+        except ZeroDivisionError:
+            raise ValueError(f"whg3 line {line.strip()!r} has a zero denominator") from None
+        except ValueError as exc:
+            raise ValueError(f"whg3 line {line.strip()!r}: {exc}") from None
         if w < 0:
             raise ValueError(f"whg3 line {line.strip()!r} has a negative weight")
-        t = frozenset(parse_vertex_token(tok) for tok in parts[1:])
         edges[t] = edges.get(t, Fraction(0)) + w
         vertices.update(t)
     verts = tuple((v, Fraction(0)) for v in sorted(vertices, key=repr))

@@ -379,25 +379,16 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
 
 def write_points(ci, fh):
     """Write the header, then one `label coordinates` line per point and per
-    candidate center: integers as str(int(v)), floats as repr(float(v)).
-
-    Each distinct value of a row is formatted once; a float is keyed on its
-    bit pattern, so 0.0 and -0.0 keep their own text.
+    candidate center: integers as str(v), floats as repr(float(v)).
     """
-    import numpy as np
     fh.write(_header(ci))
-    integral = np.issubdtype(ci.points.dtype, np.integer)
-    fmt = str if integral else repr
+    fmt = str if ci.points.dtype.kind in "iu" else (lambda v: repr(float(v)))
     rows = [(ci.point_labels, ci.points)]
     if ci.centers is not None:
         rows.append((ci.center_labels, ci.centers))
     for labels, block in rows:
         for label, row in zip(labels, block):
-            keys = row if integral else np.ascontiguousarray(row, np.float64).view(np.uint64)
-            distinct, index = np.unique(keys, return_inverse=True)
-            values = distinct if integral else distinct.view(np.float64)
-            tokens = np.array([fmt(v) for v in values.tolist()], dtype=object)
-            fh.write(f"{','.join(map(str, label))} {' '.join(tokens[index].tolist())}\n")
+            fh.write(f"{','.join(map(str, label))} {' '.join(map(fmt, row.tolist()))}\n")
 
 
 _RUN = 1024         # off tokens in the string every gap of a row is cut from

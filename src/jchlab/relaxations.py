@@ -1,16 +1,17 @@
 """The 4-clique integrality-gap instance and its explicit SDP certificate.
 
 Points are the C(n,4) 4-cliques of K_n, candidate centers the C(n,2) edges,
-both kept as vertex labels; as indicator vectors a point p and a center e
-sit at l1 distance |p ^ e|: 2 when e covers p, at least 4 otherwise.  An
-explicit feasible SDP solution connects every point only to covering centers
-while opening 1/5 of each center, so its objective is 2*C(n,4); it is stored
-per coordinate class and every constraint family is verified in exact
-arithmetic, with a float cross-check.  Integrally
-this is Max k'-Coverage on the complete Johnson instance (n, z=4, y=2); at
-least a 24/125 fraction of the 4-cliques must escape any k chosen edges
-asymptotically, giving the gap (2 + 2*(24/125))/2 = 149/125.  Finite n
-deviates (small n even reaches uncovered = 0) and the report says so.
+both vertex labels derived from n; as indicator vectors a point p and a
+center e sit at l1 distance |p ^ e|: 2 when e covers p, at least 4 otherwise.
+An explicit feasible SDP solution connects every point only to its six
+covering centers while opening 1/5 of each center, so its objective is
+2*C(n,4); it is stored per coordinate class, nothing in it grows with n, and
+every constraint family is verified in exact arithmetic, with a float
+cross-check.  Integrally this is Max k'-Coverage on the complete Johnson
+instance (n, z=4, y=2); at least a 24/125 fraction of the 4-cliques must
+escape any k chosen edges asymptotically, giving the gap
+(2 + 2*(24/125))/2 = 149/125.  Finite n deviates (small n even reaches
+uncovered = 0) and the report says so.
 """
 
 import math
@@ -36,21 +37,28 @@ CONSTRAINT_FAMILIES = (
 @dataclass(frozen=True)
 class CliqueGapInstance:
     n: int
-    point_labels: tuple         # 4-tuples of vertices
-    center_labels: tuple        # 2-tuples of vertices
-    k: int                      # integral budget floor(C(n,2)/5)
+
+    @property
+    def k(self):            # integral budget floor(C(n,2)/5)
+        return math.comb(self.n, 2) // 5
 
     @property
     def fractional_budget(self):
         return Fraction(math.comb(self.n, 2), 5)
 
+    @property
+    def point_labels(self):
+        return tuple(combinations(range(1, self.n + 1), 4))
+
+    @property
+    def center_labels(self):
+        return tuple(combinations(range(1, self.n + 1), 2))
+
 
 def build_clique_gap_instance(n):
     if n < 5:
         raise ValueError("need n >= 5")
-    return CliqueGapInstance(n=n, point_labels=tuple(combinations(range(1, n + 1), 4)),
-                             center_labels=tuple(combinations(range(1, n + 1), 2)),
-                             k=math.comb(n, 2) // 5)
+    return CliqueGapInstance(n)
 
 
 @dataclass
@@ -60,7 +68,8 @@ class SdpSolution:
     Coordinate 0 carries v0; edge e has two orthonormal directions w_e and
     w'_e.  Every u_e has three nonzeros: coordinate 0, w_e and w'_e.  Every
     v_pe with e in the 4-clique p has seven: coordinate 0, w_e, and w_f for
-    each of the five other edges f of p; v_pe is zero when e is not in p.
+    each of the five other edges f of p; v_pe is zero when e is not in p, so
+    no per-point data is stored.
     A coefficient is r*sqrt(k): the *_exact tuples hold the Fractions r, and
     k is 1 on coordinate 0, t+1 on every w and t-1 on every w'.  v0, u and v
     hold the coefficients as floats.
@@ -71,7 +80,6 @@ class SdpSolution:
     v0: np.ndarray               # (1,): coordinate 0
     u: np.ndarray                # (3,): coordinate 0, w_e, w'_e
     v: np.ndarray                # (3,): coordinate 0, w_e, each other w_f
-    cover_edges: tuple           # per point: the 6 center indices with e in p
     v0_exact: tuple
     u_exact: tuple
     v_exact: tuple
@@ -87,16 +95,12 @@ def build_sdp_solution(inst, t=5):
     """
     if t < 2:
         raise ValueError("need t >= 2")
-    edge_index = {e: i for i, e in enumerate(inst.center_labels)}
     v0 = (Fraction(1),)
     u = (Fraction(1, t), Fraction(t - 1, t ** 2), Fraction(1, t ** 2))
     v = (Fraction(1, t + 1), Fraction(t, (t + 1) ** 2), Fraction(-1, (t + 1) ** 2))
     floats = (np.array([r.numerator * math.sqrt(k) / r.denominator for r, k in zip(c, ks)])
               for c, ks in ((v0, (1,)), (u, (1, t + 1, t - 1)), (v, (1, t + 1, t + 1))))
-    return SdpSolution(
-        inst, t, *floats, v0_exact=v0, u_exact=u, v_exact=v,
-        cover_edges=tuple(tuple(edge_index[e] for e in combinations(p, 2))
-                          for p in inst.point_labels))
+    return SdpSolution(inst, t, *floats, v0_exact=v0, u_exact=u, v_exact=v)
 
 
 @dataclass
@@ -137,23 +141,18 @@ def _residuals(v0, u, v, kw, kw2, m, budget):
 def verify_sdp_solution(sol, tol=1e-8):
     """Certify the solution exactly, with a float cross-check.
 
-    (a) Each point's cover edges must be six distinct edges inside it, so one
-    slot stands for all; a fault counts as assignment_total.  (b) Every
-    residual, exact from the class coefficients, must be 0.  (c) The float
-    residuals from v0, u and v must not exceed tol.  A failure raises
-    CertificationError naming the first violated family.  The objective is
-    |v_pe|^2 times the sum of |p ^ e| over the assignments: 2*C(n,4) at t = 5.
+    Every point p is assigned the six edges inside it, so one slot and one
+    representative 4-clique stand for all.  (a) Every residual, exact from
+    the class coefficients, must be 0.  (b) The float residuals from v0, u
+    and v must not exceed tol.  A failure raises CertificationError naming
+    the first violated family.  The objective is |v_pe|^2 times C(n,4) times
+    the sum of |p ^ e| over the six edges of one 4-clique: 2*C(n,4) at t = 5.
     """
     inst = sol.inst
-    m = len(inst.center_labels)
-    distance_total = 0
-    for p, edges in zip(inst.point_labels, sol.cover_edges):
-        dists = [len(set(p).symmetric_difference(inst.center_labels[ei]))
-                 for ei in edges if 0 <= ei < m]
-        if len(set(edges)) != 6 or dists != [2] * 6:
-            raise CertificationError(f"point {p} is not assigned its six edges",
-                                     witness="assignment_total")
-        distance_total += sum(dists)
+    m = math.comb(inst.n, 2)
+    p = (1, 2, 3, 4)
+    distance_total = math.comb(inst.n, 4) * sum(
+        len(set(p).symmetric_difference(e)) for e in combinations(p, 2))
 
     exact, vv = _residuals(sol.v0_exact, sol.u_exact, sol.v_exact, sol.t + 1, sol.t - 1,
                            m, inst.fractional_budget)
@@ -214,15 +213,15 @@ def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET):
     coverage.max_union_search; refuses (loudly) when the C(C(n,2), k') edge
     subsets exceed the budget.
     """
-    m = len(inst.center_labels)
+    m = math.comb(inst.n, 2)
     k_prime = min(k_prime, m)
     check_budget(math.comb(m, k_prime), budget, "edge subsets")
     covers = cover_masks(gen_instance("complete", inst.n, 4, 2, k_prime))
-    npoints = len(inst.point_labels)
+    npoints, centers = math.comb(inst.n, 4), inst.center_labels
     covered, idx, visited, pruned = max_union_search(
-        [covers[e] for e in inst.center_labels], k_prime, npoints)
+        [covers[e] for e in centers], k_prime, npoints)
     return IntegralResult(uncovered=npoints - covered, method="exact",
-                          witness=tuple(inst.center_labels[i] for i in idx),
+                          witness=tuple(centers[i] for i in idx),
                           nodes_visited=visited, nodes_pruned=pruned)
 
 
@@ -248,19 +247,21 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
     each sweep fraction delta, searching each distinct k' once.  The integral
     cost lower bound is 2*covered + 4*uncovered.  Finite-size rows reaching uncovered = 0 are
     flagged as deviations from the asymptotic 24/125 bound.  A negative or
-    non-finite tol, or a non-finite sweep fraction, is refused before any check.
+    non-finite tol, or a sweep fraction below -1 or not finite, is refused
+    before any check.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"need a finite tol >= 0, got {tol}")
-    if not all(map(math.isfinite, extra_center_fractions)):
-        raise ValueError(f"need finite sweep fractions, got {list(extra_center_fractions)}")
+    for delta in extra_center_fractions:
+        if not -1 <= delta < math.inf:      # below -1, k' would be negative
+            raise ValueError(f"need finite sweep fractions >= -1, got {delta}")
     rows = []
     for n in n_list:
         inst = build_clique_gap_instance(n)
         sol = build_sdp_solution(inst, t=t)
         check = verify_sdp_solution(sol, tol=tol)
         lp = lp_fractional_value(inst)
-        npoints = len(inst.point_labels)
+        npoints = math.comb(n, 4)
         sweeps, results = [], {}
         for delta in extra_center_fractions:
             k_prime = int(math.floor(inst.k * (1 + delta)))
@@ -283,7 +284,7 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
                                "method": res.method})
         rows.append({
             "n": n, "k": inst.k, "fractional_budget": inst.fractional_budget,
-            "points": npoints, "centers": len(inst.center_labels),
+            "points": npoints, "centers": math.comb(n, 2),
             "sdp_max_residual": check.max_residual,
             "sdp_objective": check.objective_exact,
             "sdp_objective_numeric": check.objective_float,

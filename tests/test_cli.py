@@ -124,6 +124,12 @@ def test_sdp_gap_command(capsys):
     assert "finite_size_deviation=True" in out
 
 
+def test_sdp_gap_certifies_n100(capsys):
+    code, out = run(capsys, "sdp-gap", "--n", "100", "--extra-centers")
+    assert code == 0
+    assert "points=3921225" in out and "sdp_objective=7842450" in out
+
+
 def test_hvc_and_densify(tmp_path, capsys):
     pcp = tmp_path / "toy.pcp"
     pcp.write_text("pcp 2\nlayer 1 1 a\nlayer 2 1 b\nedge 1 2 a b 0\n")
@@ -254,6 +260,11 @@ def disjoint_pairs(k):
       for delta in ("inf", "-inf", "1e400")],
     *[({}, ["sdp-gap", "--n", "6", "--tol", tol]) for tol in ("nan", "inf", "-1")],
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "inf"]),
+    # below -1 the sweep's k' is negative: refused before the certificate runs
+    ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "-5"]),
+    *[({"bad.whg3": f"whg3\n{line}\n"},
+       ["densify", "-i", "bad.whg3", "--b", "8", "--c", "10", "-o", "out.hg3"])
+      for line in ("1/0 1:a:+ 1:b:+", "1/2 1:a", "1/2 1:a:+x")],
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
         "pcp-short-edge-line", "short-assignment-line",
@@ -267,7 +278,8 @@ def disjoint_pairs(k):
         "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
         "reduce-eta-without-q", "reduce-q-eta-below-n", "whg3-negative-weight",
         "delta-inf", "delta-minus-inf", "delta-1e400", "sdp-tol-nan", "sdp-tol-inf",
-        "sdp-tol-negative", "sdp-extra-centers-inf"])
+        "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1",
+        "whg3-zero-denominator", "whg3-short-vertex-token", "whg3-bad-cube-token"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -275,6 +287,9 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     code, err = run_err(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # the message names what it refuses: the whg3 line, or the sdp-gap value
+    assert argv[0] != "densify" or repr(files[argv[2]].splitlines()[1]) in err
+    assert argv[0] != "sdp-gap" or argv[-1] in err
     # reduce and densify check every rule before they open their output: a refusal
     # leaves no file
     assert argv[0] not in ("reduce", "densify") \
