@@ -24,7 +24,7 @@ _LAYERS = {
     "reduction": """ClusteringInstance CostBreakdown build_discrete_instance
         build_continuous_indicator_instance clustering_cost brute_force_optimal_cost
         centers_by_labels soundness_floor meets_soundness_floor read_points write_points
-        SupportRows SupportInstance composed_supports indicator_supports write_supports""",
+        SupportRows SupportInstance composed_supports indicator_supports write_construction""",
     "relaxations": """CliqueGapInstance SdpSolution build_clique_gap_instance
         build_sdp_solution verify_sdp_solution lp_fractional_value integral_min_uncovered
         gap_report reiher_uncovered_fraction asymptotic_gap""",

@@ -65,29 +65,6 @@ def _parse_alpha(text):
     return float(text)
 
 
-def _embed_lp(q, t, s, p):
-    # the half-shift map unless --s asks for a co-arity other than 1
-    if s is not None and s != t - 1:
-        return embeddings.embed_indicator_lp(q, t, s, p)
-    return embeddings.embed_lp_halfshift(q, t, p)
-
-
-# --metric -> (realization from q, t, s, p; the flag it cannot do without)
-REALIZATIONS = {
-    "l0": (lambda q, t, s, p: embeddings.embed_l0(q, t, s), "s"),
-    "l1": (lambda q, t, s, p: embeddings.embed_l1(q, t, s), "s"),
-    "l2": (lambda q, t, s, p: embeddings.embed_l2_scaled(q, t, s), "s"),
-    "lp": (_embed_lp, "p"),
-}
-
-
-def _metric_args(metric, q, t, s, p):
-    realize, needed = REALIZATIONS[metric]
-    if {"s": s, "p": p}[needed] is None:
-        raise ValueError(f"--metric {metric} needs --{needed}")
-    return realize(q, t, s, p)
-
-
 # ---------------------------------------------------------------------------
 # commands: each returns the records that follow the config record
 # ---------------------------------------------------------------------------
@@ -116,7 +93,7 @@ def cmd_solve_jc(args):
 
 
 def cmd_embed(args):
-    real = _metric_args(args.metric, args.q, args.t, args.s, args.p)
+    real = embeddings.realize(args.metric, args.q, args.t, args.s, args.p)
     if args.output:
         # one line per t-set and s-set: refused like a search, before the file opens
         check_budget(math.comb(real.q, real.t) + math.comb(real.q, real.s),
@@ -129,7 +106,7 @@ def cmd_embed(args):
 
 
 def cmd_verify_embed(args):
-    real = _metric_args(args.metric, args.q, args.t, args.s, args.p)
+    real = embeddings.realize(args.metric, args.q, args.t, args.s, args.p)
     edge_subset = None
     if args.restrict:
         with open(args.restrict) as fh:
@@ -163,7 +140,7 @@ def cmd_reduce(args):
                     "--relaxed or an explicit --q/--eta for a desk-scale build")
             code = codes.pick_code_params(inst.n, inst.z, inst.y,
                                           args.eps, relaxed=args.relaxed)
-        real = _metric_args(args.metric, code.q, inst.z, inst.y, args.p)
+        real = embeddings.realize(args.metric, code.q, inst.z, inst.y, args.p)
         codes.message_for_element(code, inst.n)    # q^eta >= n, checked before reduction loads
         from . import reduction
         si = reduction.composed_supports(
@@ -178,7 +155,7 @@ def cmd_reduce(args):
             inst, METRICS.get(args.metric) or lp_metric(args.p), exponent=args.exponent)
     # every refusal is raised above: the file opens only for a valid instance
     with open(args.output, "w") as fh:
-        reduction.write_supports(si, fh)
+        reduction.write_construction(si, fh)
     recs.append({"record": "pointset", "points": len(si.points.labels),
                  "centers": 0 if si.centers is None else len(si.centers.labels),
                  "dim": si.dim, "base_distance": si.meta.get("base_distance"),
@@ -351,7 +328,7 @@ def build_parser():
 
     for name, fn in (("embed", cmd_embed), ("verify-embed", cmd_verify_embed)):
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("--metric", choices=tuple(REALIZATIONS), required=True)
+        p.add_argument("--metric", choices=tuple(embeddings.REALIZATIONS), required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--s", type=int, default=None)
@@ -367,7 +344,7 @@ def build_parser():
     p = sub.add_parser("reduce", parents=[common], help="coverage-to-clustering")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--mode", choices=("discrete", "continuous"), required=True)
-    p.add_argument("--metric", choices=tuple(REALIZATIONS), default="l1")
+    p.add_argument("--metric", choices=tuple(embeddings.REALIZATIONS), default="l1")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None, help="explicit code field size")
     p.add_argument("--eta", type=int, default=None)

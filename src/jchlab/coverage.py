@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import check_budget
+from .errors import check_budget, check_comb_budget
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -190,7 +190,7 @@ def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
     """
     cands = list(combinations(range(1, inst.n + 1), inst.y))
     r = min(inst.k, len(cands))
-    check_budget(math.comb(len(cands), r), budget, "collections")
+    check_comb_budget(len(cands), r, budget, "collections")
     covers = cover_masks(inst)
     _, best_idx, visited, pruned = max_union_search(
         [covers.get(s, 0) for s in cands], r, inst.num_edges)

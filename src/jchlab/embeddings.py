@@ -140,6 +140,38 @@ def _check_params(q, t, s):
         raise ValueError(f"need q >= t > s >= 1, got q={q} t={t} s={s}")
 
 
+def _embed_lp(q, t, s, p, kind):
+    # the half-shift map unless kind or a co-arity other than 1 asks for indicators
+    if kind == "indicator" or (s is not None and s != t - 1):
+        return embed_indicator_lp(q, t, s, p)
+    return embed_lp_halfshift(q, t, p)
+
+
+# metric family -> (realization from q, t, s, p and kind; the parameter it cannot do without)
+REALIZATIONS = {
+    "l0": (lambda q, t, s, p, kind: embed_l0(q, t, s), "s"),
+    "l1": (lambda q, t, s, p, kind: embed_l1(q, t, s), "s"),
+    "l2": (lambda q, t, s, p, kind: embed_l2_scaled(q, t, s), "s"),
+    "lp": (_embed_lp, "p"),
+}
+
+
+def realize(metric, q, t, s, p, kind=None):
+    """The realization of a metric family (l0, l1, l2 or lp) for ground set q
+    and arities t > s; on lp, p is the exponent.  kind, when given, must be
+    the realization's kind; without it lp takes the half-shift map when s is
+    None or t-1, and characteristic vectors otherwise.
+    """
+    make, needed = REALIZATIONS[metric]
+    if {"s": s, "p": p}[needed] is None:
+        raise ValueError(f"--metric {metric} needs --{needed}")
+    real = make(q, t, s, p, kind)
+    if kind is not None and real.kind != kind:
+        raise ValueError(f"metric {real.metric.token} at t={t} s={s} is realized by "
+                         f"{real.kind} vectors, not {kind}")
+    return real
+
+
 def realized_distance(real, x1, x2):
     """Metric distance between the realized vectors of two subsets."""
     return real.metric.take_root(real.metric.pair_pow(real.vector(x1), real.vector(x2)))

@@ -5,6 +5,8 @@ the two failure modes that callers (and the CLI exit-code contract) must be
 able to tell apart from bad input.
 """
 
+import math
+
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its configured search-space budget.
@@ -26,6 +28,36 @@ def check_budget(required, budget, unit):
                  else f"at least 2^{required.bit_length() - 1}")
         raise BudgetExceededError(f"{shown} {unit} exceed budget {budget}",
                                   required=required, budget=budget)
+
+
+def check_comb_budget(n, r, budget, unit):
+    """check_budget(math.comb(n, r), budget, unit), without the product once
+    it passes the budget; returns C(n, r) when it fits.
+
+    C(n, r) = C(n, n-r) is built factor by factor up to min(r, n-r) <= n/2,
+    where every partial C(n, i) is at most the whole, so the first partial
+    past the budget refuses.  The refusal then names the count by its bit
+    length from lgamma, and from the exact product only when log2 C(n, r) is
+    within a rounding error of a whole number; `required` is None then.
+    """
+    if budget is None:
+        return math.comb(n, r)
+    r = min(r, n - r)
+    count = int(r >= 0)     # C(n, r) = 0 for r > n
+    for i in range(r):
+        count = count * (n - i) // (i + 1)
+        if count > budget and i + 1 < r:
+            break
+    else:
+        check_budget(count, budget, unit)
+        return count
+    bits = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)) / math.log(2)
+    # lgamma is good to a few ulps, far inside 1e-12 of its largest term
+    slack = 1e-12 * math.lgamma(n + 1) / math.log(2) + 1e-9
+    if bits < 66 or abs(bits - round(bits)) < slack:
+        check_budget(math.comb(n, r), budget, unit)
+    raise BudgetExceededError(f"at least 2^{math.floor(bits)} {unit} exceed budget {budget}",
+                              budget=budget)
 
 
 class CertificationError(RuntimeError):

@@ -8,8 +8,11 @@ distance beta * ell^(1/p) while uncovered pairs stay above the certified
 floor.  The continuous reduction is the plain indicator embedding.
 
 Both constructions first describe every row by its support, the coordinates
-holding the `on` entry (SupportInstance); `reduce` writes the points file
-from the supports, and only the array builders load numpy.
+holding the `on` entry (SupportInstance).  Since the code, the realization
+and a row's label fix the row, `reduce` writes a construction file: the
+parameters and the labels, no coordinates (write_construction).  read_points
+rebuilds the rows from it through the same functions; only the arrays load
+numpy.
 """
 
 import math
@@ -18,8 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .coverage import DEFAULT_BUDGET
-from .codes import message_for_element, rs_encode
-from .errors import check_budget
+from .codes import RsCode, message_for_element, rs_encode
+from .embeddings import realize
+from .errors import check_budget, check_comb_budget
 from .metric import METRICS, Metric, parse_metric
 
 
@@ -70,9 +74,10 @@ class SupportRows:
 class SupportInstance:
     """A clustering instance held as row supports, before any array exists.
 
-    write_supports writes it as a points file; dense() fills the arrays of
-    the equal ClusteringInstance.  Coordinates are ints when all the entries
-    are, floats otherwise.
+    construction holds what rebuilds the rows, ("composed", n, q, eta, kind,
+    t, s) or ("indicator", n): write_construction writes it with the metric,
+    the exponent, k and the labels.  dense() fills the arrays of the equal
+    ClusteringInstance, int8 when every entry is an int, else float64.
     """
     dim: int
     points: SupportRows
@@ -81,6 +86,7 @@ class SupportInstance:
     metric: Metric
     exponent: int
     meta: dict
+    construction: tuple
 
     def __post_init__(self):
         _check_counts(len(self.points.labels),
@@ -141,9 +147,26 @@ def composed_supports(inst, code, real, centers_from_edges=False, exponent=None)
     if code.q != real.q:
         raise ValueError(f"code field size {code.q} != realization ground set {real.q}")
 
+    if centers_from_edges:
+        center_labels = tuple(sorted({s for t in inst.edges
+                                      for s in combinations(t, inst.y)}))
+    else:
+        center_labels = tuple(combinations(range(1, inst.n + 1), inst.y))
+    ell = code.ell
+    # beta * ell^(1/p), exact on l0/l1 where p = 1 and beta is an integer
+    base = real.beta * real.metric.take_root(ell)
+    meta = {"beta": real.beta, "ell": ell, "q": code.q, "z": inst.z, "y": inst.y,
+            "lambda": real.lambda_claimed, "base_distance": base}
+    return _composed(inst.n, inst.edges, center_labels, inst.k, code, real, exponent, meta)
+
+
+def _composed(n, point_labels, center_labels, k, code, real, exponent, meta):
+    # composed_supports from the construction-file fields
+    message_for_element(code, n)        # q^eta >= n
     q = code.q
-    codewords = {u: rs_encode(code, message_for_element(code, u))
-                 for u in range(1, inst.n + 1)}
+    members = {u for labels in (point_labels, center_labels) for label in labels
+               for u in label}
+    codewords = {u: rs_encode(code, message_for_element(code, u)) for u in members}
 
     def rows(labels, arity):
         def support(label):
@@ -154,20 +177,11 @@ def composed_supports(inst, code, real, centers_from_edges=False, exponent=None)
             return out
         return SupportRows(labels, real.entries(arity), support)
 
-    if centers_from_edges:
-        center_labels = tuple(sorted({s for t in inst.edges
-                                      for s in combinations(t, inst.y)}))
-    else:
-        center_labels = tuple(combinations(range(1, inst.n + 1), inst.y))
-    ell = code.ell
-    # beta * ell^(1/p), exact on l0/l1 where p = 1 and beta is an integer
-    base = real.beta * real.metric.take_root(ell)
-    meta = {"beta": real.beta, "ell": ell, "q": q, "z": inst.z, "y": inst.y,
-            "lambda": real.lambda_claimed, "base_distance": base}
     return SupportInstance(
-        dim=ell * real.dim, points=rows(inst.edges, inst.z),
-        centers=rows(center_labels, inst.y), k=inst.k, metric=real.metric,
-        exponent=real.metric.exponent if exponent is None else exponent, meta=meta)
+        dim=code.ell * real.dim, points=rows(point_labels, real.t),
+        centers=rows(center_labels, real.s), k=k, metric=real.metric,
+        exponent=real.metric.exponent if exponent is None else exponent, meta=meta,
+        construction=("composed", n, q, code.eta, real.kind, real.t, real.s))
 
 
 def build_discrete_instance(inst, code, real, centers_from_edges=False,
@@ -209,6 +223,12 @@ def indicator_supports(inst, metric=METRICS["l2"], exponent=None):
     The cost exponent defaults to the largest one the metric has a center
     rule for: 2 on l1 and l2, 1 on l0.  An exponent without a rule is refused.
     """
+    return _indicator(inst.n, inst.edges, inst.k, metric, exponent,
+                      {"z": inst.z, "y": inst.y, "n": inst.n})
+
+
+def _indicator(n, labels, k, metric, exponent, meta):
+    # indicator_supports from the construction-file fields
     if not metric.centers:
         raise ValueError(f"continuous indicator instance needs l0, l1 or l2, "
                          f"not {metric.token!r}")
@@ -216,10 +236,9 @@ def indicator_supports(inst, metric=METRICS["l2"], exponent=None):
         exponent = max(metric.centers)
     if exponent not in metric.centers:
         raise ValueError(f"no center rule for metric={metric.token!r} exponent={exponent}")
-    points = SupportRows(inst.edges, (0, 1), lambda t: [u - 1 for u in t])
-    meta = {"z": inst.z, "y": inst.y, "n": inst.n}
-    return SupportInstance(dim=inst.n, points=points, centers=None, k=inst.k,
-                           metric=metric, exponent=exponent, meta=meta)
+    points = SupportRows(labels, (0, 1), lambda t: [u - 1 for u in t])
+    return SupportInstance(dim=n, points=points, centers=None, k=k, metric=metric,
+                           exponent=exponent, meta=meta, construction=("indicator", n))
 
 
 def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=None):
@@ -346,7 +365,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
             raise ValueError("discrete optimum needs candidate centers")
         mc = len(ci.center_labels)
         r = min(ci.k, mc)
-        check_budget(math.comb(mc, r), budget, "center subsets")
+        check_comb_budget(mc, r, budget, "center subsets")
         table = _distance_table(ci, ci.centers)
         best_idx, best_cost = None, None
         for idx in combinations(range(mc), r):
@@ -377,11 +396,35 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
 # point-set files
 # ---------------------------------------------------------------------------
 
-def write_points(ci, fh):
-    """Write the header, then one `label coordinates` line per point and per
-    candidate center: integers as str(v), floats as repr(float(v)).
+# construction -> header fields after 'ptsc <construction> <metric> <exponent> <k>'
+CONSTRUCTIONS = {
+    "composed": ("n", "q", "eta", "kind", "t", "s", "points", "centers"),
+    "indicator": ("n", "points"),
+}
+# coordinates read_points rebuilds from one construction file at most
+REBUILD_BUDGET = 1 << 25
+
+
+def write_construction(si, fh):
+    """Write a SupportInstance as a construction file: one header line
+    'ptsc <construction> <metric> <exponent> <k> <fields>' (CONSTRUCTIONS),
+    ending in the point and candidate-center counts, then one label line per
+    point and per candidate center, in that order.  No coordinate is written.
     """
-    fh.write(_header(ci))
+    construction, *fields = si.construction
+    counts = [len(rows.labels) for rows in si.groups]
+    fh.write(" ".join(map(str, ("ptsc", construction, si.metric.token, si.exponent,
+                                si.k, *fields, *counts))) + "\n")
+    for rows in si.groups:
+        fh.writelines(",".join(map(str, label)) + "\n" for label in rows.labels)
+
+
+def write_points(ci, fh):
+    """Write the dense header 'pts dim metric exponent k', then one
+    `label coordinates` line per point and per candidate center: integers as
+    str(v), floats as repr(float(v)).
+    """
+    fh.write(f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n")
     fmt = str if ci.points.dtype.kind in "iu" else (lambda v: repr(float(v)))
     rows = [(ci.point_labels, ci.points)]
     if ci.centers is not None:
@@ -391,57 +434,24 @@ def write_points(ci, fh):
             fh.write(f"{','.join(map(str, label))} {' '.join(map(fmt, row.tolist()))}\n")
 
 
-_RUN = 1024         # off tokens in the string every gap of a row is cut from
-_FLUSH = 1 << 16    # characters of a row gathered before they are written
-
-
-def write_supports(si, fh):
-    """Write a SupportInstance exactly as write_points writes si.dense().
-
-    Tokens are str(e) when every entry is an int, else repr(float(e)).  A
-    row is the runs of off tokens between its on coordinates, each run a
-    slice of one string of _RUN off tokens, written about _FLUSH characters
-    at a time: no list or array of dim values is ever built.
-    """
-    fh.write(_header(si))
-    fmt = str if si.integral else (lambda e: repr(float(e)))
-    for rows in si.groups:
-        off, on = (" " + fmt(e) for e in rows.entries)
-        run, width = off * _RUN, len(off)
-        for label in rows.labels:
-            parts, size, prev = [",".join(map(str, label))], 0, 0
-            # dim closes the row: its trailing on token becomes the newline
-            for c in (*rows.support(label), si.dim):
-                if size > _FLUSH:
-                    fh.write("".join(parts))
-                    parts.clear()
-                    size = 0
-                gap = c - prev
-                size += gap * width
-                while gap > _RUN:
-                    parts.append(run)
-                    gap -= _RUN
-                parts.append(run[:gap * width])
-                parts.append(on)
-                prev = c + 1
-            parts[-1] = "\n"
-            fh.write("".join(parts))
-
-
-def _header(ci):
-    return f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n"
-
-
 def read_points(fh):
-    """Rebuild an instance from a points file.
+    """Rebuild an instance from a construction file or a dense points file.
 
-    Rows are classified by label size: with two sizes present, the smaller
-    labels are candidate centers (y < z always).  Coordinates must be finite;
-    they load as int64 when every one is integral, else as float64.
-    Construction metadata (the base distance) is not serialized.
+    A construction file (write_construction) states how many rows are points
+    and how many candidate centers, and its rows are rebuilt from the code,
+    the realization and the labels by the functions `reduce` runs, so they
+    equal the dense rows of the same instance, as int8 when every entry is
+    an int, else float64.  A dense file ('pts dim metric exponent k', one
+    labeled vector per line) classifies rows by label size: with two sizes
+    present, the smaller labels are candidate centers (y < z always).  Its
+    coordinates must be finite; they load as int64 when every one is
+    integral, else as float64.  Neither restores the construction metadata
+    (the base distance).
     """
-    import numpy as np
     header = fh.readline().split()
+    if header[:1] == ["ptsc"]:
+        return _read_construction(header, fh).dense()
+    import numpy as np
     if len(header) != 5 or header[0] != "pts":
         raise ValueError("points file must start with 'pts dim metric exponent k'")
     dim = int(header[1])
@@ -479,3 +489,53 @@ def read_points(fh):
     return ClusteringInstance(
         points=values, point_labels=tuple(labels),
         centers=None, center_labels=None, k=k, metric=metric, exponent=exponent)
+
+
+def _read_construction(header, fh):
+    """The SupportInstance a construction file describes, every field checked."""
+    usage = ("construction file must start with 'ptsc composed metric exponent k n q eta "
+             "kind t s points centers' or 'ptsc indicator metric exponent k n points'")
+    fields = CONSTRUCTIONS.get(header[1]) if len(header) > 1 else None
+    if fields is None or len(header) != 5 + len(fields):
+        raise ValueError(usage)
+    metric = parse_metric(header[2])
+    spec = dict(zip(("exponent", "k", *fields), header[3:]))
+    kind = spec.pop("kind", None)
+    if not all(v.isascii() and v.isdigit() for v in spec.values()):
+        raise ValueError(f"{usage}; every field but metric and kind is a nonnegative integer")
+    spec = {name: int(v) for name, v in spec.items()}
+    labels = []
+    for line in fh:
+        if line.strip():
+            try:
+                labels.append(tuple(int(u) for u in line.split(",")))
+            except ValueError:
+                raise ValueError(f"row {len(labels) + 1} {line.strip()!r} is not a "
+                                 "comma-joined label") from None
+    n, points = spec["n"], spec["points"]
+    if len(labels) != points + spec.get("centers", 0):
+        raise ValueError(f"header counts {points} points and {spec.get('centers', 0)} "
+                         f"candidate centers, the file holds {len(labels)} rows")
+    point_labels, center_labels = tuple(labels[:points]), tuple(labels[points:])
+    if header[1] == "indicator":
+        _check_labels(point_labels, len(labels[0]) if labels else 0, n, "point")
+        check_budget(len(labels) * n, REBUILD_BUDGET, "coordinates")
+        return _indicator(n, point_labels, spec["k"], metric, spec["exponent"], {})
+    code = RsCode(spec["q"], spec["eta"])
+    # the token's first two characters name the family: l0, l1, l2 or lp
+    real = realize(metric.token[:2], code.q, spec["t"], spec["s"], metric.root, kind)
+    _check_labels(point_labels, real.t, n, "point")
+    _check_labels(center_labels, real.s, n, "candidate-center")
+    check_budget(len(labels) * code.ell * real.dim, REBUILD_BUDGET, "coordinates")
+    return _composed(n, point_labels, center_labels, spec["k"], code, real,
+                     spec["exponent"], {})
+
+
+def _check_labels(labels, size, n, role):
+    for label in labels:
+        if len(label) != size or label[0] < 1 or label[-1] > n \
+                or any(a >= b for a, b in zip(label, label[1:])):
+            raise ValueError(f"{role} label {','.join(map(str, label))} is not an "
+                             f"ascending {size}-subset of [1, {n}]")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate {role} labels")

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .coverage import DEFAULT_BUDGET, cover_masks, gen_instance, max_union_search
-from .errors import BudgetExceededError, CertificationError, check_budget
+from .errors import BudgetExceededError, CertificationError, check_comb_budget
 
 CONSTRAINT_FAMILIES = (
     "v0_unit",              # <v0, v0> = 1
@@ -215,7 +215,7 @@ def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET):
     """
     m = math.comb(inst.n, 2)
     k_prime = min(k_prime, m)
-    check_budget(math.comb(m, k_prime), budget, "edge subsets")
+    check_comb_budget(m, k_prime, budget, "edge subsets")
     covers = cover_masks(gen_instance("complete", inst.n, 4, 2, k_prime))
     npoints, centers = math.comb(inst.n, 4), inst.center_labels
     covered, idx, visited, pruned = max_union_search(

@@ -112,8 +112,78 @@ def test_reduce_continuous_l0_default_exponent(tmp_path, capsys):
         "--k", "2", "-o", str(inst))
     assert run(capsys, "reduce", "-i", str(inst), "--mode", "continuous",
                "--metric", "l0", "-o", str(pts))[0] == 0
-    assert pts.read_text().split("\n")[0] == "pts 4 l0 1 2"
+    assert pts.read_text().split("\n")[0] == "ptsc indicator l0 1 2 4 4"
     assert run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous")[0] == 0
+
+
+POINTS_N4 = ["1,2,3", "1,2,4", "1,3,4", "2,3,4"]
+CENTERS_N4 = ["1,2", "1,3", "1,4", "2,3", "2,4", "3,4"]
+
+
+def construction(header, rows=(*POINTS_N4, *CENTERS_N4)):
+    return "\n".join((header, *rows)) + "\n"
+
+
+GOOD = "ptsc composed l1 1 2 4 5 1 indicator 3 2 4 6"
+BAD_CONSTRUCTIONS = {
+    "bare-ptsc": construction("ptsc", ()),
+    "short-header": construction(GOOD.rsplit(" ", 1)[0]),
+    "long-header": construction(GOOD + " 0"),
+    "unknown-construction": construction(GOOD.replace("composed", "blocks")),
+    "unknown-kind": construction(GOOD.replace("indicator", "sparse")),
+    "kind-of-another-metric": construction(GOOD.replace("indicator", "scaled")),
+    "halfshift-needs-s-of-t-1": construction(
+        "ptsc composed lp3 1 2 4 5 1 halfshift 3 1 4 4", (*POINTS_N4, "1", "2", "3", "4")),
+    "bad-metric": construction(GOOD.replace("l1", "lq")),
+    "word-field": construction(GOOD.replace(" 6", " six")),
+    "negative-field": construction(GOOD.replace("l1 1 2", "l1 -1 2")),
+    "zero-exponent": construction(GOOD.replace("l1 1 2", "l1 0 2")),
+    "zero-k": construction(GOOD.replace("l1 1 2", "l1 1 0")),
+    "short-label": construction(GOOD, ("1,2", *POINTS_N4[1:], *CENTERS_N4)),
+    "label-out-of-range": construction(GOOD, ("1,2,5", *POINTS_N4[1:], *CENTERS_N4)),
+    "label-not-ascending": construction(GOOD, ("2,1,3", *POINTS_N4[1:], *CENTERS_N4)),
+    "center-label-size": construction(GOOD, (*POINTS_N4, "1,2,3", *CENTERS_N4[1:])),
+    "duplicate-labels": construction(GOOD, ("1,2,3", *POINTS_N4[:-1], *CENTERS_N4)),
+    "word-label": construction(GOOD, ("1,2,x", *POINTS_N4[1:], *CENTERS_N4)),
+    "dense-row": construction(GOOD, ("1,2,3 0 1", *POINTS_N4[1:], *CENTERS_N4)),
+    "more-rows": construction(GOOD, (*POINTS_N4, *CENTERS_N4, "1,2")),
+    "fewer-rows": construction(GOOD, (*POINTS_N4, *CENTERS_N4[1:])),
+    "non-prime-q": construction(GOOD.replace(" 5 1 ", " 6 1 ")),
+    "q-eta-below-n": construction(GOOD.replace(" 2 4 5 ", " 2 6 5 ")),
+    "no-point-rows": construction(GOOD.replace(" 4 6", " 0 6"), CENTERS_N4),
+    "no-center-rows": construction(GOOD.replace(" 4 6", " 4 0"), POINTS_N4),
+    "indicator-no-rows": construction("ptsc indicator l2 2 2 4 0", ()),
+    "indicator-mixed-sizes": construction("ptsc indicator l2 2 2 4 5", (*POINTS_N4, "1,2")),
+    "indicator-lp": construction("ptsc indicator lp3 1 2 4 4", POINTS_N4),
+    "indicator-no-center-rule": construction("ptsc indicator l0 2 2 4 4", POINTS_N4),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONSTRUCTIONS))
+@pytest.mark.parametrize("command", [["cost", "--centers", "1,2"],
+                                     ["brute-opt", "--mode", "discrete"]],
+                         ids=["cost", "brute-opt"])
+def test_bad_construction_file_exits_2(tmp_path, capsys, name, command):
+    path = tmp_path / "bad.pts"
+    path.write_text(BAD_CONSTRUCTIONS[name])
+    assert main([*command, "-i", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_construction_file_too_large_to_rebuild_exits_3(tmp_path, capsys):
+    # 10 rows of 8191^2 coordinates, or 4 of 2^24: refused before any row is built
+    path = tmp_path / "big.pts"
+    path.write_text(construction(GOOD.replace(" 5 1 ", " 8191 1 ")))
+    assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "budget exceeded: 670924810 coordinates exceed budget 33554432\n"
+    path.write_text(construction("ptsc indicator l2 2 2 16777216 4", POINTS_N4))
+    assert main(["brute-opt", "--mode", "continuous", "-i", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "budget exceeded: 67108864 coordinates exceed budget 33554432\n"
+    path.write_text(construction(GOOD))
+    assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 0
 
 
 def test_sdp_gap_command(capsys):
@@ -433,8 +503,10 @@ def test_reduce_discrete_exponent(tmp_path, monkeypatch, capsys):
               "--q", "7", "--eta", "1"]
     assert run(capsys, *reduce, "-o", "median.pts")[0] == 0
     assert run(capsys, *reduce, "--exponent", "2", "-o", "means.pts")[0] == 0
-    assert Path("median.pts").read_text().split("\n")[0] == "pts 49 l1 1 2"
-    assert Path("means.pts").read_text().split("\n")[0] == "pts 49 l1 2 2"
+    assert Path("median.pts").read_text().split("\n")[0] == \
+        "ptsc composed l1 1 2 6 7 1 indicator 3 2 20 15"
+    assert Path("means.pts").read_text().split("\n")[0] == \
+        "ptsc composed l1 2 2 6 7 1 indicator 3 2 20 15"
     code, out = run(capsys, "brute-opt", "-i", "means.pts", "--mode", "discrete",
                     "--format", "json-lines")
     assert code == 0

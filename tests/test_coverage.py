@@ -14,7 +14,7 @@ from jchlab import (
     read_instance, write_instance,
 )
 from jchlab.coverage import max_union_search
-from jchlab.errors import check_budget
+from jchlab.errors import check_budget, check_comb_budget
 
 COMPLETE_432 = gen_instance("complete", 4, 3, 2, 2)
 
@@ -112,6 +112,45 @@ def test_refusal_counts_of_64_bits_or_more_show_a_power_of_two():
             check_budget(required, 10, "branches")
         assert str(err.value) == f"at least {shown} branches exceed budget 10"
         assert err.value.required == required
+
+
+def refusal(check, *args):
+    """The message of the BudgetExceededError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n, r", [(0, 0), (5, 7), (10, 0), (10, 3), (10, 7), (36, 7), (78, 4),
+                                  (100, 50), (300, 150), (1225, 245), (2 ** 70, 1),
+                                  (2 ** 64, 1), (2 ** 64 - 1, 1), (2 ** 32, 2), (2 ** 32 + 1, 2),
+                                  (2 ** 40 + 3, 3)])
+@pytest.mark.parametrize("budget", [None, 0, 1, 10, 5_000_000, 2 ** 64, 2 ** 100])
+def test_comb_budget_refuses_as_the_exact_product_does(n, r, budget):
+    # C(2^32 + 1, 2) = 2^63 + 2^31 and C(2^32, 2) < 2^63 sit at the 64-bit edge
+    want = refusal(check_budget, math.comb(n, r), budget, "subsets")
+    assert refusal(check_comb_budget, n, r, budget, "subsets") == want
+    if want is None:
+        assert check_comb_budget(n, r, budget, "subsets") == math.comb(n, r)
+
+
+def test_comb_budget_matches_the_exact_product_on_a_grid():
+    for n in range(0, 400, 9):
+        for r in range(0, n + 2, 4):
+            for budget in (7, 5_000_000, 2 ** 70):
+                assert refusal(check_comb_budget, n, r, budget, "subsets") == \
+                    refusal(check_budget, math.comb(n, r), budget, "subsets"), (n, r, budget)
+
+
+def test_comb_budget_names_huge_counts_by_bit_length():
+    # C(1999000, 399800), the sdp-gap n = 2000 count, is never multiplied out
+    bits = (math.lgamma(1999001) - math.lgamma(399801) - math.lgamma(1599201)) / math.log(2)
+    with pytest.raises(BudgetExceededError) as err:
+        check_comb_budget(1999000, 399800, 5_000_000, "edge subsets")
+    assert str(err.value) == f"at least 2^{math.floor(bits)} edge subsets exceed budget 5000000"
+    assert err.value.required is None and 1_000_000 < bits < 2_000_000
 
 
 def test_fpt_deep_tree_needs_no_recursion():

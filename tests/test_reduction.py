@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from jchlab import reduction
+from jchlab.cli import main
 from jchlab import (
     BudgetExceededError, ClusteringInstance, RsCode,
     gen_instance, rs_encode, message_for_element,
@@ -16,7 +16,7 @@ from jchlab import (
     clustering_cost, brute_force_optimal_cost, centers_by_labels,
     soundness_floor, meets_soundness_floor, read_points, write_points,
     pointwise_distance, parse_metric,
-    composed_supports, indicator_supports, write_supports,
+    composed_supports, indicator_supports, write_construction, write_instance,
 )
 
 INST = gen_instance("complete", 4, 3, 2, 2)
@@ -453,7 +453,7 @@ def test_write_points_matches_per_value_writer(make):
 
 
 # ---------------------------------------------------------------------------
-# the supports writer against the dense arrays and write_points
+# construction files against the dense files of the same instances
 # ---------------------------------------------------------------------------
 
 SUPPORT_REALIZATIONS = {
@@ -464,9 +464,9 @@ SUPPORT_REALIZATIONS = {
 }
 
 
-def supports_text(si):
+def construction_text(si):
     buf = io.StringIO()
-    write_supports(si, buf)
+    write_construction(si, buf)
     return buf.getvalue()
 
 
@@ -482,66 +482,105 @@ def collisions(inst, code):
     return sum(len({cw[u][g] for u in t}) < len(t) for t in inst.edges for g in range(code.q))
 
 
+def assert_same_instance(got, want):
+    """Equal in every value: labels, parameters and every coordinate."""
+    assert (got.point_labels, got.center_labels, got.k, got.metric, got.exponent,
+            got.meta) == (want.point_labels, want.center_labels, want.k, want.metric,
+                          want.exponent, want.meta)
+    assert np.array_equal(got.points, want.points)
+    assert (got.centers is None) == (want.centers is None)
+    if got.centers is not None:
+        assert np.array_equal(got.centers, want.centers)
+
+
+def cli_stdout(tmp_path, monkeypatch, capsys, name, text, argvs):
+    """(exit, stdout) of each command, run on text saved as x.pts in its own directory."""
+    workdir = tmp_path / name
+    workdir.mkdir()
+    (workdir / "x.pts").write_text(text)
+    monkeypatch.chdir(workdir)
+    return [(main([*argv, "-i", "x.pts"]), capsys.readouterr().out) for argv in argvs]
+
+
+def assert_same_files(si, argvs, tmp_path, monkeypatch, capsys):
+    """The construction file of si reads back to the dense file's instance,
+    and cost and brute-opt print the same bytes on both files."""
+    text, dense = construction_text(si), dense_text(si.dense())
+    assert len(text.splitlines()) == 1 + sum(len(rows.labels) for rows in si.groups)
+    assert_same_instance(read_points(io.StringIO(text)), read_points(io.StringIO(dense)))
+    got = cli_stdout(tmp_path, monkeypatch, capsys, "construction", text, argvs)
+    want = cli_stdout(tmp_path, monkeypatch, capsys, "dense", dense, argvs)
+    assert got == want and all(code == 0 for code, _ in got)
+
+
 @pytest.mark.parametrize("seed, exponent", [(1, None), (2, None), (3, 3)])
 @pytest.mark.parametrize("centers_from_edges", [False, True], ids=["all-centers", "edge-centers"])
 @pytest.mark.parametrize("q, eta", [(5, 2), (7, 1), (13, 1)])
 @pytest.mark.parametrize("kind", list(SUPPORT_REALIZATIONS))
-def test_write_supports_matches_dense_writer(kind, q, eta, centers_from_edges, seed, exponent):
+def test_write_supports_matches_dense_writer(kind, q, eta, centers_from_edges, seed, exponent,
+                                             tmp_path, monkeypatch, capsys):
+    # the supports written as a construction file: the oracle is the dense file
     code = RsCode(q, eta)
     inst = gen_instance("random", min(9, q ** eta), 3, 2, 2, m=8, seed=seed)
     if eta == 2:
         assert collisions(inst, code) > 0      # the padded blocks are exercised
     real = SUPPORT_REALIZATIONS[kind](q)
     si = composed_supports(inst, code, real, centers_from_edges, exponent)
-    ci = build_discrete_instance(inst, code, real, centers_from_edges, exponent)
-    assert ci.exponent == si.exponent == (real.metric.exponent if exponent is None else exponent)
-    assert supports_text(si) == dense_text(ci)
+    assert si.exponent == (real.metric.exponent if exponent is None else exponent)
+    labels = si.centers.labels
+    argvs = [["cost", "--centers", *(",".join(map(str, c)) for c in (labels[0], labels[-1]))],
+             ["brute-opt", "--mode", "discrete"]]
+    assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("token, exponent", [("l0", None), ("l1", None), ("l1", 1),
                                              ("l2", None), ("l2", 1)])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_write_supports_matches_dense_writer_continuous(token, exponent, seed):
-    inst = gen_instance("random", 8, 3, 2, 3, m=10, seed=seed)
-    metric = parse_metric(token)
-    ci = build_continuous_indicator_instance(inst, metric, exponent)
-    assert supports_text(indicator_supports(inst, metric, exponent)) == dense_text(ci)
+def test_write_supports_matches_dense_writer_continuous(token, exponent, seed, tmp_path,
+                                                        monkeypatch, capsys):
+    inst = gen_instance("random", 8, 3, 2, 2, m=6, seed=seed)
+    si = indicator_supports(inst, parse_metric(token), exponent)
+    argvs = [["cost", "--center-coords", ",".join(["0.5", "1", "0"] * 2 + ["0.25", "1"])],
+             ["brute-opt", "--mode", "continuous"]]
+    assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("run, flush", [(1, 0), (3, 40)])
-def test_write_supports_cuts_long_runs_and_flushes(monkeypatch, run, flush):
-    # gaps longer than the run string, and rows written in many pieces
-    monkeypatch.setattr(reduction, "_RUN", run)
-    monkeypatch.setattr(reduction, "_FLUSH", flush)
-    inst = gen_instance("random", 9, 3, 2, 2, m=8, seed=1)
-    for real in (embed_l1(13, 3, 2), embed_l2_scaled(13, 3, 2)):
-        ci = build_discrete_instance(inst, RsCode(13, 1), real)
-        assert supports_text(composed_supports(inst, RsCode(13, 1), real)) == dense_text(ci)
-    cont = build_continuous_indicator_instance(inst)
-    assert supports_text(indicator_supports(inst)) == dense_text(cont)
+@pytest.mark.parametrize("make, dtype", [(lambda: embed_l1(7, 3, 2), np.int8),
+                                         (lambda: embed_l2_scaled(7, 4, 1), np.float64)],
+                         ids=["l1-int8", "l2-integral-floats"])
+def test_construction_file_reads_back_to_the_built_arrays(make, dtype, tmp_path, monkeypatch,
+                                                          capsys):
+    # the dense file of the l2 instance, all of whose entries are whole, reads back as int64
+    real, code = make(), RsCode(7, 2)
+    inst = gen_instance("random", 9, real.t, real.s, 2, m=8, seed=4)
+    si = composed_supports(inst, code, real, centers_from_edges=True)
+    back = read_points(io.StringIO(construction_text(si)))
+    ci = build_discrete_instance(inst, code, real, centers_from_edges=True)
+    assert back.points.dtype == ci.points.dtype == dtype and back.meta == {}
+    assert np.array_equal(back.points, ci.points) and np.array_equal(back.centers, ci.centers)
+    argvs = [["cost", "--centers", *(",".join(map(str, c)) for c in si.centers.labels[:2])],
+             ["brute-opt", "--mode", "discrete"]]
+    assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
 
 
-def test_write_supports_memory_stays_small(tmp_path):
-    # the shape of the benchmark's reduce-l1-q401 job: rows of 401^2 coordinates
+def test_write_supports_memory_stays_small(tmp_path, monkeypatch, capsys):
+    # the benchmark's reduce-l1-q401 job: rows of 401^2 coordinates, none built or written
     inst = gen_instance("random", 12, 3, 2, 3, m=8, seed=1)
-    code, real = RsCode(401, 1), embed_l1(401, 3, 2)
-    path = tmp_path / "q401.pts"
     tracemalloc.start()
     try:
-        si = composed_supports(inst, code, real, centers_from_edges=True)
-        with open(path, "w") as fh:
-            write_supports(si, fh)
+        si = composed_supports(inst, RsCode(401, 1), embed_l1(401, 3, 2),
+                               centers_from_edges=True)
+        text = construction_text(si)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = (*si.points.labels, *si.centers.labels)
-    assert len(rows) * si.dim > 4 * 2 ** 20     # what the int8 arrays alone would take
-    assert peak < 2 ** 20
-    # one-character tokens: each line is its label, then dim times " 0" or " 1"
-    header = f"pts {si.dim} l1 1 3\n"
-    assert path.stat().st_size == len(header) + sum(
-        len(",".join(map(str, label))) + 2 * si.dim + 1 for label in rows)
-    with open(path) as fh:
-        assert fh.readline() == header
-        for label, line in zip(rows, fh):
-            assert line.count(" 1") == code.ell * len(label)
+    assert peak < 2 ** 20 and len(text) < 1024
+    monkeypatch.chdir(tmp_path)
+    with open("q401.jc", "w") as fh:
+        write_instance(inst, fh)
+    code = main(["reduce", "-i", "q401.jc", "--mode", "discrete", "--metric", "l1",
+                 "--q", "401", "--centers-from-edges", "-o", "q401.pts"])
+    assert code == 0 and "dim=160801" in capsys.readouterr().out
+    assert (tmp_path / "q401.pts").read_text() == text
+    header = text.splitlines()[0]
+    assert header == f"ptsc composed l1 1 3 12 401 1 indicator 3 2 8 {len(si.centers.labels)}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ from jchlab import (
 )
 from jchlab.coverage import DEFAULT_BUDGET
 from jchlab import relaxations
+from jchlab.cli import main
 from jchlab.relaxations import IntegralResult
 
 
@@ -258,6 +260,16 @@ def test_integral_budget():
         integral_min_uncovered(inst, 5, budget=10)
     exact = integral_min_uncovered(inst, 5)
     assert integral_min_uncovered(inst, 5, budget=None) == exact   # no cap
+
+
+def test_sdp_gap_refuses_large_n_without_the_subset_count(capsys):
+    # C(C(2000, 2), 399800) has about 1.44 million bits; building it took 10 s
+    start = time.perf_counter()
+    assert main(["sdp-gap", "--n", "2000", "--extra-centers", "0"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "record=integral n=2000 delta=0.0 k_prime=399800 uncovered=None "
+        "method=skipped(budget) provenance=skipped(budget)")
 
 
 def test_reiher_and_gap_values():
