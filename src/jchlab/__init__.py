@@ -19,8 +19,7 @@ _LAYERS = {
     "metric": "Metric parse_metric",
     "geometry": """kmeans_partition_cost kmeans_partition_cost_centroid
         best_center_continuous weiszfeld_geometric_median coordinate_median
-        min_enclosing_ball separation_center_bound_check l1sq_pairwise_lower_bound
-        pointwise_distance""",
+        separation_center_bound_check l1sq_pairwise_lower_bound pointwise_distance""",
     "reduction": """ClusteringInstance CostBreakdown build_discrete_instance
         build_continuous_indicator_instance clustering_cost brute_force_optimal_cost
         centers_by_labels soundness_floor meets_soundness_floor read_points write_points

@@ -1,10 +1,13 @@
 """Continuous center computations and pairwise cost identities.
 
 Everything operates on numpy arrays of shape (m, d).  Integer inputs keep
-integer costs on the l1/l0 paths; the Euclidean paths use floats.
+integer costs on the l1/l0 paths; the Euclidean paths use floats.  The
+separated-points center bound is certified exactly, in Fractions, from the
+uniform-weight dual of the enclosing-ball problem.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,8 +15,6 @@ from .errors import ConvergenceError
 
 WEISZFELD_TOL = 1e-8
 WEISZFELD_CAP = 100_000
-MEB_TOL = 1e-6
-MEB_CAP = 200_000
 
 
 def as_points(points):
@@ -50,12 +51,7 @@ def kmeans_partition_cost_centroid(points, partition):
     """Centroid form of the same cost; agrees with the pairwise form."""
     pts = as_points(points).astype(float)
     _check_partition(partition, len(pts))
-    total = 0.0
-    for part in partition:
-        block = pts[list(part)]
-        c = block.mean(axis=0)
-        total += float(((block - c) ** 2).sum())
-    return total
+    return sum(centroid(pts[list(part)])[1] for part in partition)
 
 
 def _check_partition(partition, m):
@@ -118,11 +114,7 @@ def l1sq_pairwise_lower_bound(points):
     cost >= sum_{p,q} |p - q|_1^2 / (4m).
     """
     pts = as_points(points).astype(float)
-    m = len(pts)
-    total = 0.0
-    for i in range(m):
-        total += float((np.abs(pts - pts[i]).sum(axis=1) ** 2).sum())
-    return total / (4 * m)
+    return sum(l1sq_cost(pts, p) for p in pts) / (4 * len(pts))
 
 
 def _pattern_search(cost, x0, step0, tol=1e-7):
@@ -198,66 +190,42 @@ def best_center_continuous(points, metric, exponent):
 
 
 # ---------------------------------------------------------------------------
-# minimum enclosing ball
+# separated-points center bound
 # ---------------------------------------------------------------------------
 
-def min_enclosing_ball(points, tol=MEB_TOL, cap=MEB_CAP):
-    """Center and radius of the smallest ball containing the points.
+def _uniform_dual(rows):
+    """(1/m) sum_i |p_i|^2 - |mean|^2 as an exact Fraction.
 
-    Frank-Wolfe with away steps on the dual max_l l.b - |P^T l|^2 over the
-    simplex; each iteration moves toward the farthest point (the subgradient
-    of the max-distance objective).  Stops when the primal radius and the
-    dual bound agree to tol.
+    For any center c, max_i |p_i - c|^2 >= (1/m) sum_i |p_i - c|^2 >= this
+    value, so it bounds the squared enclosing radius from below.  Floats are
+    dyadic rationals, so Fraction(x) is each coordinate exactly.
     """
-    pts = as_points(points).astype(float)
-    m = len(pts)
-    if m == 1:
-        return pts[0].copy(), 0.0
-    sq = (pts * pts).sum(axis=1)
-    lam = np.full(m, 1.0 / m)
-    for _ in range(cap):
-        c = lam @ pts
-        d2 = sq - 2.0 * (pts @ c) + float(c @ c)
-        primal = float(d2.max())
-        dual = float(lam @ sq - c @ c)
-        if math.sqrt(max(primal, 0.0)) - math.sqrt(max(dual, 0.0)) <= tol:
-            return c, math.sqrt(max(primal, 0.0))
-        fw = int(np.argmax(d2))
-        support = np.nonzero(lam > 0)[0]
-        away = int(support[np.argmin(d2[support])])
-        gain_fw = d2[fw] - float(lam @ d2)
-        gain_away = float(lam @ d2) - d2[away]
-        if gain_fw >= gain_away:
-            direction = -lam.copy()
-            direction[fw] += 1.0
-            gamma_max = 1.0
-        else:
-            direction = lam.copy()
-            direction[away] -= 1.0
-            gamma_max = lam[away] / (1.0 - lam[away]) if lam[away] < 1.0 else 1.0
-        dc = direction @ pts
-        curv = float(dc @ dc)
-        lin = float(direction @ sq) - 2.0 * float(c @ dc)
-        if curv <= 0:
-            gamma = gamma_max
-        else:
-            gamma = min(max(lin / (2.0 * curv), 0.0), gamma_max)
-        if gamma <= 0:
-            return c, math.sqrt(max(primal, 0.0))
-        lam = lam + gamma * direction
-        np.clip(lam, 0.0, None, out=lam)
-        lam /= lam.sum()
-    raise ConvergenceError(f"enclosing-ball solve did not reach tol {tol} in {cap} steps")
+    m = len(rows)
+    total = Fraction(0)
+    for column in zip(*rows):
+        xs = [Fraction(x) for x in column]
+        s = sum(xs)
+        total += m * sum(x * x for x in xs) - s * s
+    return total / (m * m)
 
 
 def separation_center_bound_check(points, eps):
     """For pairwise-separated points, certify that no center is close to all.
 
-    Preconditions: pairwise l2 distances >= sqrt(2) and more than 4/eps + 1
-    points.  Returns True when the minimum enclosing ball radius is at least
-    1 - eps.
+    Preconditions: eps > 0, finite coordinates, pairwise l2 distances
+    >= sqrt(2) and more than 4/eps + 1 points.  Returns True when every
+    center is at distance >= 1 - eps from some point, decided exactly from
+    the uniform-weight dual D = (1/(2m^2)) sum_{i,j} |p_i - p_j|^2: true when
+    1 - eps <= 0 or D >= (1 - eps)^2.  Under the preconditions
+    D >= (m-1)/m > 1 - eps/4 >= (1 - eps)^2, so the check always certifies.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     pts = as_points(points).astype(float)
+    rows = pts.tolist()
+    bad = next((x for row in rows for x in row if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ValueError(f"coordinates must be finite, got {bad}")
     m = len(pts)
     if not m > 4.0 / eps + 1:
         raise ValueError(f"need more than 4/eps + 1 = {4.0 / eps + 1:.2f} points, got {m}")
@@ -265,5 +233,4 @@ def separation_center_bound_check(points, eps):
         d2 = ((pts[i + 1:] - pts[i]) ** 2).sum(axis=1)
         if len(d2) and float(d2.min()) < 2.0 - 1e-9:
             raise ValueError("pairwise distances must be at least sqrt(2)")
-    _, radius = min_enclosing_ball(pts)
-    return radius >= 1.0 - eps
+    return eps >= 1 or _uniform_dual(rows) >= (1 - Fraction(eps)) ** 2

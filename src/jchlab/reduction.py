@@ -455,20 +455,23 @@ def read_points(fh):
     if len(header) != 5 or header[0] != "pts":
         raise ValueError("points file must start with 'pts dim metric exponent k'")
     dim = int(header[1])
+    if dim < 1:
+        raise ValueError(f"points file dimension must be positive, got {dim}")
     metric = parse_metric(header[2])
     exponent, k = int(header[3]), int(header[4])
     labels, rows = [], []
     for line in fh:
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        lab, rest = line.split(None, 1)
-        label = tuple(int(x) for x in lab.split(","))
-        vals = np.array(rest.split(), dtype=np.float64)
+        lab, *rest = line.split()
+        labels.append(_parse_label(lab, len(labels) + 1, line))
+        vals = np.array(rest, dtype=np.float64)
         if len(vals) != dim:
-            raise ValueError(f"row {label} has {len(vals)} coordinates, expected {dim}")
-        labels.append(label)
+            raise ValueError(f"row {len(labels)} {line.strip()!r} has {len(vals)} "
+                             f"coordinates, expected {dim}")
         rows.append(vals)
+    # labels of different sizes differ, so this is a check per role
+    _check_distinct(labels, "row")
     values = np.array(rows)
     if not np.isfinite(values).all():
         raise ValueError("points file holds a non-finite coordinate")
@@ -504,14 +507,8 @@ def _read_construction(header, fh):
     if not all(v.isascii() and v.isdigit() for v in spec.values()):
         raise ValueError(f"{usage}; every field but metric and kind is a nonnegative integer")
     spec = {name: int(v) for name, v in spec.items()}
-    labels = []
-    for line in fh:
-        if line.strip():
-            try:
-                labels.append(tuple(int(u) for u in line.split(",")))
-            except ValueError:
-                raise ValueError(f"row {len(labels) + 1} {line.strip()!r} is not a "
-                                 "comma-joined label") from None
+    labels = [_parse_label(line, row, line)
+              for row, line in enumerate(filter(str.strip, fh), 1)]
     n, points = spec["n"], spec["points"]
     if len(labels) != points + spec.get("centers", 0):
         raise ValueError(f"header counts {points} points and {spec.get('centers', 0)} "
@@ -531,11 +528,26 @@ def _read_construction(header, fh):
                      spec["exponent"], {})
 
 
+def _parse_label(text, row, line):
+    """The label tuple of a comma-joined token; a refusal quotes the row."""
+    try:
+        return tuple(int(u) for u in text.split(","))
+    except ValueError:
+        raise ValueError(f"row {row} {line.strip()!r} is not a comma-joined label") from None
+
+
 def _check_labels(labels, size, n, role):
     for label in labels:
         if len(label) != size or label[0] < 1 or label[-1] > n \
                 or any(a >= b for a, b in zip(label, label[1:])):
             raise ValueError(f"{role} label {','.join(map(str, label))} is not an "
                              f"ascending {size}-subset of [1, {n}]")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate {role} labels")
+    _check_distinct(labels, role)
+
+
+def _check_distinct(labels, role):
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"duplicate {role} label {','.join(map(str, label))}")
+        seen.add(label)

@@ -314,6 +314,12 @@ def disjoint_pairs(k):
     ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "2", "--q", "6"]),
     ({}, ["factors", "--p", "3", "--delta", "1", "--alpha", "nan", "--q", "6"]),
     ({"empty.pts": "pts 2 l1 1 1\n"}, ["cost", "-i", "empty.pts", "--center-coords", "0,0"]),
+    ({"dup.pts": "pts 2 l1 1 1\n1,2 0 1\n1,2 0 1\n1 0 0\n"},
+     ["brute-opt", "-i", "dup.pts", "--mode", "discrete"]),
+    ({"bare.pts": "pts 2 l1 1 1\n1,2\n1,3 1 0\n1 0 0\n"},
+     ["brute-opt", "-i", "bare.pts", "--mode", "discrete"]),
+    ({"zero-dim.pts": "pts 0 l1 1 1\n1,2\n1\n"},
+     ["brute-opt", "-i", "zero-dim.pts", "--mode", "discrete"]),
     *[({"zero.jc": "jc 6 3 2 2\n"},
        ["reduce", "-i", "zero.jc", "--mode", mode, "--metric", "l1", "--q", "7", "-o", "out.pts"])
       for mode in ("discrete", "continuous")],
@@ -345,6 +351,7 @@ def disjoint_pairs(k):
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan",
         "factors-p3-alpha-2", "factors-p3-alpha-nan", "points-header-only",
+        "points-duplicate-label", "points-label-only-row", "points-zero-dim",
         "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
         "reduce-eta-without-q", "reduce-q-eta-below-n", "whg3-negative-weight",
         "delta-inf", "delta-minus-inf", "delta-1e400", "sdp-tol-nan", "sdp-tol-inf",
@@ -357,9 +364,12 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     code, err = run_err(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    # the message names what it refuses: the whg3 line, or the sdp-gap value
+    # the message names what it refuses: the whg3 line, the sdp-gap value, the points row
+    # or the duplicate label
     assert argv[0] != "densify" or repr(files[argv[2]].splitlines()[1]) in err
     assert argv[0] != "sdp-gap" or argv[-1] in err
+    assert "dup.pts" not in files or "duplicate row label 1,2" in err
+    assert "bare.pts" not in files or "row 1 '1,2' has 0 coordinates" in err
     # reduce and densify check every rule before they open their output: a refusal
     # leaves no file
     assert argv[0] not in ("reduce", "densify") \

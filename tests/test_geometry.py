@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from jchlab import (
     ConvergenceError,
     kmeans_partition_cost, kmeans_partition_cost_centroid,
     best_center_continuous, weiszfeld_geometric_median, coordinate_median,
-    min_enclosing_ball, separation_center_bound_check,
-    l1sq_pairwise_lower_bound, parse_metric,
+    separation_center_bound_check, l1sq_pairwise_lower_bound, parse_metric,
 )
+from jchlab.geometry import _uniform_dual
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
 
@@ -76,6 +77,11 @@ def test_weiszfeld_single_and_pair():
     assert cost == pytest.approx(4.0, abs=1e-8)
 
 
+def test_weiszfeld_step_cap_raises():
+    with pytest.raises(ConvergenceError, match="in 1 steps"):
+        weiszfeld_geometric_median(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]), cap=1)
+
+
 def test_weiszfeld_optimum_at_data_point():
     # star: the center point is the geometric median, a singular iterate
     star = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -117,26 +123,47 @@ def test_best_center_rejects_unknown():
         best_center_continuous(np.empty((0, 2)), parse_metric("l2"), 2)
 
 
-def test_meb_basis_vectors():
-    pts = np.eye(50)
-    c, r = min_enclosing_ball(pts)
-    assert r == pytest.approx(math.sqrt(1 - 1 / 50), abs=1e-6)
-    assert np.allclose(c, np.full(50, 1 / 50), atol=1e-4)
+@pytest.mark.parametrize("m", [12, 50])
+def test_uniform_dual_simplex_vertices(m):
+    # the basis vectors' circumradius^2 is 1 - 1/m, attained at uniform weights
+    assert _uniform_dual(np.eye(m).tolist()) == Fraction(m - 1, m)
+    assert _uniform_dual((2 * np.eye(m)).tolist()) == Fraction(4 * (m - 1), m)
 
 
-def test_meb_scaled_basis():
-    _, r = min_enclosing_ball(2 * np.eye(50))
-    assert r == pytest.approx(2 * math.sqrt(1 - 1 / 50), abs=1e-6)
+def test_uniform_dual_is_a_lower_bound():
+    # enclosing radius^2 of {0, 1, 4} is 4; uniform weights give only 17/3 - 25/9
+    assert _uniform_dual([[0.0], [1.0], [4.0]]) == Fraction(26, 9)
 
 
-def test_meb_collinear():
-    _, r = min_enclosing_ball(np.array([[0.0], [1.0], [4.0]]))
-    assert r == pytest.approx(2.0, abs=1e-6)
+def test_uniform_dual_equals_pairwise_form():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        rows = (rng.normal(size=(m, d)) * 3).tolist()
+        exact = [[Fraction(x) for x in row] for row in rows]
+        pairs = sum((a - b) ** 2 for p in exact for q in exact for a, b in zip(p, q))
+        assert _uniform_dual(rows) == pairs / (2 * m * m)
 
 
 def test_separation_check_passes():
     assert separation_center_bound_check(np.eye(50), 0.1)
     assert separation_center_bound_check(2 * np.eye(50), 0.1)
+    # 1 - eps <= 0: every center is trivially that far from some point
+    assert separation_center_bound_check(np.eye(6), 1.0)
+    assert separation_center_bound_check(np.eye(4), 2.0)
+
+
+def test_separation_check_certifies_seeded_separated_sets():
+    # rotated, shifted, scaled simplices: pairwise distance^2 = 2 scale^2 > 2
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        m = int(rng.integers(6, 30))
+        d = m + int(rng.integers(0, 8))
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        pts = (np.eye(m, d) * rng.uniform(1.1, 3.0)) @ rotation + rng.normal(size=d)
+        eps = float(rng.uniform(4.0 / (m - 1) + 1e-3, 1.0))
+        assert _uniform_dual(pts.tolist()) >= Fraction(m - 1, m)
+        assert separation_center_bound_check(pts, eps)
 
 
 def test_separation_check_preconditions():
@@ -144,4 +171,18 @@ def test_separation_check_preconditions():
         separation_center_bound_check(np.eye(10), 0.1)   # too few points
     pts = np.eye(50) * 0.5                                # pairwise < sqrt(2)
     with pytest.raises(ValueError):
+        separation_center_bound_check(pts, 0.1)
+
+
+@pytest.mark.parametrize("eps", [0, -0.1, float("nan")])
+def test_separation_check_refuses_eps_not_positive(eps):
+    with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+        separation_center_bound_check(np.eye(50), eps)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_separation_check_refuses_non_finite_coordinates(bad):
+    pts = np.eye(50)
+    pts[7, 3] = bad
+    with pytest.raises(ValueError, match=f"coordinates must be finite, got {bad}"):
         separation_center_bound_check(pts, 0.1)

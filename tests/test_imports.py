@@ -25,8 +25,8 @@ GapRealization GapReport embed_l0 embed_l1 embed_l2_scaled embed_lp_halfshift
 embed_indicator_lp verify_gap_realization realized_distance empirical_gamma
 export_realization
 kmeans_partition_cost kmeans_partition_cost_centroid best_center_continuous
-weiszfeld_geometric_median coordinate_median min_enclosing_ball
-separation_center_bound_check l1sq_pairwise_lower_bound pointwise_distance
+weiszfeld_geometric_median coordinate_median separation_center_bound_check
+l1sq_pairwise_lower_bound pointwise_distance
 Metric parse_metric
 ClusteringInstance CostBreakdown build_discrete_instance
 build_continuous_indicator_instance clustering_cost brute_force_optimal_cost
