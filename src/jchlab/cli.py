@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import coverage, codes, embeddings, hypergraph
+from . import coverage, codes, embeddings, errors, hypergraph
 from .errors import BudgetExceededError, CertificationError, ConvergenceError, check_budget
 from .metric import METRICS, lp_metric
 
@@ -70,6 +70,11 @@ def _parse_alpha(text):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_jc(args):
+    # one line per edge: refused like a search, before any edge is built or the file opens
+    if args.kind == "complete":
+        errors.check_comb_budget(args.n, args.z, coverage.DEFAULT_BUDGET, "lines")
+    elif args.m is not None:
+        check_budget(args.m, coverage.DEFAULT_BUDGET, "lines")
     inst = coverage.gen_instance(args.kind, args.n, args.z, args.y, args.k,
                                  m=args.m, seed=args.seed, dense=args.dense)
     with open(args.output, "w") as fh:
@@ -142,6 +147,10 @@ def cmd_reduce(args):
                                           args.eps, relaxed=args.relaxed)
         real = embeddings.realize(args.metric, code.q, inst.z, inst.y, args.p)
         codes.message_for_element(code, inst.n)    # q^eta >= n, checked before reduction loads
+        if not args.centers_from_edges:
+            # one line per point and per candidate center, counted before any label is built
+            check_budget(inst.num_edges + math.comb(inst.n, inst.y), coverage.DEFAULT_BUDGET,
+                         "lines")
         from . import reduction
         si = reduction.composed_supports(
             inst, code, real, centers_from_edges=args.centers_from_edges,
@@ -153,6 +162,7 @@ def cmd_reduce(args):
         from . import reduction
         si = reduction.indicator_supports(
             inst, METRICS.get(args.metric) or lp_metric(args.p), exponent=args.exponent)
+    check_budget(sum(len(rows.labels) for rows in si.groups), coverage.DEFAULT_BUDGET, "lines")
     # every refusal is raised above: the file opens only for a valid instance
     with open(args.output, "w") as fh:
         reduction.write_construction(si, fh)
@@ -216,9 +226,18 @@ def cmd_sdp_gap(args):
     return recs
 
 
+def _assignment_entry(fields):
+    if len(fields) != 3:
+        raise ValueError("expected 'layer vertex symbol'")
+    return (int(fields[0]), fields[1]), int(fields[2])
+
+
 def cmd_hvc_build(args):
     with open(args.input) as fh:
         pcp = hypergraph.read_pcp(fh)
+    if args.assignment:
+        with open(args.assignment) as fh:
+            assignment = dict(errors.parse_lines(fh, "assignment", _assignment_entry))
     delta = _fraction(args.delta if "/" in args.delta else float(args.delta))
     hg = hypergraph.build_weighted_hypergraph(
         pcp, delta, mode=args.mode, samples=args.samples, seed=args.seed,
@@ -227,20 +246,10 @@ def cmd_hvc_build(args):
         hypergraph.write_weighted_hypergraph(hg, fh)
     recs = [{"record": "hypergraph", "edges": len(hg.edges),
              "edge_weight_total": hg.edge_weight_total(),
-             "vertex_weight_total": hg.vertex_weight_total(),
+             "vertex_weight_total": hypergraph.vertex_weight_total(pcp),
              "path": args.output,
              "provenance": "exact" if args.mode == "exact" else "sampled"}]
     if args.assignment:
-        assignment = {}
-        with open(args.assignment) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 3:
-                    raise ValueError(f"assignment line {line.strip()!r} is not "
-                                     "'layer vertex symbol'")
-                assignment[(int(parts[0]), parts[1])] = int(parts[2])
         chk = hypergraph.completeness_cover_check(pcp, hg, assignment)
         recs.append({"record": "cover-check", "all_hit": chk.all_hit,
                      "cover_weight": chk.weight,

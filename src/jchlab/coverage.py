@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import check_budget, check_comb_budget
+from .errors import check_budget, check_comb_budget, parse_header, parse_lines
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -185,12 +185,16 @@ def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
     """Exact max coverage over all collections of min(k, #candidates) y-subsets.
 
     Ties break lexicographically on the collection.  Refuses (loudly) if the
-    number of collections exceeds the budget; otherwise max_union_search
-    finds the optimum, and the report carries its node counts.
+    number of collections or of candidate y-subsets exceeds the budget, both
+    counted before any candidate is listed; otherwise max_union_search finds
+    the optimum, and the report carries its node counts.
     """
+    count = math.comb(inst.n, inst.y)
+    r = min(inst.k, count)
+    check_comb_budget(count, r, budget, "collections")
+    # with k = 0 or k >= count there is one collection, however many candidates
+    check_budget(count, budget, "candidates")
     cands = list(combinations(range(1, inst.n + 1), inst.y))
-    r = min(inst.k, len(cands))
-    check_comb_budget(len(cands), r, budget, "collections")
     covers = cover_masks(inst)
     _, best_idx, visited, pruned = max_union_search(
         [covers.get(s, 0) for s in cands], r, inst.num_edges)
@@ -248,6 +252,8 @@ def gen_instance(kind, n, z, y, k, m=None, seed=None, dense=False):
         total = math.comb(n, z)
         if m is None or not (0 <= m <= total):
             raise ValueError(f"random instance needs 0 <= m <= C({n},{z}) = {total}")
+        if total >= 2 ** 63:        # rng.sample draws from a range of at most 2^63 - 1
+            raise ValueError(f"random instance needs C({n},{z}) < 2^63")
         rng = random.Random(seed)
         ranks = sorted(rng.sample(range(total), m))
         edges = tuple(tuple(x + 1 for x in _unrank_combination(rk, n, z)) for rk in ranks)
@@ -266,16 +272,10 @@ def write_instance(inst, fh):
 
 
 def read_instance(fh):
-    header = fh.readline().split()
-    if len(header) != 5 or header[0] != "jc":
-        raise ValueError("instance file must start with 'jc n z y k'")
-    n, z, y, k = map(int, header[1:])
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            edges.append(tuple(map(int, line.split())))
-    return JohnsonInstance(n=n, z=z, y=y, edges=tuple(edges), k=k)
+    n, z, y, k = parse_header(fh.readline(), "jc n z y k")
+    inst = JohnsonInstance(n=n, z=z, y=y, edges=(), k=k)
+    edges = parse_lines(fh, "jc", lambda fields: _check_subset(map(int, fields), n, z, "edge"))
+    return replace(inst, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,33 @@ def check_comb_budget(n, r, budget, unit):
                               budget=budget)
 
 
+def parse_line(line, what, parse):
+    """parse(line.split()); a ValueError or ZeroDivisionError it raises becomes
+    one ValueError "<what> line '<line>': <reason>"."""
+    try:
+        return parse(line.split())
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"{what} line {line.strip()!r}: {reason}") from None
+
+
+def parse_lines(fh, what, parse):
+    """parse_line of every line of fh that is not blank, in order."""
+    return [parse_line(line, what, parse) for line in fh if line.strip()]
+
+
+def parse_header(line, shape):
+    """The integer fields of a header line shaped like `shape`, a keyword and
+    field names ('jc n z y k'), through parse_line."""
+    keyword, *names = shape.split()
+
+    def parse(fields):
+        if len(fields) != 1 + len(names) or fields[0] != keyword:
+            raise ValueError(f"{keyword} file must start with '{shape}'")
+        return [int(v) for v in fields[1:]]
+    return parse_line(line, keyword, parse)
+
+
 class CertificationError(RuntimeError):
     """A claimed numeric property failed an exhaustive or residual check."""
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .coverage import DEFAULT_BUDGET
-from .errors import check_budget
+from .errors import check_budget, parse_header, parse_lines
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,24 @@ def vertex_weight(pcp, layer):
     return Fraction(1, pcp.ell * len(pcp.layers[layer - 1]) * 2 ** pcp.alphabets[layer - 1])
 
 
+def vertex_weight_total(pcp):
+    """The weights of every (layer, vertex, cube point) of the hypergraph of pcp."""
+    return sum(len(pcp.layers[layer - 1]) * 2 ** pcp.alphabets[layer - 1]
+               * vertex_weight(pcp, layer) for layer in range(1, pcp.ell + 1))
+
+
 @dataclass
 class WeightedHypergraph3:
-    """Vertices (layer, name, cube point) with weights; weighted edge sets.
+    """Weighted edge sets over (layer, name, cube point) vertices.
 
     Edges are frozensets of vertices; outcomes of the sampling procedure with
     y = z collapse to 2-element sets and keep their probability mass, so the
-    edge weights always total 1 in exact mode.
+    edge weights always total 1 in exact mode.  The vertices and their
+    weights follow from the layered system (vertex_weight).
     """
 
-    vertices: tuple            # ((layer, name, x), weight)
     edges: dict                # frozenset(vertices) -> weight
-    mode: str                  # "exact" | "montecarlo"
-
-    def vertex_weight_total(self):
-        return sum(w for _, w in self.vertices)
+    mode: str                  # "exact" | "montecarlo" | "file"
 
     def edge_weight_total(self):
         return sum(self.edges.values())
@@ -136,13 +139,6 @@ def build_weighted_hypergraph(pcp, delta, mode="exact", samples=None, seed=None,
             raise ValueError(f"layer pair {(i, j)} has sampling weight {prob} "
                              f"but no edges; weights would not normalize")
 
-    vertices = []
-    for layer in range(1, pcp.ell + 1):
-        w = vertex_weight(pcp, layer)
-        for name in pcp.layers[layer - 1]:
-            for x in _cube(pcp.alphabets[layer - 1]):
-                vertices.append(((layer, name, x), w))
-
     if mode == "exact":
         edges = {}
         for (i, j), prob in dist.items():
@@ -167,15 +163,13 @@ def build_weighted_hypergraph(pcp, delta, mode="exact", samples=None, seed=None,
                             t = frozenset({(i, vi, x), (j, vj, y), (j, vj, z)})
                             w = edge_prob * base * pz
                             edges[t] = edges.get(t, Fraction(0)) + w
-        return WeightedHypergraph3(vertices=tuple(vertices), edges=edges,
-                                   mode="exact")
+        return WeightedHypergraph3(edges=edges, mode="exact")
 
     if mode == "montecarlo":
         if samples is None or samples < 1:
             raise ValueError(f"montecarlo mode needs at least 1 sample, got {samples}")
         return WeightedHypergraph3(
-            vertices=tuple(vertices), mode="montecarlo",
-            edges=_sample_edges(pcp, dist, pair_edges, delta, samples, seed))
+            mode="montecarlo", edges=_sample_edges(pcp, dist, pair_edges, delta, samples, seed))
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -256,6 +250,8 @@ def completeness_cover_check(pcp, hg, assignment):
     projection edge the cover intersects every positive-weight edge of the
     hypergraph; otherwise the first missed edge is returned as a witness.
     """
+    cover = set()
+    weight = Fraction(0)
     for layer in range(1, pcp.ell + 1):
         for name in pcp.layers[layer - 1]:
             if (layer, name) not in assignment:
@@ -263,12 +259,10 @@ def completeness_cover_check(pcp, hg, assignment):
             sym = assignment[(layer, name)]
             if not 0 <= sym < pcp.alphabets[layer - 1]:
                 raise ValueError(f"assignment symbol {sym} out of range for layer {layer}")
-    cover = set()
-    weight = Fraction(0)
-    for (layer, name, x), w in hg.vertices:
-        if x[assignment[(layer, name)]] == -1:
-            cover.add((layer, name, x))
-            weight += w
+            for x in _cube(pcp.alphabets[layer - 1]):
+                if x[sym] == -1:
+                    cover.add((layer, name, x))
+                    weight += vertex_weight(pcp, layer)
     witness = None
     all_hit = True
     for t, w in _sorted_edges(hg.edges)[0]:
@@ -363,12 +357,6 @@ def _cube_token(x):
     return "".join("+" if v == 1 else "-" for v in x)
 
 
-def _parse_cube(tok):
-    if tok.strip("+-"):
-        raise ValueError(f"hypercube point {tok!r} is not a string of + and -")
-    return tuple(1 if ch == "+" else -1 for ch in tok)
-
-
 def vertex_token(v):
     layer, name, x = v
     return f"{layer}:{name}:{_cube_token(x)}"
@@ -376,7 +364,9 @@ def vertex_token(v):
 
 def parse_vertex_token(tok):
     layer, name, cube = tok.split(":")
-    return (int(layer), name, _parse_cube(cube))
+    if cube.strip("+-"):
+        raise ValueError(f"hypercube point {cube!r} is not a string of + and -")
+    return (int(layer), name, tuple(1 if ch == "+" else -1 for ch in cube))
 
 
 def write_pcp(pcp, fh):
@@ -389,25 +379,17 @@ def write_pcp(pcp, fh):
 
 
 def read_pcp(fh):
-    header = fh.readline().split()
-    if len(header) != 2 or header[0] != "pcp":
-        raise ValueError("pcp file must start with 'pcp ell'")
-    ell = int(header[1])
-    layers = [None] * ell
-    alphabets = [None] * ell
-    edges = []
-    for line in fh:
-        parts = line.split()
-        if not parts:
-            continue
+    ell, = parse_header(fh.readline(), "pcp ell")
+    layers, edges = {}, []      # layer index -> (alphabet size, vertex names)
+
+    def parse(parts):
         if len(parts) < {"layer": 3, "edge": 5}.get(parts[0], 1):
-            raise ValueError(f"{parts[0]} line {line.strip()!r} has too few fields")
+            raise ValueError(f"{parts[0]} line has too few fields")
         if parts[0] == "layer":
             idx = int(parts[1])
             if not 1 <= idx <= ell:
                 raise ValueError(f"layer index {idx} outside 1..{ell}")
-            alphabets[idx - 1] = int(parts[2])
-            layers[idx - 1] = tuple(parts[3:])
+            layers[idx] = (int(parts[2]), tuple(parts[3:]))
         elif parts[0] == "edge":
             i, j = int(parts[1]), int(parts[2])
             vi, vj = parts[3], parts[4]
@@ -415,10 +397,14 @@ def read_pcp(fh):
             edges.append((i, j, vi, vj, proj))
         else:
             raise ValueError(f"unknown pcp line {parts[0]!r}")
-    if any(l is None for l in layers):
+
+    parse_lines(fh, "pcp", parse)
+    # every index is in 1..ell: fewer lines than ell means a layer is missing
+    if len(layers) < ell:
         raise ValueError("missing layer lines")
-    return LayeredPcp(layers=tuple(layers), alphabets=tuple(alphabets),
-                      edges=tuple(edges))
+    order = [layers[idx] for idx in range(1, ell + 1)]
+    return LayeredPcp(layers=tuple(names for _, names in order),
+                      alphabets=tuple(size for size, _ in order), edges=tuple(edges))
 
 
 def write_weighted_hypergraph(hg, fh):
@@ -429,28 +415,19 @@ def write_weighted_hypergraph(hg, fh):
         fh.write(f"{w} {toks}\n")
 
 
+def _whg3_edge(parts):
+    w = Fraction(parts[0])
+    if w < 0:
+        raise ValueError("negative weight")
+    return frozenset(map(parse_vertex_token, parts[1:])), w
+
+
 def read_weighted_hypergraph(fh):
-    if fh.readline().strip() != "whg3":
-        raise ValueError("weighted hypergraph file must start with 'whg3'")
+    parse_header(fh.readline(), "whg3")
     edges = {}
-    vertices = set()
-    for line in fh:
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            w = Fraction(parts[0])
-            t = frozenset(parse_vertex_token(tok) for tok in parts[1:])
-        except ZeroDivisionError:
-            raise ValueError(f"whg3 line {line.strip()!r} has a zero denominator") from None
-        except ValueError as exc:
-            raise ValueError(f"whg3 line {line.strip()!r}: {exc}") from None
-        if w < 0:
-            raise ValueError(f"whg3 line {line.strip()!r} has a negative weight")
+    for t, w in parse_lines(fh, "whg3", _whg3_edge):
         edges[t] = edges.get(t, Fraction(0)) + w
-        vertices.update(t)
-    verts = tuple((v, Fraction(0)) for v in sorted(vertices, key=repr))
-    return WeightedHypergraph3(vertices=verts, edges=edges, mode="file")
+    return WeightedHypergraph3(edges=edges, mode="file")
 
 
 def write_simple_hypergraph(dense, fh):

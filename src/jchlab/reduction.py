@@ -23,7 +23,7 @@ from itertools import combinations
 from .coverage import DEFAULT_BUDGET
 from .codes import RsCode, message_for_element, rs_encode
 from .embeddings import realize
-from .errors import check_budget, check_comb_budget
+from .errors import check_budget, check_comb_budget, parse_line, parse_lines
 from .metric import METRICS, Metric, parse_metric
 
 
@@ -446,35 +446,18 @@ def read_points(fh):
     present, the smaller labels are candidate centers (y < z always).  Its
     coordinates must be finite; they load as int64 when every one is
     integral, else as float64.  Neither restores the construction metadata
-    (the base distance).
+    (the base distance).  Labels are strictly ascending positive integers.
     """
-    header = fh.readline().split()
-    if header[:1] == ["ptsc"]:
+    header = fh.readline()
+    if header.split()[:1] == ["ptsc"]:
         return _read_construction(header, fh).dense()
     import numpy as np
-    if len(header) != 5 or header[0] != "pts":
-        raise ValueError("points file must start with 'pts dim metric exponent k'")
-    dim = int(header[1])
-    if dim < 1:
-        raise ValueError(f"points file dimension must be positive, got {dim}")
-    metric = parse_metric(header[2])
-    exponent, k = int(header[3]), int(header[4])
-    labels, rows = [], []
-    for line in fh:
-        if not line.strip():
-            continue
-        lab, *rest = line.split()
-        labels.append(_parse_label(lab, len(labels) + 1, line))
-        vals = np.array(rest, dtype=np.float64)
-        if len(vals) != dim:
-            raise ValueError(f"row {len(labels)} {line.strip()!r} has {len(vals)} "
-                             f"coordinates, expected {dim}")
-        rows.append(vals)
+    dim, metric, exponent, k = parse_line(header, "pts", _dense_header)
+    rows = parse_lines(fh, "pts", lambda fields: _parse_row(fields, dim))
+    labels = [label for label, _ in rows]
     # labels of different sizes differ, so this is a check per role
     _check_distinct(labels, "row")
-    values = np.array(rows)
-    if not np.isfinite(values).all():
-        raise ValueError("points file holds a non-finite coordinate")
+    values = np.array([coords for _, coords in rows], dtype=np.float64)
     if (values == np.trunc(values)).all():
         if values.size and np.abs(values).max() >= 2.0 ** 63:
             raise ValueError("integral coordinates exceed the int64 range")
@@ -494,27 +477,41 @@ def read_points(fh):
         centers=None, center_labels=None, k=k, metric=metric, exponent=exponent)
 
 
-def _read_construction(header, fh):
-    """The SupportInstance a construction file describes, every field checked."""
+def _dense_header(fields):
+    if len(fields) != 5 or fields[0] != "pts":
+        raise ValueError("points file must start with 'pts dim metric exponent k'")
+    dim = int(fields[1])
+    if dim < 1:
+        raise ValueError(f"points file dimension must be positive, got {dim}")
+    return dim, parse_metric(fields[2]), int(fields[3]), int(fields[4])
+
+
+def _construction_header(fields):
+    # (construction, metric, kind or None, {field name: int}) of a 'ptsc' header
     usage = ("construction file must start with 'ptsc composed metric exponent k n q eta "
              "kind t s points centers' or 'ptsc indicator metric exponent k n points'")
-    fields = CONSTRUCTIONS.get(header[1]) if len(header) > 1 else None
-    if fields is None or len(header) != 5 + len(fields):
+    names = CONSTRUCTIONS.get(fields[1]) if len(fields) > 1 else None
+    if names is None or len(fields) != 5 + len(names):
         raise ValueError(usage)
-    metric = parse_metric(header[2])
-    spec = dict(zip(("exponent", "k", *fields), header[3:]))
+    metric = parse_metric(fields[2])
+    spec = dict(zip(("exponent", "k", *names), fields[3:]))
     kind = spec.pop("kind", None)
     if not all(v.isascii() and v.isdigit() for v in spec.values()):
         raise ValueError(f"{usage}; every field but metric and kind is a nonnegative integer")
-    spec = {name: int(v) for name, v in spec.items()}
-    labels = [_parse_label(line, row, line)
-              for row, line in enumerate(filter(str.strip, fh), 1)]
+    return fields[1], metric, kind, {name: int(v) for name, v in spec.items()}
+
+
+def _read_construction(header, fh):
+    """The SupportInstance a construction file describes, every field checked."""
+    construction, metric, kind, spec = parse_line(header, "ptsc", _construction_header)
+    # a construction row is a label without coordinates
+    labels = [label for label, _ in parse_lines(fh, "ptsc", lambda fields: _parse_row(fields, 0))]
     n, points = spec["n"], spec["points"]
     if len(labels) != points + spec.get("centers", 0):
         raise ValueError(f"header counts {points} points and {spec.get('centers', 0)} "
                          f"candidate centers, the file holds {len(labels)} rows")
     point_labels, center_labels = tuple(labels[:points]), tuple(labels[points:])
-    if header[1] == "indicator":
+    if construction == "indicator":
         _check_labels(point_labels, len(labels[0]) if labels else 0, n, "point")
         check_budget(len(labels) * n, REBUILD_BUDGET, "coordinates")
         return _indicator(n, point_labels, spec["k"], metric, spec["exponent"], {})
@@ -528,18 +525,29 @@ def _read_construction(header, fh):
                      spec["exponent"], {})
 
 
-def _parse_label(text, row, line):
-    """The label tuple of a comma-joined token; a refusal quotes the row."""
-    try:
-        return tuple(int(u) for u in text.split(","))
-    except ValueError:
-        raise ValueError(f"row {row} {line.strip()!r} is not a comma-joined label") from None
+def _parse_row(fields, dim):
+    """(label, coordinates) of a row of a label and `dim` finite float coordinates."""
+    label, *tokens = fields
+    if len(tokens) != dim:
+        raise ValueError(f"{len(tokens)} coordinates, expected {dim}")
+    coords = [float(c) for c in tokens]
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("non-finite coordinate")
+    return _parse_label(label), coords
+
+
+def _parse_label(text):
+    """The label tuple of a comma-joined token of strictly ascending positive integers."""
+    label = tuple(map(int, text.split(",")))
+    if label[0] < 1 or any(a >= b for a, b in zip(label, label[1:])):
+        raise ValueError(f"label {text} is not strictly ascending positive integers")
+    return label
 
 
 def _check_labels(labels, size, n, role):
+    # _parse_label made every label ascending and positive
     for label in labels:
-        if len(label) != size or label[0] < 1 or label[-1] > n \
-                or any(a >= b for a, b in zip(label, label[1:])):
+        if len(label) != size or label[-1] > n:
             raise ValueError(f"{role} label {','.join(map(str, label))} is not an "
                              f"ascending {size}-subset of [1, {n}]")
     _check_distinct(labels, role)

@@ -226,10 +226,8 @@ def test_criterion_10_hvc_pipeline():
     chk = completeness_cover_check(pcp, hg, {(1, "u"): 0, (2, "v"): 0})
     assert chk.all_hit and chk.weight == Fraction(1, 2)
 
-    verts = [(1, v, (1,)) for v in "abcdef"]
     triples = [("a", "b", "c"), ("a", "d", "e"), ("b", "d", "f"), ("c", "e", "f")]
     toy = WeightedHypergraph3(
-        vertices=tuple((v, Fraction(1, 6)) for v in verts),
         edges={frozenset((1, v, (1,)) for v in t): Fraction(1, 4) for t in triples},
         mode="exact")
     cover = {(1, "a", (1,)), (1, "f", (1,))}

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -286,12 +287,8 @@ def disjoint_pairs(k):
      ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
     ({"bad.pcp": "pcp 2\nlayer 1 2 u\nlayer 2 2 x\nlayer 0 2 v\nedge 1 2 u v 0 1\n"},
      ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
-    ({"bad.pcp": "pcp 2\nlayer 1\nlayer 2 2 v\n"},
-     ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
-    ({"bad.pcp": "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u\n"},
-     ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
-    ({"toy.pcp": TOY_PCP, "assign.txt": "1 u 1\n2 v\n"},
-     ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "out.whg3"]),
+    # a header naming 10^11 layers: refused after the last line, nothing allocated per layer
+    ({"bad.pcp": "pcp 99999999999\n"}, ["hvc-build", "-i", "bad.pcp", "-o", "out.whg3"]),
     *[({"inst.jc": "jc 4 3 2 2\n1 2 3\n1 2 4\n"},
        ["reduce", "-i", "inst.jc", "--mode", mode, "--metric", "l1", "--q", "5",
         "--eta", "1", "--exponent", exponent, "-o", "out.pts"])
@@ -316,8 +313,6 @@ def disjoint_pairs(k):
     ({"empty.pts": "pts 2 l1 1 1\n"}, ["cost", "-i", "empty.pts", "--center-coords", "0,0"]),
     ({"dup.pts": "pts 2 l1 1 1\n1,2 0 1\n1,2 0 1\n1 0 0\n"},
      ["brute-opt", "-i", "dup.pts", "--mode", "discrete"]),
-    ({"bare.pts": "pts 2 l1 1 1\n1,2\n1,3 1 0\n1 0 0\n"},
-     ["brute-opt", "-i", "bare.pts", "--mode", "discrete"]),
     ({"zero-dim.pts": "pts 0 l1 1 1\n1,2\n1\n"},
      ["brute-opt", "-i", "zero-dim.pts", "--mode", "discrete"]),
     *[({"zero.jc": "jc 6 3 2 2\n"},
@@ -330,20 +325,14 @@ def disjoint_pairs(k):
       "-o", "out.pts"]),
     ({"inst.jc": "jc 6 3 2 2\n1 2 6\n"},
      ["reduce", "-i", "inst.jc", "--mode", "discrete", "--q", "5", "--eta", "1", "-o", "out.pts"]),
-    ({"neg.whg3": "whg3\n-1/2 1:a:+ 1:b:+ 1:c:+\n"},
-     ["densify", "-i", "neg.whg3", "--b", "8", "--c", "10", "-o", "out.hg3"]),
     *[({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", f"--delta={delta}", "-o", "out.whg3"])
       for delta in ("inf", "-inf", "1e400")],
     *[({}, ["sdp-gap", "--n", "6", "--tol", tol]) for tol in ("nan", "inf", "-1")],
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "inf"]),
     # below -1 the sweep's k' is negative: refused before the certificate runs
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "-5"]),
-    *[({"bad.whg3": f"whg3\n{line}\n"},
-       ["densify", "-i", "bad.whg3", "--b", "8", "--c", "10", "-o", "out.hg3"])
-      for line in ("1/0 1:a:+ 1:b:+", "1/2 1:a", "1/2 1:a:+x")],
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
-        "pcp-layer-above-ell", "pcp-layer-zero", "pcp-short-layer-line",
-        "pcp-short-edge-line", "short-assignment-line",
+        "pcp-layer-above-ell", "pcp-layer-zero", "pcp-huge-ell",
         *[f"reduce-{mode}-exponent-{exponent}" for mode in ("discrete", "continuous")
           for exponent in ("0", "-3")], "reduce-continuous-l0-exponent-2",
         "points-exponent-negative",
@@ -351,12 +340,11 @@ def disjoint_pairs(k):
         "center-coords-too-long", "center-coords-too-short",
         *[f"points-{token}" for token in BAD_LP_TOKENS], "factors-p-inf", "factors-p-nan",
         "factors-p3-alpha-2", "factors-p3-alpha-nan", "points-header-only",
-        "points-duplicate-label", "points-label-only-row", "points-zero-dim",
+        "points-duplicate-label", "points-zero-dim",
         "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
-        "reduce-eta-without-q", "reduce-q-eta-below-n", "whg3-negative-weight",
+        "reduce-eta-without-q", "reduce-q-eta-below-n",
         "delta-inf", "delta-minus-inf", "delta-1e400", "sdp-tol-nan", "sdp-tol-inf",
-        "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1",
-        "whg3-zero-denominator", "whg3-short-vertex-token", "whg3-bad-cube-token"])
+        "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -364,16 +352,72 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     code, err = run_err(capsys, *argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    # the message names what it refuses: the whg3 line, the sdp-gap value, the points row
-    # or the duplicate label
-    assert argv[0] != "densify" or repr(files[argv[2]].splitlines()[1]) in err
+    # the message names what it refuses: the sdp-gap value or the duplicate label
     assert argv[0] != "sdp-gap" or argv[-1] in err
     assert "dup.pts" not in files or "duplicate row label 1,2" in err
-    assert "bare.pts" not in files or "row 1 '1,2' has 0 coordinates" in err
     # reduce and densify check every rule before they open their output: a refusal
     # leaves no file
     assert argv[0] not in ("reduce", "densify") \
         or not (tmp_path / argv[argv.index("-o") + 1]).exists()
+
+
+# each input format: the command that reads the file "in.<format>"
+READERS = {
+    "jc": ["reduce", "-i", "in.jc", "--mode", "continuous", "-o", "out.pts"],
+    "pcp": ["hvc-build", "-i", "in.pcp", "-o", "out.whg3"],
+    "whg3": ["densify", "-i", "in.whg3", "--b", "8", "--c", "10", "-o", "out.hg3"],
+    "pts": ["brute-opt", "-i", "in.pts", "--mode", "discrete"],
+    "ptsc": ["brute-opt", "-i", "in.ptsc", "--mode", "continuous"],
+    "asg": ["hvc-build", "-i", "toy.pcp", "--assignment", "in.asg", "-o", "out.whg3"],
+}
+PCP_TAIL = "layer 2 2 v\nedge 1 2 u v 0 1\n"
+PTSC_HEADER = "ptsc indicator l1 2 1 4 2\n"
+
+
+# (format, file text, the malformed line)
+@pytest.mark.parametrize("fmt, text, line", [
+    ("jc", "jc 4 3 2 2\n1 2 3\n1 2 y\n", "1 2 y"),
+    ("jc", "jc 4 3 2 2\n1 2 3\n1 2\n", "1 2"),
+    ("jc", "jc 4 3 2 x\n1 2 3\n", "jc 4 3 2 x"),
+    ("pcp", "pcp 2\nlayer 1 x u\n" + PCP_TAIL, "layer 1 x u"),
+    ("pcp", "pcp 2\nlayer 1\n" + PCP_TAIL, "layer 1"),
+    ("pcp", "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u\n", "edge 1 2 u"),
+    ("pcp", "pcp x\nlayer 1 2 u\n" + PCP_TAIL, "pcp x"),
+    ("whg3", "whg3\n1/2 1:a:+x\n", "1/2 1:a:+x"),
+    ("whg3", "whg3\n1/0 1:a:+ 1:b:+\n", "1/0 1:a:+ 1:b:+"),
+    ("whg3", "whg3\n-1/2 1:a:+ 1:b:+ 1:c:+\n", "-1/2 1:a:+ 1:b:+ 1:c:+"),
+    ("whg3", "whg3\n1/2 1:a\n", "1/2 1:a"),
+    ("whg3", "whg4\n1/2 1:a:+\n", "whg4"),
+    ("pts", "pts 2 l1 1 1\n1,2 0 z\n1 0 0\n", "1,2 0 z"),
+    ("pts", "pts 2 l1 1 1\n1,2\n1,3 1 0\n1 0 0\n", "1,2"),
+    ("pts", "pts 2 l1 1 x\n1,2 0 1\n1 0 0\n", "pts 2 l1 1 x"),
+    # one 2-set under two labels, and a label below 1
+    ("pts", "pts 2 l1 1 1\n1,2 0 1\n2,1 0 1\n1 0 0\n", "2,1 0 1"),
+    ("pts", "pts 2 l1 1 1\n0,-3 0 1\n1,3 0 1\n1 0 0\n", "0,-3 0 1"),
+    ("ptsc", PTSC_HEADER + "1,2,3\n1,x,4\n", "1,x,4"),
+    ("ptsc", PTSC_HEADER + "1,2,3\n1,\n", "1,"),
+    ("ptsc", "ptsc indicator l1 2 1 4 x\n1,2,3\n1,2,4\n", "ptsc indicator l1 2 1 4 x"),
+    ("ptsc", PTSC_HEADER + "1,2,3\n1,3,2\n", "1,3,2"),
+    ("asg", "1 u x\n2 v 1\n", "1 u x"),
+    ("asg", "1 u 1\n2 v\n", "2 v"),
+], ids=["jc-bad-token", "jc-short-line", "jc-bad-header", "pcp-bad-token",
+        "pcp-short-layer-line", "pcp-short-edge-line", "pcp-bad-header",
+        "whg3-bad-cube-token", "whg3-zero-denominator", "whg3-negative-weight",
+        "whg3-short-vertex-token", "whg3-bad-header", "pts-bad-token", "pts-label-only-row",
+        "pts-bad-header", "pts-descending-label", "pts-nonpositive-label", "ptsc-bad-token",
+        "ptsc-short-line", "ptsc-bad-header", "ptsc-descending-label", "asg-bad-token",
+        "asg-short-line"])
+def test_malformed_line_exits_2_quoting_it(tmp_path, monkeypatch, capsys, fmt, text, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.pcp").write_text(TOY_PCP)
+    (tmp_path / f"in.{fmt}").write_text(text)
+    argv = READERS[fmt]
+    code, err = run_err(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert repr(line) in err
+    # every line is read before the output opens: a refusal leaves no file
+    assert "-o" not in argv or not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -401,6 +445,49 @@ def test_budget_refusal_exits_3(tmp_path, monkeypatch, capsys, files, argv):
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
     assert "-o" not in argv or not (tmp_path / argv[argv.index("-o") + 1]).exists()
+
+
+@pytest.mark.parametrize("files, argv", [
+    # C(100000, 2) candidate pairs, two at a time
+    ({"big.jc": "jc 100000 3 2 2\n1 2 3\n"}, ["solve-jc", "-i", "big.jc"]),
+    ({"big.jc": "jc 3000 3 2 1\n1 2 3\n"}, ["solve-jc", "-i", "big.jc", "--budget", "10"]),
+    # one collection (k = 0, k >= C(n, y)) of too many candidates
+    ({"big.jc": "jc 4000 3 2 0\n1 2 3\n"}, ["solve-jc", "-i", "big.jc"]),
+    ({"big.jc": "jc 10 3 2 45\n1 2 3\n"}, ["solve-jc", "-i", "big.jc", "--budget", "10"]),
+    # 1 + C(4000, 2) label lines
+    ({"big.jc": "jc 4000 3 2 1\n1 2 3\n"},
+     ["reduce", "-i", "big.jc", "--mode", "discrete", "--q", "11", "--eta", "4",
+      "-o", "out.pts"]),
+    ({}, ["gen-jc", "--kind", "complete", "--n", "60", "--z", "6", "--y", "2", "--k", "1",
+          "-o", "out.jc"]),
+    ({}, ["gen-jc", "--kind", "random", "--n", "100", "--z", "50", "--y", "2", "--k", "1",
+          "--m", "6000000", "-o", "out.jc"]),
+], ids=["brute-collections", "brute-collections-budget-10", "brute-candidates-k0",
+        "brute-candidates-k-above", "reduce-lines", "gen-jc-complete", "gen-jc-random"])
+def test_count_refusal_exits_3_in_small_memory(tmp_path, monkeypatch, capsys, files, argv):
+    # refused from counts alone, before any candidate, label or edge is built
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    tracemalloc.start()
+    try:
+        code, err = run_err(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 2 ** 20
+    assert len(err.splitlines()) == 1 and err.startswith("budget exceeded: ")
+    assert "-o" not in argv or not (tmp_path / argv[argv.index("-o") + 1]).exists()
+
+
+def test_random_instance_needs_fewer_than_2_63_subsets(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen-jc", "--kind", "random", "--z", "33", "--y", "2", "--k", "1", "--m", "3"]
+    # C(66, 33) < 2^63 <= C(67, 33)
+    code, _ = run(capsys, *argv, "--n", "66", "-o", "ok.jc")
+    assert code == 0 and len((tmp_path / "ok.jc").read_text().splitlines()) == 4
+    code, err = run_err(capsys, *argv, "--n", "67", "-o", "out.jc")
+    assert code == 2 and "2^63" in err and not (tmp_path / "out.jc").exists()
 
 
 def test_fpt_runs_every_branching_level(tmp_path, monkeypatch, capsys):

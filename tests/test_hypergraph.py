@@ -15,7 +15,7 @@ from jchlab import (
     write_simple_hypergraph,
 )
 from jchlab import hypergraph
-from jchlab.hypergraph import vertex_token
+from jchlab.hypergraph import vertex_token, vertex_weight_total
 
 SINGLETON = LayeredPcp(layers=(("a",), ("b",)), alphabets=(1, 1),
                        edges=((1, 2, "a", "b", (0,)),))
@@ -63,7 +63,7 @@ def test_singleton_exact_weights():
     assert w[tuple(sorted((a_neg, b_pos), key=repr))] == Fraction(1, 4)
     assert w[tuple(sorted((a_pos, b_neg, b_pos), key=repr))] == Fraction(1, 2)
     assert hg.edge_weight_total() == 1
-    assert hg.vertex_weight_total() == 1
+    assert vertex_weight_total(SINGLETON) == 1
 
 
 def test_exact_weights_sum_to_one_general():
@@ -121,10 +121,7 @@ def test_completeness_cover_violating():
 
 
 def test_completeness_cover_vacuous_on_empty_edges():
-    hg = WeightedHypergraph3(
-        vertices=tuple(((1, "a", (s,)), Fraction(1, 4)) for s in (1, -1))
-        + tuple(((2, "b", (s,)), Fraction(1, 4)) for s in (1, -1)),
-        edges={}, mode="exact")
+    hg = WeightedHypergraph3(edges={}, mode="exact")
     chk = completeness_cover_check(SINGLETON, hg, {(1, "a"): 0, (2, "b"): 0})
     assert chk.all_hit and chk.weight == Fraction(1, 2)
 
@@ -138,11 +135,9 @@ def test_cover_check_validates_assignment():
 
 
 def four_edge_graph():
-    verts = [(1, v, (1,)) for v in "abcdef"]
     triples = [("a", "b", "c"), ("a", "d", "e"), ("b", "d", "f"), ("c", "e", "f")]
     edges = {frozenset((1, v, (1,)) for v in t): Fraction(1, 4) for t in triples}
-    return WeightedHypergraph3(vertices=tuple((v, Fraction(1, 6)) for v in verts),
-                               edges=edges, mode="exact")
+    return WeightedHypergraph3(edges=edges, mode="exact")
 
 
 def edge_sets(dense):
@@ -217,7 +212,7 @@ def test_hypergraph_file_roundtrip():
 
 
 def test_negative_weight_refused():
-    with pytest.raises(ValueError, match=r"'-1/2 1:a:\+ 1:b:\+' has a negative weight"):
+    with pytest.raises(ValueError, match=r"whg3 line '-1/2 1:a:\+ 1:b:\+': negative weight"):
         read_weighted_hypergraph(io.StringIO("whg3\n-1/2 1:a:+ 1:b:+\n"))
 
 
@@ -338,7 +333,7 @@ DENSIFY_BS = [1, 2, 3, 8, 1000, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3, 2 **
 
 def check_densify_against_loop(b):
     # edges of 0 to 3 vertices, as a whg3 file may hold
-    mixed = WeightedHypergraph3(vertices=(), mode="file", edges={
+    mixed = WeightedHypergraph3(mode="file", edges={
         frozenset(): Fraction(1, 5), frozenset({(1, "a", (1,))}): Fraction(1, 5),
         frozenset({(1, "a", (-1,)), (2, "b", (1,))}): Fraction(2, 5),
         frozenset({(1, "a", (1,)), (2, "b", (1,)), (2, "b", (-1,))}): Fraction(1, 5)})
