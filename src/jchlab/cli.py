@@ -174,17 +174,18 @@ def cmd_reduce(args):
 
 
 def cmd_cost(args):
-    from . import reduction     # before numpy: its import transient then adds less to peak RSS
-    import numpy as np
+    from . import reduction
     with open(args.input) as fh:
         ci = reduction.read_points(fh)
+    if args.center_coords:      # explicit vectors are scored against the arrays
+        ci = ci.dense()
     chosen = []
     if args.centers:
         labels = [tuple(int(x) for x in item.split(",")) for item in args.centers]
         chosen.extend(reduction.centers_by_labels(ci, labels))
     for item in args.center_coords or []:
-        center = np.array([float(x) for x in item.split(",")])
-        if len(center) != ci.dim or not np.isfinite(center).all():
+        center = [float(x) for x in item.split(",")]
+        if len(center) != ci.dim or not all(map(math.isfinite, center)):
             raise ValueError(f"center {item!r} needs {ci.dim} finite coordinates")
         chosen.append(center)
     bd = reduction.clustering_cost(ci, chosen)
@@ -226,10 +227,20 @@ def cmd_sdp_gap(args):
     return recs
 
 
-def _assignment_entry(fields):
-    if len(fields) != 3:
-        raise ValueError("expected 'layer vertex symbol'")
-    return (int(fields[0]), fields[1]), int(fields[2])
+def _read_assignment(fh):
+    # (layer, vertex) -> symbol, one line each
+    assignment = {}
+
+    def parse(fields):
+        if len(fields) != 3:
+            raise ValueError("expected 'layer vertex symbol'")
+        key = int(fields[0]), fields[1]
+        if key in assignment:
+            raise ValueError(f"second line for layer {key[0]} vertex {key[1]}")
+        assignment[key] = int(fields[2])
+
+    errors.parse_lines(fh, "assignment", parse)
+    return assignment
 
 
 def cmd_hvc_build(args):
@@ -237,7 +248,7 @@ def cmd_hvc_build(args):
         pcp = hypergraph.read_pcp(fh)
     if args.assignment:
         with open(args.assignment) as fh:
-            assignment = dict(errors.parse_lines(fh, "assignment", _assignment_entry))
+            assignment = _read_assignment(fh)
     delta = _fraction(args.delta if "/" in args.delta else float(args.delta))
     hg = hypergraph.build_weighted_hypergraph(
         pcp, delta, mode=args.mode, samples=args.samples, seed=args.seed,

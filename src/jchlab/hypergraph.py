@@ -389,6 +389,8 @@ def read_pcp(fh):
             idx = int(parts[1])
             if not 1 <= idx <= ell:
                 raise ValueError(f"layer index {idx} outside 1..{ell}")
+            if idx in layers:
+                raise ValueError(f"second line for layer {idx}")
             layers[idx] = (int(parts[2]), tuple(parts[3:]))
         elif parts[0] == "edge":
             i, j = int(parts[1]), int(parts[2])

@@ -1,5 +1,6 @@
 """The l_p metrics and their tokens.  No numpy import: row distances use only
-the operators and methods of the numpy rows they are given.
+the operators and methods of the numpy rows they are given, and the distance
+of two 0/1 rows follows from the count of coordinates where they differ.
 """
 
 import math
@@ -17,6 +18,8 @@ class Metric:
     correctly rounded (math.fsum), so independent of coordinate order, on
     the others; numpy rows are compared through distance, and a cluster's
     continuous center comes from the rule centers holds for the cost exponent.
+    Two 0/1 rows differing in h coordinates sit at hamming(h), the value and
+    type distance gives them, with no row built.
     """
     token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
     root: object       # 1 on l0 and l1, else p
@@ -24,6 +27,7 @@ class Metric:
     exponent: int      # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
     distance: object = field(compare=False, repr=False)   # (row, row) -> distance
     pair_pow: object = field(compare=False, repr=False)   # (seq, seq) -> sum |a-b|^root
+    hamming: object = field(compare=False, repr=False)    # h -> distance of 0/1 rows
     # cost exponent -> (points) -> (center, cost); none on lp
     centers: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -42,12 +46,12 @@ def _geometry(name):
 
 
 METRICS = {m.token: m for m in (
-    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), _sum_abs,
+    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), _sum_abs, int,
            {1: _geometry("binary_median_center")}),
-    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs,
+    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs, int,
            {1: _geometry("median_center"), 2: _geometry("l1sq_center_heuristic")}),
     Metric("l2", 2, False, 2, lambda u, v: math.sqrt(float(((u - v) ** 2).sum())),
-           lambda u, v: math.fsum(d * d for d in map(sub, u, v)),
+           lambda u, v: math.fsum(d * d for d in map(sub, u, v)), math.sqrt,
            {1: _geometry("weiszfeld_geometric_median"), 2: _geometry("centroid")}),
 )}
 
@@ -61,7 +65,8 @@ def lp_metric(p):
     return Metric(
         f"lp{p}", p, exact, 1,
         lambda u, v: float((abs(u - v).astype(float) ** p).sum() ** (1.0 / p)),
-        lambda u, v: total(d ** p for d in map(abs, map(sub, u, v))))
+        lambda u, v: total(d ** p for d in map(abs, map(sub, u, v))),
+        lambda h: float(h) ** (1.0 / p))
 
 
 def parse_metric(token):

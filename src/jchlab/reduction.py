@@ -11,8 +11,9 @@ Both constructions first describe every row by its support, the coordinates
 holding the `on` entry (SupportInstance).  Since the code, the realization
 and a row's label fix the row, `reduce` writes a construction file: the
 parameters and the labels, no coordinates (write_construction).  read_points
-rebuilds the rows from it through the same functions; only the arrays load
-numpy.
+rebuilds the supports from it through the same functions.  The cost oracles
+score 0/1 rows straight from their supports, with no array and no numpy; the
+other realizations, continuous centers and dense files use numpy arrays.
 """
 
 import math
@@ -60,14 +61,25 @@ class ClusteringInstance:
     def dim(self):
         return self.points.shape[1]
 
+    def dense(self):
+        """The instance itself: its rows are arrays already."""
+        return self
+
 
 @dataclass(frozen=True)
 class SupportRows:
     """Rows sharing one (off, on) entry pair: row `label` is off everywhere
-    except at the ascending coordinates support(label), which hold on."""
+    except at the ascending coordinates support(label), which hold on.  As a
+    sequence it holds the supports in label order."""
     labels: tuple
     entries: tuple      # (off, on)
     support: object     # label -> ascending list of coordinates
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        return self.support(self.labels[i])
 
 
 @dataclass
@@ -76,8 +88,10 @@ class SupportInstance:
 
     construction holds what rebuilds the rows, ("composed", n, q, eta, kind,
     t, s) or ("indicator", n): write_construction writes it with the metric,
-    the exponent, k and the labels.  dense() fills the arrays of the equal
-    ClusteringInstance, int8 when every entry is an int, else float64.
+    the exponent, k and the labels.  Like a ClusteringInstance it has
+    point_labels and center_labels, and its points and centers are sequences
+    of rows, here supports.  dense() fills the arrays of the equal
+    ClusteringInstance.
     """
     dim: int
     points: SupportRows
@@ -98,25 +112,39 @@ class SupportInstance:
         return (self.points,) if self.centers is None else (self.points, self.centers)
 
     @property
+    def point_labels(self):
+        return self.points.labels
+
+    @property
+    def center_labels(self):
+        return None if self.centers is None else self.centers.labels
+
+    @property
     def integral(self):
         return all(type(e) is int for rows in self.groups for e in rows.entries)
 
-    def dense(self):
+    @property
+    def binary(self):
+        """Every entry is the int 0 or 1."""
+        return self.integral and all(rows.entries == (0, 1) for rows in self.groups)
+
+    def fill(self, rows, supports):
+        """The array of the given supports of rows (points or centers): int8
+        when every entry of the instance is an int, else float64."""
         import numpy as np
-        dtype = np.int8 if self.integral else np.float64
+        off, on = rows.entries
+        out = np.full((len(supports), self.dim), off,
+                      dtype=np.int8 if self.integral else np.float64)
+        for i, support in enumerate(supports):
+            out[i, support] = on
+        return out
 
-        def fill(rows):
-            off, on = rows.entries
-            out = np.full((len(rows.labels), self.dim), off, dtype=dtype)
-            for i, label in enumerate(rows.labels):
-                out[i, rows.support(label)] = on
-            return out
-
+    def dense(self):
         centers = self.centers
         return ClusteringInstance(
-            points=fill(self.points), point_labels=self.points.labels,
-            centers=None if centers is None else fill(centers),
-            center_labels=None if centers is None else centers.labels,
+            points=self.fill(self.points, self.points), point_labels=self.point_labels,
+            centers=None if centers is None else self.fill(centers, centers),
+            center_labels=self.center_labels,
             k=self.k, metric=self.metric, exponent=self.exponent, meta=self.meta)
 
 
@@ -277,10 +305,25 @@ def clustering_cost(ci, chosen):
 
 
 def _distance_table(ci, centers):
-    """Rows of Python-number distances, one row per point, one entry per center."""
+    """Rows of Python-number distances, one row per point, one entry per center.
+
+    The rows of a SupportInstance are supports.  On 0/1 rows, a point and a
+    center differing in h = |S_p| + |S_c| - 2|S_p & S_c| coordinates sit at
+    metric.hamming(h), the distance of their dense rows, and no array is
+    built; other support rows are filled into arrays first.
+    """
+    points = ci.points
+    if isinstance(ci, SupportInstance):
+        if ci.binary:
+            dist, sized = ci.metric.hamming, [(len(c), c) for c in centers]
+            table = []
+            for p in map(set, points):
+                table.append([dist(len(p) + n - 2 * len(p.intersection(c)))
+                              for n, c in sized])
+            return table
+        points, centers = ci.fill(points, points), ci.fill(ci.centers, centers)
     from .geometry import pointwise_distance
-    return [[pointwise_distance(pt, c, ci.metric) for c in centers]
-            for pt in ci.points]
+    return [[pointwise_distance(pt, c, ci.metric) for c in centers] for pt in points]
 
 
 def _assign(table, cols, exponent):
@@ -308,7 +351,8 @@ def _at_distance(d, base):
 
 
 def centers_by_labels(ci, labels):
-    """Rows of the candidate-center matrix selected by source-set label."""
+    """The candidate-center rows (supports, on a SupportInstance) of the
+    given source-set labels."""
     if ci.centers is None:
         raise ValueError("instance has no candidate centers")
     index = {lab: i for i, lab in enumerate(ci.center_labels)}
@@ -375,6 +419,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
         return tuple(ci.center_labels[i] for i in best_idx), best_cost
     if mode == "continuous":
         from .geometry import best_center_continuous
+        ci = ci.dense()
         m = len(ci.points)
         check_budget(_partition_count_upto(m, ci.k), budget, "partitions")
         block_cost = {}   # blocks recur across partitions; solve each once
@@ -438,10 +483,10 @@ def read_points(fh):
     """Rebuild an instance from a construction file or a dense points file.
 
     A construction file (write_construction) states how many rows are points
-    and how many candidate centers, and its rows are rebuilt from the code,
-    the realization and the labels by the functions `reduce` runs, so they
-    equal the dense rows of the same instance, as int8 when every entry is
-    an int, else float64.  A dense file ('pts dim metric exponent k', one
+    and how many candidate centers, and it reads back as the SupportInstance
+    `reduce` built: its supports are rebuilt from the code, the realization
+    and the labels by the same functions, and no row is filled in (dense()
+    gives the arrays).  A dense file ('pts dim metric exponent k', one
     labeled vector per line) classifies rows by label size: with two sizes
     present, the smaller labels are candidate centers (y < z always).  Its
     coordinates must be finite; they load as int64 when every one is
@@ -450,7 +495,7 @@ def read_points(fh):
     """
     header = fh.readline()
     if header.split()[:1] == ["ptsc"]:
-        return _read_construction(header, fh).dense()
+        return _read_construction(header, fh)
     import numpy as np
     dim, metric, exponent, k = parse_line(header, "pts", _dense_header)
     rows = parse_lines(fh, "pts", lambda fields: _parse_row(fields, dim))

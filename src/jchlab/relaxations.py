@@ -15,11 +15,10 @@ uncovered = 0) and the report says so.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from .coverage import DEFAULT_BUDGET, cover_masks, gen_instance, max_union_search
 from .errors import BudgetExceededError, CertificationError, check_comb_budget
@@ -72,14 +71,14 @@ class SdpSolution:
     no per-point data is stored.
     A coefficient is r*sqrt(k): the *_exact tuples hold the Fractions r, and
     k is 1 on coordinate 0, t+1 on every w and t-1 on every w'.  v0, u and v
-    hold the coefficients as floats.
+    hold the coefficients as doubles, in memoryviews of arrays.
     """
 
     inst: CliqueGapInstance
     t: int
-    v0: np.ndarray               # (1,): coordinate 0
-    u: np.ndarray                # (3,): coordinate 0, w_e, w'_e
-    v: np.ndarray                # (3,): coordinate 0, w_e, each other w_f
+    v0: memoryview               # (1,): coordinate 0
+    u: memoryview                # (3,): coordinate 0, w_e, w'_e
+    v: memoryview                # (3,): coordinate 0, w_e, each other w_f
     v0_exact: tuple
     u_exact: tuple
     v_exact: tuple
@@ -98,7 +97,8 @@ def build_sdp_solution(inst, t=5):
     v0 = (Fraction(1),)
     u = (Fraction(1, t), Fraction(t - 1, t ** 2), Fraction(1, t ** 2))
     v = (Fraction(1, t + 1), Fraction(t, (t + 1) ** 2), Fraction(-1, (t + 1) ** 2))
-    floats = (np.array([r.numerator * math.sqrt(k) / r.denominator for r, k in zip(c, ks)])
+    floats = (memoryview(array("d", [r.numerator * math.sqrt(k) / r.denominator
+                                     for r, k in zip(c, ks)]))
               for c, ks in ((v0, (1,)), (u, (1, t + 1, t - 1)), (v, (1, t + 1, t + 1))))
     return SdpSolution(inst, t, *floats, v0_exact=v0, u_exact=u, v_exact=v)
 

@@ -383,6 +383,9 @@ PTSC_HEADER = "ptsc indicator l1 2 1 4 2\n"
     ("pcp", "pcp 2\nlayer 1\n" + PCP_TAIL, "layer 1"),
     ("pcp", "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u\n", "edge 1 2 u"),
     ("pcp", "pcp x\nlayer 1 2 u\n" + PCP_TAIL, "pcp x"),
+    # a second line for layer 1 would drop vertex u
+    ("pcp", "pcp 2\nlayer 1 2 u\nlayer 1 2 w\nlayer 2 2 v\nedge 1 2 w v 0 1\n",
+     "layer 1 2 w"),
     ("whg3", "whg3\n1/2 1:a:+x\n", "1/2 1:a:+x"),
     ("whg3", "whg3\n1/0 1:a:+ 1:b:+\n", "1/0 1:a:+ 1:b:+"),
     ("whg3", "whg3\n-1/2 1:a:+ 1:b:+ 1:c:+\n", "-1/2 1:a:+ 1:b:+ 1:c:+"),
@@ -400,13 +403,15 @@ PTSC_HEADER = "ptsc indicator l1 2 1 4 2\n"
     ("ptsc", PTSC_HEADER + "1,2,3\n1,3,2\n", "1,3,2"),
     ("asg", "1 u x\n2 v 1\n", "1 u x"),
     ("asg", "1 u 1\n2 v\n", "2 v"),
+    # a second symbol for vertex u of layer 1
+    ("asg", "1 u 0\n1 u 1\n2 v 1\n", "1 u 1"),
 ], ids=["jc-bad-token", "jc-short-line", "jc-bad-header", "pcp-bad-token",
-        "pcp-short-layer-line", "pcp-short-edge-line", "pcp-bad-header",
+        "pcp-short-layer-line", "pcp-short-edge-line", "pcp-bad-header", "pcp-repeated-layer",
         "whg3-bad-cube-token", "whg3-zero-denominator", "whg3-negative-weight",
         "whg3-short-vertex-token", "whg3-bad-header", "pts-bad-token", "pts-label-only-row",
         "pts-bad-header", "pts-descending-label", "pts-nonpositive-label", "ptsc-bad-token",
         "ptsc-short-line", "ptsc-bad-header", "ptsc-descending-label", "asg-bad-token",
-        "asg-short-line"])
+        "asg-short-line", "asg-repeated-vertex"])
 def test_malformed_line_exits_2_quoting_it(tmp_path, monkeypatch, capsys, fmt, text, line):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "toy.pcp").write_text(TOY_PCP)
@@ -609,7 +614,7 @@ def test_reduce_discrete_exponent(tmp_path, monkeypatch, capsys):
     assert code == 0
     rec = json.loads(out.splitlines()[1])
     with open("means.pts") as fh:
-        ci = read_points(fh)
+        ci = read_points(fh).dense()
     l1 = parse_metric("l1")
     best = min(sum(min(pointwise_distance(pt, ci.centers[i], l1) for i in idx) ** 2
                    for pt in ci.points)

@@ -1,5 +1,8 @@
 """Start-up guard: commands that build no array never load numpy, and the
 package's lazy exports resolve to the objects of their defining modules.
+cost and brute-opt score 0/1 construction files from their supports, so they
+run without numpy on every file `reduce --mode discrete` writes on l0 and l1
+and on lp indicator files.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every layer.
@@ -11,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from jchlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,6 +53,11 @@ TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
 # an edge of three vertices and one of two
 TOY_WHG3 = "whg3\n1/4 1:u:++ 2:v:+- 2:v:--\n3/4 1:u:-+ 2:v:++\n"
 
+# 0/1 construction files: name -> the instance and metric `reduce --mode discrete` is given;
+# lp with y = 1 < z - 1 takes indicator vectors
+DISCRETE = {"l0": ("inst.jc", "l0"), "l1": ("inst.jc", "l1"), "lp3": ("star.jc", "lp", "--p", "3")}
+CENTERS = {"l0": ["1,2", "3,4"], "l1": ["1,2", "3,4"], "lp3": ["1", "2"]}
+
 # run one command, then print whether numpy was loaded as the last line
 PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
          "print('numpy' in sys.modules); sys.exit(code)")
@@ -67,6 +77,10 @@ def workdir(tmp_path_factory):
     (path / "toy.pcp").write_text(TOY_PCP)
     (path / "assign.txt").write_text("1 u 1\n2 v 1\n")
     (path / "toy.whg3").write_text(TOY_WHG3)
+    (path / "star.jc").write_text("jc 5 3 1 2\n1 2 3\n1 2 4\n1 3 5\n2 4 5\n")
+    for name, (jc, *metric) in DISCRETE.items():
+        assert main(["reduce", "-i", str(path / jc), "--mode", "discrete", "--metric", *metric,
+                     "--q", "5", "-o", str(path / f"{name}.pts")]) == 0
     return path
 
 
@@ -91,6 +105,9 @@ def workdir(tmp_path_factory):
      "-o", "mc.whg3"],
     ["hvc-build", "-i", "toy.pcp", "--assignment", "assign.txt", "-o", "cover.whg3"],
     ["densify", "-i", "toy.whg3", "--b", "8", "--c", "181", "--seed", "1", "-o", "toy.hg3"],
+    ["sdp-gap", "--n", "6"],
+    *[["cost", "-i", f"{name}.pts", "--centers", *CENTERS[name]] for name in DISCRETE],
+    *[["brute-opt", "-i", f"{name}.pts", "--mode", "discrete"] for name in DISCRETE],
 ], ids=" ".join)
 def test_command_runs_without_numpy(workdir, argv):
     proc = fresh_python(workdir, "-c", PROBE, *argv)

@@ -507,7 +507,8 @@ def assert_same_files(si, argvs, tmp_path, monkeypatch, capsys):
     and cost and brute-opt print the same bytes on both files."""
     text, dense = construction_text(si), dense_text(si.dense())
     assert len(text.splitlines()) == 1 + sum(len(rows.labels) for rows in si.groups)
-    assert_same_instance(read_points(io.StringIO(text)), read_points(io.StringIO(dense)))
+    assert_same_instance(read_points(io.StringIO(text)).dense(),
+                         read_points(io.StringIO(dense)))
     got = cli_stdout(tmp_path, monkeypatch, capsys, "construction", text, argvs)
     want = cli_stdout(tmp_path, monkeypatch, capsys, "dense", dense, argvs)
     assert got == want and all(code == 0 for code, _ in got)
@@ -554,13 +555,52 @@ def test_construction_file_reads_back_to_the_built_arrays(make, dtype, tmp_path,
     real, code = make(), RsCode(7, 2)
     inst = gen_instance("random", 9, real.t, real.s, 2, m=8, seed=4)
     si = composed_supports(inst, code, real, centers_from_edges=True)
-    back = read_points(io.StringIO(construction_text(si)))
+    back = read_points(io.StringIO(construction_text(si))).dense()
     ci = build_discrete_instance(inst, code, real, centers_from_edges=True)
     assert back.points.dtype == ci.points.dtype == dtype and back.meta == {}
     assert np.array_equal(back.points, ci.points) and np.array_equal(back.centers, ci.centers)
     argvs = [["cost", "--centers", *(",".join(map(str, c)) for c in si.centers.labels[:2])],
              ["brute-opt", "--mode", "discrete"]]
     assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
+
+
+# 0/1 realizations; l2 has none with candidate centers, so its metric is put on l1's rows
+BINARY_REALIZATIONS = {
+    "l0": lambda: embed_l0(5, 3, 2), "l1": lambda: embed_l1(5, 3, 2),
+    "lp3-indicator": lambda: embed_indicator_lp(5, 3, 2, 3),
+    "lp1-indicator": lambda: embed_indicator_lp(5, 3, 2, 1),
+    "l2-on-0/1": lambda: dataclasses.replace(embed_l1(5, 3, 2), metric=parse_metric("l2")),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, None], ids=["random-1", "random-2", "complete-ties"])
+@pytest.mark.parametrize("kind", list(BINARY_REALIZATIONS))
+def test_support_table_matches_dense_rows(kind, seed):
+    # the oracle: pointwise_distance on the dense rows, entry by entry, type included
+    code, real = RsCode(5, 2), BINARY_REALIZATIONS[kind]()
+    if seed is None:
+        inst = gen_instance("complete", 6, 3, 2, 2)
+    else:
+        inst = gen_instance("random", 9, 3, 2, 2, m=8, seed=seed)
+    assert collisions(inst, code) > 0      # the padded blocks are exercised
+    si = composed_supports(inst, code, real)
+    assert si.binary
+    ci = si.dense()
+    for j, center in enumerate(si.centers):
+        per_point = clustering_cost(si, [center]).per_point
+        want = [pointwise_distance(pt, ci.centers[j], ci.metric) for pt in ci.points]
+        assert [(type(d), d) for _, _, d in per_point] == [(type(d), d) for d in want]
+    chosen = [si.centers.labels[0], si.centers.labels[-1]]
+    assert clustering_cost(si, centers_by_labels(si, chosen)) == \
+        clustering_cost(ci, centers_by_labels(ci, chosen))
+    witness, cost = want = brute_force_optimal_cost(ci, "discrete")
+    got = brute_force_optimal_cost(si, "discrete")
+    assert got == want and type(got[1]) is type(cost)
+    if seed is None:    # several subsets reach the optimum: the first in lex order is kept
+        subsets = list(combinations(range(len(ci.centers)), ci.k))
+        costs = [clustering_cost(ci, [ci.centers[i] for i in idx]).total for idx in subsets]
+        assert costs.count(cost) > 1
+        assert witness == tuple(ci.center_labels[i] for i in subsets[costs.index(cost)])
 
 
 def test_write_supports_memory_stays_small(tmp_path, monkeypatch, capsys):
