@@ -11,7 +11,7 @@ import numpy as np
 
 from jchlab import (
     RsCode, gen_instance, embed_l1,
-    build_discrete_instance, build_continuous_indicator_instance,
+    build_discrete_instance, build_continuous_indicator_instance, composed_supports,
     clustering_cost, centers_by_labels, brute_force_optimal_cost,
     soundness_floor, meets_soundness_floor,
     best_center_continuous, kmeans_partition_cost,
@@ -38,7 +38,8 @@ print(f"exhaustive optimum: {opt_witness} at cost {opt_cost}")
 
 # A large field makes the uncovered floor exceed the base distance, so a bad
 # center set provably pays more.  q = 2917 is the smallest prime that works.
-big = build_discrete_instance(inst, RsCode(2917, 1), embed_l1(2917, 3, 2))
+# Its rows have 2917^2 coordinates; held as supports, none is built.
+big = composed_supports(inst, RsCode(2917, 1), embed_l1(2917, 3, 2))
 bad = centers_by_labels(big, [(1, 2), (1, 3)])
 bd = clustering_cost(big, bad)
 print(f"\nq=2917: base {big.meta['base_distance']}, "

@@ -7,12 +7,14 @@ builds it from the parsed options, every option of the command except
 (formula / brute-force / exhaustive / sampled / heuristic).  Exit status:
 0 success or certified, 1 certification failure, 2 usage or validation
 error, 3 search-space budget exceeded (errors.check_budget, before any
-search runs).
+search runs), 141 stdout closed by its reader (128 + SIGPIPE, as a shell
+reports a process that signal ended).
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -453,7 +455,15 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit([config, *records], args.format)
+    try:
+        emit([config, *records], args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # write nothing more: what is still buffered goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -1,7 +1,8 @@
 """Continuous center computations and pairwise cost identities.
 
 Everything operates on numpy arrays of shape (m, d).  Integer inputs keep
-integer costs on the l1/l0 paths; the Euclidean paths use floats.  The
+integer costs on the l1/l0 paths; the Euclidean center rules use floats.
+pow_sums, the distance table of dense rows, is exact on every int root.  The
 separated-points center bound is certified exactly, in Fractions, from the
 uniform-weight dual of the enclosing-ball problem.
 """
@@ -27,6 +28,57 @@ def as_points(points):
 def pointwise_distance(u, v, metric):
     """Distance between two rows under a Metric."""
     return metric.distance(np.asarray(u), np.asarray(v))
+
+
+def pow_sums(points, centers, metric):
+    """The pow sum (Metric.coord summed over the coordinates) of every point
+    row against every center row, one list per point.
+
+    On an int root the sums are exact: ints when both rows are integer
+    arrays (added in int64 when no sum can overflow it), else Fractions,
+    every float read as the dyadic rational it holds.  On any other root
+    each sum is rounded once (Metric.pair_pow).  Rows held as supports give
+    the same values and types (reduction._distance_table).
+    """
+    pts = as_points(points)
+    if not isinstance(metric.root, int):
+        rows = [np.asarray(c).tolist() for c in centers]
+        return [[metric.pair_pow(p, c) for c in rows] for p in pts.tolist()]
+    columns, dyadic = [], None      # dyadic: pts as (ints, k), once a float row needs it
+    for c in map(np.asarray, centers):
+        if pts.dtype.kind in "iub" and c.dtype.kind in "iub":
+            columns.append(_int_pow_sums(pts, c, metric))
+            continue
+        dyadic = dyadic or _dyadic(pts)
+        (p, kp), (q, kq) = dyadic, _dyadic(c)
+        k = max(kp, kq)
+        sums = metric.coord((p << (k - kp)) - (q << (k - kq))).sum(axis=1).tolist()
+        # every term scales by coord(2^k): 2^(k*root), or 1 on l0
+        unit = int(metric.coord(1 << k))
+        columns.append([Fraction(int(s), unit) for s in sums])
+    return [list(row) for row in zip(*columns)]
+
+
+def _int_pow_sums(pts, c, metric):
+    # each difference and term in the narrowest int type that holds it, each sum in
+    # int64, or Python ints in object arrays where a sum could overflow int64
+    big = max(-int(pts.min()), int(pts.max())) + max(-int(c.min()), int(c.max()))
+    top = int(metric.coord(big))
+    if top * pts.shape[1] < 2 ** 63:
+        dtype, total = np.min_scalar_type(-max(big, top)), np.int64
+    else:
+        dtype, total = object, None
+    terms = metric.coord(pts.astype(dtype, copy=False) - c.astype(dtype, copy=False))
+    return [int(s) for s in terms.sum(axis=1, dtype=total)]
+
+
+def _dyadic(values):
+    """(ints, k) with values == ints / 2^k exactly, ints an object array of
+    Python ints: a float is a dyadic rational."""
+    ratios = [x.as_integer_ratio() for x in values.ravel().tolist()]
+    k = max(d.bit_length() for _, d in ratios) - 1
+    ints = [n << (k + 1 - d.bit_length()) for n, d in ratios]
+    return np.array(ints, dtype=object).reshape(values.shape), k
 
 
 def kmeans_partition_cost(points, partition):

@@ -1,6 +1,7 @@
 """The l_p metrics and their tokens.  No numpy import: row distances use only
-the operators and methods of the numpy rows they are given, and the distance
-of two 0/1 rows follows from the count of coordinates where they differ.
+the operators and methods of the numpy rows they are given, and the pow sum
+of two rows, sum |a - b|^root, is summed from per-coordinate terms that work
+on numbers and numpy arrays alike.
 """
 
 import math
@@ -13,21 +14,22 @@ from operator import sub
 class Metric:
     """One l_p metric and everything the lab decides by which metric it is.
 
-    Realized vectors (Python numbers) are compared through pair_pow, the sum
-    of |a - b|^root, which stays an int or a Fraction on exact metrics and is
-    correctly rounded (math.fsum), so independent of coordinate order, on
-    the others; numpy rows are compared through distance, and a cluster's
-    continuous center comes from the rule centers holds for the cost exponent.
-    Two 0/1 rows differing in h coordinates sit at hamming(h), the value and
-    type distance gives them, with no row built.
+    coord(d) is the term |d|^root of one coordinate difference d (on l0, the
+    count d != 0); it is exact on ints and Fractions and works elementwise
+    on numpy arrays.  A pow sum, the sum of the terms over the coordinates,
+    orders pairs as their distances do, and from_pow maps it to the distance:
+    an int on l0, and on l1 when the pow sum is an int, else a float.
+    Realized vectors (Python numbers) are compared through pair_pow; numpy
+    rows through distance; a cluster's continuous center comes from the rule
+    centers holds for the cost exponent.
     """
     token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
     root: object       # 1 on l0 and l1, else p
     exact: bool        # realized distances are exact: l0, l1 and lp with an int p
     exponent: int      # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
     distance: object = field(compare=False, repr=False)   # (row, row) -> distance
-    pair_pow: object = field(compare=False, repr=False)   # (seq, seq) -> sum |a-b|^root
-    hamming: object = field(compare=False, repr=False)    # h -> distance of 0/1 rows
+    coord: object = field(compare=False, repr=False)      # d -> |d|^root
+    from_pow: object = field(compare=False, repr=False)   # pow sum -> distance
     # cost exponent -> (points) -> (center, cost); none on lp
     centers: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -35,9 +37,11 @@ class Metric:
         """dpow^(1/root): a float, or dpow itself (int and Fraction kept) at root 1."""
         return dpow if self.root == 1 else float(dpow) ** (1.0 / self.root)
 
-
-def _sum_abs(u, v):
-    return sum(map(abs, map(sub, u, v)))
+    def pair_pow(self, u, v):
+        """The pow sum of two sequences of Python numbers: an int or a Fraction
+        on exact metrics, correctly rounded (math.fsum), so independent of
+        coordinate order, on the others."""
+        return (sum if self.exact else math.fsum)(map(self.coord, map(sub, u, v)))
 
 
 def _geometry(name):
@@ -45,13 +49,17 @@ def _geometry(name):
     return lambda points: getattr(import_module("jchlab.geometry"), name)(points)
 
 
+def _int_or_float(dpow):
+    return dpow if type(dpow) is int else float(dpow)
+
+
 METRICS = {m.token: m for m in (
-    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), _sum_abs, int,
+    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), lambda d: d != 0, int,
            {1: _geometry("binary_median_center")}),
-    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), _sum_abs, int,
+    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), abs, _int_or_float,
            {1: _geometry("median_center"), 2: _geometry("l1sq_center_heuristic")}),
     Metric("l2", 2, False, 2, lambda u, v: math.sqrt(float(((u - v) ** 2).sum())),
-           lambda u, v: math.fsum(d * d for d in map(sub, u, v)), math.sqrt,
+           lambda d: d * d, math.sqrt,
            {1: _geometry("weiszfeld_geometric_median"), 2: _geometry("centroid")}),
 )}
 
@@ -60,13 +68,10 @@ def lp_metric(p):
     """lp for a finite p >= 1; an int p keeps realized distances exact."""
     if p is None or not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"lp needs a finite p >= 1, not {p!r}")
-    exact = isinstance(p, int)
-    total = sum if exact else math.fsum
     return Metric(
-        f"lp{p}", p, exact, 1,
+        f"lp{p}", p, isinstance(p, int), 1,
         lambda u, v: float((abs(u - v).astype(float) ** p).sum() ** (1.0 / p)),
-        lambda u, v: total(d ** p for d in map(abs, map(sub, u, v))),
-        lambda h: float(h) ** (1.0 / p))
+        lambda d: abs(d) ** p, lambda dpow: float(dpow) ** (1.0 / p))
 
 
 def parse_metric(token):

@@ -12,14 +12,17 @@ holding the `on` entry (SupportInstance).  Since the code, the realization
 and a row's label fix the row, `reduce` writes a construction file: the
 parameters and the labels, no coordinates (write_construction).  read_points
 rebuilds the supports from it through the same functions.  The cost oracles
-score 0/1 rows straight from their supports, with no array and no numpy; the
-other realizations, continuous centers and dense files use numpy arrays.
+score support rows with no array and no numpy: a pair's distance by the
+intersection class of the two supports, and a block of continuous 0/1 rows
+by its column counts.  Dense files, explicit center vectors and the float
+center rules use numpy arrays.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .coverage import DEFAULT_BUDGET
 from .codes import RsCode, message_for_element, rs_encode
@@ -91,7 +94,8 @@ class SupportInstance:
     the exponent, k and the labels.  Like a ClusteringInstance it has
     point_labels and center_labels, and its points and centers are sequences
     of rows, here supports.  dense() fills the arrays of the equal
-    ClusteringInstance.
+    ClusteringInstance, refusing more than rebuild_budget coordinates (an
+    instance read from a file has REBUILD_BUDGET, a built one no cap).
     """
     dim: int
     points: SupportRows
@@ -101,6 +105,7 @@ class SupportInstance:
     exponent: int
     meta: dict
     construction: tuple
+    rebuild_budget: object = None
 
     def __post_init__(self):
         _check_counts(len(self.points.labels),
@@ -123,27 +128,25 @@ class SupportInstance:
     def integral(self):
         return all(type(e) is int for rows in self.groups for e in rows.entries)
 
-    @property
-    def binary(self):
-        """Every entry is the int 0 or 1."""
-        return self.integral and all(rows.entries == (0, 1) for rows in self.groups)
-
-    def fill(self, rows, supports):
-        """The array of the given supports of rows (points or centers): int8
-        when every entry of the instance is an int, else float64."""
+    def fill(self, rows):
+        """The array of rows (points or centers): int8 when every entry of the
+        instance is an int, else float64.  The one place a SupportInstance
+        builds coordinates, so each call first checks that all its rows fit
+        rebuild_budget."""
         import numpy as np
+        check_budget(sum(map(len, self.groups)) * self.dim, self.rebuild_budget, "coordinates")
         off, on = rows.entries
-        out = np.full((len(supports), self.dim), off,
+        out = np.full((len(rows), self.dim), off,
                       dtype=np.int8 if self.integral else np.float64)
-        for i, support in enumerate(supports):
+        for i, support in enumerate(rows):
             out[i, support] = on
         return out
 
     def dense(self):
         centers = self.centers
         return ClusteringInstance(
-            points=self.fill(self.points, self.points), point_labels=self.point_labels,
-            centers=None if centers is None else self.fill(centers, centers),
+            points=self.fill(self.points), point_labels=self.point_labels,
+            centers=None if centers is None else self.fill(centers),
             center_labels=self.center_labels,
             k=self.k, metric=self.metric, exponent=self.exponent, meta=self.meta)
 
@@ -288,59 +291,116 @@ class CostBreakdown:
 def clustering_cost(ci, chosen):
     """Assign each point to its nearest chosen center; ties pick the lowest index.
 
-    Total is the sum of distance^exponent; integer-exact on the l0/l1 paths.
+    Distances are compared exactly, by their pow sums (_distance_table).
+    The total adds distance^exponent, or the pow sum itself when the
+    exponent is the metric's root (_Scores).
     """
     if len(chosen) == 0:
         raise ValueError("need at least one center")
     if len(chosen) > ci.k:
         raise ValueError(f"{len(chosen)} centers exceed the budget k={ci.k}")
-    total, nearest = _assign(_distance_table(ci, chosen), range(len(chosen)),
-                             ci.exponent)
-    per_point = tuple((label, i, d) for label, (i, d) in zip(ci.point_labels, nearest))
+    scores = _Scores(_distance_table(ci, chosen), ci.metric, ci.exponent)
+    total, nearest = _assign(scores.ranks, range(len(chosen)), scores.terms)
+    dists = [scores.dists[r] for _, r in nearest]
+    per_point = tuple((label, i, d) for label, (i, _), d in zip(ci.point_labels, nearest, dists))
     base = ci.meta.get("base_distance")
     if base is None:
-        base = min(d for _, d in nearest)
-    at_base = sum(1 for _, d in nearest if _at_distance(d, base))
-    return CostBreakdown(total=total, per_point=per_point, at_base=at_base)
+        base = min(dists)
+    at_base = sum(1 for d in dists if _at_distance(d, base))
+    return CostBreakdown(total=scores.total(total), per_point=per_point, at_base=at_base)
 
 
 def _distance_table(ci, centers):
-    """Rows of Python-number distances, one row per point, one entry per center.
+    """Pow sums (Metric.coord summed over the coordinates), one row per
+    point, one entry per center.
 
-    The rows of a SupportInstance are supports.  On 0/1 rows, a point and a
-    center differing in h = |S_p| + |S_c| - 2|S_p & S_c| coordinates sit at
-    metric.hamming(h), the distance of their dense rows, and no array is
-    built; other support rows are filled into arrays first.
+    The rows of a SupportInstance are supports, each side two-valued
+    (SupportRows.entries), so a pair's pow sum depends only on |S_p|, |S_c|
+    and j = |S_p & S_c|: it is computed once per such class, with no array.
+    On an int root it is exact, a float entry read as the dyadic rational it
+    holds; otherwise it is rounded once.  Dense rows go to
+    geometry.pow_sums, which gives the same values and types.
     """
-    points = ci.points
-    if isinstance(ci, SupportInstance):
-        if ci.binary:
-            dist, sized = ci.metric.hamming, [(len(c), c) for c in centers]
-            table = []
-            for p in map(set, points):
-                table.append([dist(len(p) + n - 2 * len(p.intersection(c)))
-                              for n, c in sized])
-            return table
-        points, centers = ci.fill(points, points), ci.fill(ci.centers, centers)
-    from .geometry import pointwise_distance
-    return [[pointwise_distance(pt, c, ci.metric) for c in centers] for pt in points]
+    metric = ci.metric
+    if not isinstance(ci, SupportInstance):
+        from .geometry import pow_sums
+        return pow_sums(ci.points, centers, metric)
+    (p_off, p_on), (c_off, c_on) = ci.points.entries, ci.centers.entries
+    # the term of a coordinate on in both rows, in the point only, in the center only, in neither
+    terms = [metric.coord(_rational(a) - _rational(b))
+             for a, b in ((p_on, c_on), (p_on, c_off), (p_off, c_on), (p_off, c_off))]
+    exact = isinstance(metric.root, int)
+
+    def pow_sum(a, b, j):
+        counts = (j, a - j, b - j, ci.dim - a - b + j)
+        if exact:
+            return sum(n * t for n, t in zip(counts, terms))
+        return float(sum(n * Fraction(t) for n, t in zip(counts, terms)))
+
+    classes, sized = {}, [(len(c), c) for c in centers]
+    table = []
+    for p in map(set, ci.points):
+        row = []
+        for b, c in sized:
+            key = (len(p), b, len(p.intersection(c)))
+            if key not in classes:
+                classes[key] = pow_sum(*key)
+            row.append(classes[key])
+        table.append(row)
+    return table
 
 
-def _assign(table, cols, exponent):
-    """Nearest of the columns cols in each table row, and the total cost.
+def _rational(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
-    Returns (total, [(position in cols, distance) per row]).  Ties go to the
-    lowest position; the total adds distance ** exponent in row order, so
-    integer distances give an exact int and float totals do not depend on
-    how the table was built.
+
+class _Scores:
+    """A table of pow sums, ranked and costed once per distinct value.
+
+    ranks holds the rank of each pow sum among the table's distinct values,
+    so comparing ranks compares distances exactly.  dists[r] is the
+    distance of rank r (Metric.from_pow) and terms[r] its cost term: the
+    pow sum itself when the exponent is the metric's int root, the pow sum
+    ** exponent at root 1, both exact and held as ints over their common
+    denominator unit, so that totals add and compare exactly; else the
+    float distance ** exponent (unit None).
+    """
+
+    def __init__(self, table, metric, exponent):
+        values = sorted(set().union(*table))
+        rank = {v: r for r, v in enumerate(values)}
+        self.ranks = [[rank[v] for v in row] for row in table]
+        self.dists = [metric.from_pow(v) for v in values]
+        if isinstance(metric.root, int) and metric.root in (1, exponent):
+            terms = [v if exponent == metric.root else v ** exponent for v in values]
+            self.unit = math.lcm(*(Fraction(t).denominator for t in terms))
+            self.terms = [int(t * self.unit) for t in terms]
+        else:
+            self.unit = None
+            self.terms = [d ** exponent for d in self.dists]
+
+    def total(self, total):
+        """A sum of terms as printed: an int when every distance is an int,
+        else a float, rounded once from the exact sum where there is one."""
+        if self.unit is None or all(type(d) is int for d in self.dists):
+            return total
+        return total / self.unit
+
+
+def _assign(ranks, cols, terms):
+    """Nearest of the columns cols in each row of ranks, and the total cost.
+
+    Returns (total, [(position in cols, rank) per row]).  Ties go to the
+    lowest position; the total adds the terms of the nearest ranks in row
+    order, so float totals do not depend on how the table was built.
     """
     nearest = []
     total = 0
-    for row in table:
-        dists = [row[c] for c in cols]
-        d = min(dists)
-        nearest.append((dists.index(d), d))
-        total = total + d ** exponent
+    for row in ranks:
+        rs = [row[c] for c in cols]
+        r = min(rs)
+        nearest.append((rs.index(r), r))
+        total = total + terms[r]
     return total, nearest
 
 
@@ -400,9 +460,12 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
     """Exact optimum by full enumeration, or a loud budget error.
 
     Discrete mode scans all k-subsets of the candidate centers, scoring each
-    from one table of point-center distances computed up front; continuous
+    from one table of point-center pow sums computed up front; continuous
     mode scans set partitions into at most k blocks, solving each distinct
-    block once with best_center_continuous.
+    block once: exactly from its column counts (_count_cost) where the rows
+    are 0/1 and the center rule has a closed form, else with
+    best_center_continuous on the dense rows.  Exact totals compare exactly
+    and the first optimum found is kept.
     """
     if mode == "discrete":
         if ci.centers is None:
@@ -410,31 +473,75 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
         mc = len(ci.center_labels)
         r = min(ci.k, mc)
         check_comb_budget(mc, r, budget, "center subsets")
-        table = _distance_table(ci, ci.centers)
+        scores = _Scores(_distance_table(ci, ci.centers), ci.metric, ci.exponent)
         best_idx, best_cost = None, None
         for idx in combinations(range(mc), r):
-            cost, _ = _assign(table, idx, ci.exponent)
+            cost, _ = _assign(scores.ranks, idx, scores.terms)
             if best_idx is None or cost < best_cost:
                 best_idx, best_cost = idx, cost
-        return tuple(ci.center_labels[i] for i in best_idx), best_cost
+        return tuple(ci.center_labels[i] for i in best_idx), scores.total(best_cost)
     if mode == "continuous":
-        from .geometry import best_center_continuous
-        ci = ci.dense()
-        m = len(ci.points)
+        m = len(ci.point_labels)
         check_budget(_partition_count_upto(m, ci.k), budget, "partitions")
+        count_cost = _count_cost(ci)
+        if count_cost is None:
+            from .geometry import best_center_continuous
+            ci = ci.dense()
+            # float center rules: near-equal totals count as ties
+            unit, slack = 1, 1e-12
+            solve = lambda block: float(best_center_continuous(
+                ci.points[list(block)], ci.metric, ci.exponent)[1])
+        else:
+            # every block cost is a multiple of 1/|B|: held as ints over lcm(1..m)
+            unit, slack = math.lcm(*range(1, m + 1)), 0
+            solve = lambda block: int(count_cost(block) * unit)
         block_cost = {}   # blocks recur across partitions; solve each once
         best = None
         for partition in _partitions_upto(m, ci.k):
-            cost = 0.0
+            cost = 0
             for block in partition:
                 if block not in block_cost:
-                    block_cost[block] = float(best_center_continuous(
-                        ci.points[list(block)], ci.metric, ci.exponent)[1])
+                    block_cost[block] = solve(block)
                 cost += block_cost[block]
-            if best is None or cost < best[1] - 1e-12:
+            if best is None or cost < best[1] - slack:
                 best = (partition, cost)
-        return best
+        return best[0], best[1] / unit
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _centroid_cost(size, counts):
+    return sum(counts) - Fraction(sum(c * c for c in counts), size)
+
+
+def _median_cost(size, counts):
+    return sum(min(c, size - c) for c in counts)
+
+
+# (metric token, cost exponent) -> cost of a block of 0/1 rows from its size
+# and its column counts (how many of its rows hold each coordinate): the
+# centroid's squared l2 cost and the lower median's l1 (= l0) cost
+_COUNT_RULES = {("l2", 2): _centroid_cost, ("l1", 1): _median_cost, ("l0", 1): _median_cost}
+
+
+def _count_cost(ci):
+    """block (ascending point indices) -> its exact optimal continuous cost
+    (_COUNT_RULES), or None when the rows are not 0/1 or the metric and
+    exponent have no such rule.  Dense 0/1 rows read their supports off the
+    array."""
+    rule = _COUNT_RULES.get((ci.metric.token, ci.exponent))
+    if rule is None:
+        return None
+    if isinstance(ci, SupportInstance):
+        if ci.points.entries != (0, 1):
+            return None
+        supports = list(ci.points)
+    else:
+        import numpy as np
+        if not np.isin(ci.points, (0, 1)).all():
+            return None
+        supports = [np.flatnonzero(row).tolist() for row in ci.points]
+    return lambda block: rule(len(block), list(Counter(
+        chain.from_iterable(supports[i] for i in block)).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +553,10 @@ CONSTRUCTIONS = {
     "composed": ("n", "q", "eta", "kind", "t", "s", "points", "centers"),
     "indicator": ("n", "points"),
 }
-# coordinates read_points rebuilds from one construction file at most
+# coordinates SupportInstance.fill builds from one construction file at most
 REBUILD_BUDGET = 1 << 25
+# support coordinates read_points rebuilds from one construction file at most
+SUPPORT_BUDGET = 1 << 21
 
 
 def write_construction(si, fh):
@@ -558,16 +667,20 @@ def _read_construction(header, fh):
     point_labels, center_labels = tuple(labels[:points]), tuple(labels[points:])
     if construction == "indicator":
         _check_labels(point_labels, len(labels[0]) if labels else 0, n, "point")
-        check_budget(len(labels) * n, REBUILD_BUDGET, "coordinates")
-        return _indicator(n, point_labels, spec["k"], metric, spec["exponent"], {})
-    code = RsCode(spec["q"], spec["eta"])
-    # the token's first two characters name the family: l0, l1, l2 or lp
-    real = realize(metric.token[:2], code.q, spec["t"], spec["s"], metric.root, kind)
-    _check_labels(point_labels, real.t, n, "point")
-    _check_labels(center_labels, real.s, n, "candidate-center")
-    check_budget(len(labels) * code.ell * real.dim, REBUILD_BUDGET, "coordinates")
-    return _composed(n, point_labels, center_labels, spec["k"], code, real,
-                     spec["exponent"], {})
+        si = _indicator(n, point_labels, spec["k"], metric, spec["exponent"], {})
+    else:
+        code = RsCode(spec["q"], spec["eta"])
+        # the token's first two characters name the family: l0, l1, l2 or lp
+        real = realize(metric.token[:2], code.q, spec["t"], spec["s"], metric.root, kind)
+        _check_labels(point_labels, real.t, n, "point")
+        _check_labels(center_labels, real.s, n, "candidate-center")
+        # a row holds its arity's symbols in each of ell blocks
+        check_budget(code.ell * (real.t * len(point_labels) + real.s * len(center_labels)),
+                     SUPPORT_BUDGET, "support coordinates")
+        si = _composed(n, point_labels, center_labels, spec["k"], code, real,
+                       spec["exponent"], {})
+    si.rebuild_budget = REBUILD_BUDGET
+    return si
 
 
 def _parse_row(fields, dim):

@@ -173,16 +173,27 @@ def test_bad_construction_file_exits_2(tmp_path, capsys, name, command):
 
 
 def test_construction_file_too_large_to_rebuild_exits_3(tmp_path, capsys):
-    # 10 rows of 8191^2 coordinates, or 4 of 2^24: refused before any row is built
+    # 10 rows of 8191^2 coordinates, or 4 of 2^24: refused where rows are built, before
+    # any is; scoring by class and by column counts builds none
     path = tmp_path / "big.pts"
     path.write_text(construction(GOOD.replace(" 5 1 ", " 8191 1 ")))
-    assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 3
+    assert main(["cost", "--center-coords", "0", "-i", str(path)]) == 3
     assert capsys.readouterr().err == \
         "budget exceeded: 670924810 coordinates exceed budget 33554432\n"
-    path.write_text(construction("ptsc indicator l2 2 2 16777216 4", POINTS_N4))
+    assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 0
+    assert "cost=32764 " in capsys.readouterr().out
+    # the supports themselves, 1000003 blocks of 3 or 2 symbols per row, are refused at read
+    path.write_text(construction(GOOD.replace(" 5 1 ", " 1000003 1 ")))
+    assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "budget exceeded: 24000072 support coordinates exceed budget 2097152\n"
+    path.write_text(construction("ptsc indicator l2 1 2 16777216 4", POINTS_N4))
     assert main(["brute-opt", "--mode", "continuous", "-i", str(path)]) == 3
     assert capsys.readouterr().err == \
         "budget exceeded: 67108864 coordinates exceed budget 33554432\n"
+    path.write_text(construction("ptsc indicator l2 2 2 16777216 4", POINTS_N4))
+    assert main(["brute-opt", "--mode", "continuous", "-i", str(path)]) == 0
+    assert "cost=2.0 " in capsys.readouterr().out
     path.write_text(construction(GOOD))
     assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 0
 
@@ -629,3 +640,23 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path, monkeypatch, capsys):
+    # 2024 assignment lines, more than a pipe buffers, so the command is still
+    # writing when its reader closes the pipe after the first line
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen-jc", "--kind", "complete", "--n", "24", "--z", "3", "--y", "2", "--k", "2",
+        "-o", "big.jc")
+    run(capsys, "reduce", "-i", "big.jc", "--mode", "discrete", "--q", "5", "--eta", "2",
+        "-o", "big.pts")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    with subprocess.Popen([sys.executable, "-m", "jchlab.cli", "cost", "-i", "big.pts",
+                           "--centers", "1,2"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"record=config command=cost ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -1,8 +1,8 @@
 """Start-up guard: commands that build no array never load numpy, and the
 package's lazy exports resolve to the objects of their defining modules.
-cost and brute-opt score 0/1 construction files from their supports, so they
-run without numpy on every file `reduce --mode discrete` writes on l0 and l1
-and on lp indicator files.
+cost and brute-opt score construction files from their supports, so they
+run without numpy on every file `reduce --mode discrete` writes, and
+continuous brute-opt does on the 0/1 files of an exact center rule.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every layer.
@@ -53,10 +53,16 @@ TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
 # an edge of three vertices and one of two
 TOY_WHG3 = "whg3\n1/4 1:u:++ 2:v:+- 2:v:--\n3/4 1:u:-+ 2:v:++\n"
 
-# 0/1 construction files: name -> the instance and metric `reduce --mode discrete` is given;
-# lp with y = 1 < z - 1 takes indicator vectors
-DISCRETE = {"l0": ("inst.jc", "l0"), "l1": ("inst.jc", "l1"), "lp3": ("star.jc", "lp", "--p", "3")}
-CENTERS = {"l0": ["1,2", "3,4"], "l1": ["1,2", "3,4"], "lp3": ["1", "2"]}
+# construction files: name -> the instance and metric `reduce --mode discrete` is given;
+# lp with y = 1 < z - 1 takes indicator vectors, with y = z - 1 half-shift ones, and l2
+# scaled ones
+DISCRETE = {"l0": ("inst.jc", "l0"), "l1": ("inst.jc", "l1"), "lp3": ("star.jc", "lp", "--p", "3"),
+            "l2": ("inst.jc", "l2"), "lp3-halfshift": ("inst.jc", "lp", "--p", "3")}
+CENTERS = {"l0": ["1,2", "3,4"], "l1": ["1,2", "3,4"], "lp3": ["1", "2"], "l2": ["1,2", "3,4"],
+           "lp3-halfshift": ["1,2", "3,4"]}
+# indicator files of the exact center rules: name -> `reduce --mode continuous` options
+CONTINUOUS = {"means": ["--metric", "l2"], "medians": ["--metric", "l1", "--exponent", "1"],
+              "l0-medians": ["--metric", "l0"]}
 
 # run one command, then print whether numpy was loaded as the last line
 PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
@@ -81,6 +87,9 @@ def workdir(tmp_path_factory):
     for name, (jc, *metric) in DISCRETE.items():
         assert main(["reduce", "-i", str(path / jc), "--mode", "discrete", "--metric", *metric,
                      "--q", "5", "-o", str(path / f"{name}.pts")]) == 0
+    for name, options in CONTINUOUS.items():
+        assert main(["reduce", "-i", str(path / "inst.jc"), "--mode", "continuous", *options,
+                     "-o", str(path / f"{name}.pts")]) == 0
     return path
 
 
@@ -108,6 +117,7 @@ def workdir(tmp_path_factory):
     ["sdp-gap", "--n", "6"],
     *[["cost", "-i", f"{name}.pts", "--centers", *CENTERS[name]] for name in DISCRETE],
     *[["brute-opt", "-i", f"{name}.pts", "--mode", "discrete"] for name in DISCRETE],
+    *[["brute-opt", "-i", f"{name}.pts", "--mode", "continuous"] for name in CONTINUOUS],
 ], ids=" ".join)
 def test_command_runs_without_numpy(workdir, argv):
     proc = fresh_python(workdir, "-c", PROBE, *argv)
@@ -126,6 +136,23 @@ def test_undersized_code_refused_without_numpy(workdir):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
     assert not (workdir / "pts.txt").exists()
+
+
+def test_rebuild_free_file_runs_without_numpy(workdir, capsys):
+    # the complete (4, 3, 2) instance at q = 2917: 10 rows of 2917^2 coordinates, never built
+    assert main(["gen-jc", "--kind", "complete", "--n", "4", "--z", "3", "--y", "2", "--k", "2",
+                 "-o", str(workdir / "four.jc")]) == 0
+    assert main(["reduce", "-i", str(workdir / "four.jc"), "--mode", "discrete", "--metric", "l1",
+                 "--q", "2917", "--eta", "1", "-o", str(workdir / "q2917.pts")]) == 0
+    assert (workdir / "q2917.pts").stat().st_size == 96
+    proc = fresh_python(workdir, "-c", PROBE, "brute-opt", "-i", "q2917.pts", "--mode", "discrete")
+    assert proc.returncode == 0, proc.stderr
+    assert "record=optimum cost=11668 " in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
+    capsys.readouterr()
+    assert main(["cost", "-i", str(workdir / "q2917.pts"), "--center-coords", "0"]) == 3
+    assert capsys.readouterr().err == \
+        "budget exceeded: 85088890 coordinates exceed budget 33554432\n"
 
 
 def test_lazy_exports_resolve_to_defining_modules(tmp_path):

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import io
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -9,15 +12,16 @@ import pytest
 
 from jchlab.cli import main
 from jchlab import (
-    BudgetExceededError, ClusteringInstance, RsCode,
+    BudgetExceededError, ClusteringInstance, JohnsonInstance, RsCode,
     gen_instance, rs_encode, message_for_element,
     embed_l0, embed_l1, embed_l2_scaled, embed_lp_halfshift, embed_indicator_lp,
     build_discrete_instance, build_continuous_indicator_instance,
     clustering_cost, brute_force_optimal_cost, centers_by_labels,
     soundness_floor, meets_soundness_floor, read_points, write_points,
-    pointwise_distance, parse_metric,
+    pointwise_distance, parse_metric, best_center_continuous,
     composed_supports, indicator_supports, write_construction, write_instance,
 )
+from jchlab.reduction import _count_cost, _distance_table, _partitions_upto
 
 INST = gen_instance("complete", 4, 3, 2, 2)
 
@@ -226,7 +230,19 @@ def test_pointwise_distance_modes():
 # ---------------------------------------------------------------------------
 
 def reference_cost(ci, chosen):
-    """Recompute every point-center distance; ties keep the lowest index."""
+    """Recompute every point-center distance; ties keep the lowest index.
+
+    On l2 a pair is compared by its squared distance in rationals, which at
+    exponent 2 is also its cost term, and the total is rounded once.
+    """
+    if ci.metric.token == "l2":
+        total, nearest = 0, []
+        for pt in ci.points:
+            d2, i = min((rational_sq(tuple(pt.tolist()), tuple(np.asarray(c).tolist())), i)
+                        for i, c in enumerate(chosen))
+            nearest.append((i, math.sqrt(d2)))
+            total += d2 if ci.exponent == 2 else math.sqrt(d2) ** ci.exponent
+        return (float(total) if ci.exponent == 2 else total), nearest
     total, nearest = 0, []
     for pt in ci.points:
         best_d, best_i = None, None
@@ -237,6 +253,11 @@ def reference_cost(ci, chosen):
         nearest.append((best_i, best_d))
         total = total + best_d ** ci.exponent
     return total, nearest
+
+
+@functools.cache
+def rational_sq(u, v):
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, v))
 
 
 def reference_brute_force(ci):
@@ -564,32 +585,51 @@ def test_construction_file_reads_back_to_the_built_arrays(make, dtype, tmp_path,
     assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
 
 
-# 0/1 realizations; l2 has none with candidate centers, so its metric is put on l1's rows
-BINARY_REALIZATIONS = {
+# every realization kind; l2 has no 0/1 one with candidate centers, so its metric
+# is also put on l1's rows
+TABLE_REALIZATIONS = {
     "l0": lambda: embed_l0(5, 3, 2), "l1": lambda: embed_l1(5, 3, 2),
     "lp3-indicator": lambda: embed_indicator_lp(5, 3, 2, 3),
     "lp1-indicator": lambda: embed_indicator_lp(5, 3, 2, 1),
     "l2-on-0/1": lambda: dataclasses.replace(embed_l1(5, 3, 2), metric=parse_metric("l2")),
+    "l2-scaled": lambda: embed_l2_scaled(5, 3, 2),
+    "lp3-halfshift": lambda: embed_lp_halfshift(5, 3, 3),
 }
 
 
+def rational_pow(metric, u, v):
+    """sum |a - b|^root over two dense rows: ints on integer rows, else Fractions
+    of the floats; on l0 the count of coordinates that differ."""
+    u, v = u.tolist(), v.tolist()
+    if metric.token == "l0":
+        return sum(a != b for a, b in zip(u, v))
+    exact = int if all(type(x) is int for x in u + v) else Fraction
+    return sum(abs(exact(a) - exact(b)) ** metric.root for a, b in zip(u, v))
+
+
+def typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
 @pytest.mark.parametrize("seed", [1, 2, None], ids=["random-1", "random-2", "complete-ties"])
-@pytest.mark.parametrize("kind", list(BINARY_REALIZATIONS))
+@pytest.mark.parametrize("kind", list(TABLE_REALIZATIONS))
 def test_support_table_matches_dense_rows(kind, seed):
-    # the oracle: pointwise_distance on the dense rows, entry by entry, type included
-    code, real = RsCode(5, 2), BINARY_REALIZATIONS[kind]()
+    # the oracle: rational pow sums over the dense rows, entry by entry, type included
+    code, real = RsCode(5, 2), TABLE_REALIZATIONS[kind]()
     if seed is None:
         inst = gen_instance("complete", 6, 3, 2, 2)
     else:
         inst = gen_instance("random", 9, 3, 2, 2, m=8, seed=seed)
     assert collisions(inst, code) > 0      # the padded blocks are exercised
     si = composed_supports(inst, code, real)
-    assert si.binary
     ci = si.dense()
+    want = [[rational_pow(ci.metric, pt, c) for c in ci.centers] for pt in ci.points]
+    assert typed(_distance_table(si, si.centers)) == typed(want)
+    assert typed(_distance_table(ci, ci.centers)) == typed(want)
     for j, center in enumerate(si.centers):
         per_point = clustering_cost(si, [center]).per_point
-        want = [pointwise_distance(pt, ci.centers[j], ci.metric) for pt in ci.points]
-        assert [(type(d), d) for _, _, d in per_point] == [(type(d), d) for d in want]
+        assert typed([[d for _, _, d in per_point]]) == \
+            typed([[ci.metric.from_pow(row[j]) for row in want]])
     chosen = [si.centers.labels[0], si.centers.labels[-1]]
     assert clustering_cost(si, centers_by_labels(si, chosen)) == \
         clustering_cost(ci, centers_by_labels(ci, chosen))
@@ -601,6 +641,79 @@ def test_support_table_matches_dense_rows(kind, seed):
         costs = [clustering_cost(ci, [ci.centers[i] for i in idx]).total for idx in subsets]
         assert costs.count(cost) > 1
         assert witness == tuple(ci.center_labels[i] for i in subsets[costs.index(cost)])
+
+
+# the benchmark's search instance of its brute-opt-l2-q13 job, before the seeded
+# relabeling, under which an eta = 1 reduction's costs are invariant
+SEARCH_N6 = JohnsonInstance(6, 3, 2, random.Random(3).sample(list(combinations(range(1, 7), 3)), 10),
+                            3)
+
+
+def test_scaled_file_keeps_the_lex_first_exact_tie():
+    # five center subsets tie exactly at the optimum; floats of their sums need not
+    si = read_points(io.StringIO(construction_text(
+        composed_supports(SEARCH_N6, RsCode(13, 1), embed_l2_scaled(13, 3, 2)))))
+    ci = si.dense()
+    want = [[rational_pow(ci.metric, pt, c) for c in ci.centers] for pt in ci.points]
+    subsets = list(combinations(range(len(ci.centers)), ci.k))
+    costs = [sum(min(row[i] for i in idx) for row in want) for idx in subsets]
+    best = min(costs)
+    assert costs.count(best) == 5
+    first = subsets[costs.index(best)]
+    witness, cost = brute_force_optimal_cost(si, "discrete")
+    assert witness == tuple(ci.center_labels[i] for i in first) and cost == float(best)
+    # cost sends a point tied between centers to the lower index, one distance per class
+    cols = [si.center_labels.index(c) for c in ((1, 2), (3, 4))]
+    nearest = [min((row[j], i) for i, j in enumerate(cols)) for row in want]
+    assert any(row[cols[0]] == row[cols[1]] for row in want)
+    bd = clustering_cost(si, centers_by_labels(si, [(1, 2), (3, 4)]))
+    assert [(i, d) for _, i, d in bd.per_point] == [(i, math.sqrt(d)) for d, i in nearest]
+    assert bd.total == float(sum(d for d, _ in nearest))
+
+
+def rational_block_cost(ci, block):
+    """The block's cost about its exact center, in Fractions over the dense rows:
+    the centroid on (l2, 2), the lower coordinate median on (l1, 1) and (l0, 1)."""
+    rows = [[Fraction(x) for x in ci.points[i].tolist()] for i in block]
+    if ci.metric.token == "l2":
+        center = [sum(col) / len(rows) for col in zip(*rows)]
+        return sum((x - c) ** 2 for row in rows for x, c in zip(row, center))
+    center = [sorted(col)[(len(rows) - 1) // 2] for col in zip(*rows)]
+    return sum(abs(x - c) for row in rows for x, c in zip(row, center))
+
+
+def reference_continuous(ci):
+    """The float flat scan: best_center_continuous per block, and the first
+    partition whose total is lower by more than 1e-12."""
+    block_cost, best = {}, None
+    for partition in _partitions_upto(len(ci.points), ci.k):
+        for block in partition:
+            if block not in block_cost:
+                block_cost[block] = float(best_center_continuous(
+                    ci.points[list(block)], ci.metric, ci.exponent)[1])
+        cost = sum(block_cost[block] for block in partition)
+        if best is None or cost < best[1] - 1e-12:
+            best = (partition, cost)
+    return best
+
+
+@pytest.mark.parametrize("token, exponent", [("l2", 2), ("l1", 1), ("l0", 1)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_continuous_counts_match_dense_centers(token, exponent, seed):
+    inst = gen_instance("random", 8, 3, 2, 3, m=7, seed=seed)
+    si = indicator_supports(inst, parse_metric(token), exponent)
+    ci = si.dense()
+    blocks = [b for r in range(1, 8) for b in combinations(range(7), r)]
+    for block_cost in (_count_cost(si), _count_cost(ci)):
+        for block in blocks:
+            exact = block_cost(block)
+            assert exact == rational_block_cost(ci, block)
+            center_cost = best_center_continuous(ci.points[list(block)], ci.metric, exponent)[1]
+            assert abs(float(exact) - center_cost) <= 1e-12
+    partition, cost = brute_force_optimal_cost(si, "continuous")
+    assert brute_force_optimal_cost(ci, "continuous") == (partition, cost)
+    assert partition == reference_continuous(ci)[0]
+    assert cost == float(sum(rational_block_cost(ci, block) for block in partition))
 
 
 def test_write_supports_memory_stays_small(tmp_path, monkeypatch, capsys):
