@@ -60,12 +60,13 @@ def pow_sums(points, centers, metric):
 
 
 def _int_pow_sums(pts, c, metric):
-    # each difference and term in the narrowest int type that holds it, each sum in
-    # int64, or Python ints in object arrays where a sum could overflow int64
+    # each difference and term in the narrowest signed int type that holds it
+    # (a signed type that holds -1 - x holds +x), each sum in int64, or Python
+    # ints in object arrays where a sum could overflow int64
     big = max(-int(pts.min()), int(pts.max())) + max(-int(c.min()), int(c.max()))
     top = int(metric.coord(big))
     if top * pts.shape[1] < 2 ** 63:
-        dtype, total = np.min_scalar_type(-max(big, top)), np.int64
+        dtype, total = np.min_scalar_type(-1 - max(big, top)), np.int64
     else:
         dtype, total = object, None
     terms = metric.coord(pts.astype(dtype, copy=False) - c.astype(dtype, copy=False))

@@ -553,10 +553,9 @@ CONSTRUCTIONS = {
     "composed": ("n", "q", "eta", "kind", "t", "s", "points", "centers"),
     "indicator": ("n", "points"),
 }
-# coordinates SupportInstance.fill builds from one construction file at most
+# coordinates SupportInstance.fill builds from one construction file at most, and
+# support coordinates its rows may hold
 REBUILD_BUDGET = 1 << 25
-# support coordinates read_points rebuilds from one construction file at most
-SUPPORT_BUDGET = 1 << 21
 
 
 def write_construction(si, fh):
@@ -674,9 +673,10 @@ def _read_construction(header, fh):
         real = realize(metric.token[:2], code.q, spec["t"], spec["s"], metric.root, kind)
         _check_labels(point_labels, real.t, n, "point")
         _check_labels(center_labels, real.s, n, "candidate-center")
-        # a row holds its arity's symbols in each of ell blocks
+        # a row holds its arity's symbols in each of ell blocks, never more than
+        # its real.dim coordinates there, so no file that fill could build is refused
         check_budget(code.ell * (real.t * len(point_labels) + real.s * len(center_labels)),
-                     SUPPORT_BUDGET, "support coordinates")
+                     REBUILD_BUDGET, "support coordinates")
         si = _composed(n, point_labels, center_labels, spec["k"], code, real,
                        spec["exponent"], {})
     si.rebuild_budget = REBUILD_BUDGET

@@ -182,11 +182,11 @@ def test_construction_file_too_large_to_rebuild_exits_3(tmp_path, capsys):
         "budget exceeded: 670924810 coordinates exceed budget 33554432\n"
     assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 0
     assert "cost=32764 " in capsys.readouterr().out
-    # the supports themselves, 1000003 blocks of 3 or 2 symbols per row, are refused at read
-    path.write_text(construction(GOOD.replace(" 5 1 ", " 1000003 1 ")))
+    # the supports themselves, 1398107 blocks of 3 or 2 symbols per row, are refused at read
+    path.write_text(construction(GOOD.replace(" 5 1 ", " 1398107 1 ")))
     assert main(["brute-opt", "--mode", "discrete", "-i", str(path)]) == 3
     assert capsys.readouterr().err == \
-        "budget exceeded: 24000072 support coordinates exceed budget 2097152\n"
+        "budget exceeded: 33554568 support coordinates exceed budget 33554432\n"
     path.write_text(construction("ptsc indicator l2 1 2 16777216 4", POINTS_N4))
     assert main(["brute-opt", "--mode", "continuous", "-i", str(path)]) == 3
     assert capsys.readouterr().err == \

@@ -643,6 +643,20 @@ def test_support_table_matches_dense_rows(kind, seed):
         assert witness == tuple(ci.center_labels[i] for i in subsets[costs.index(cost)])
 
 
+@pytest.mark.parametrize("token, point, center", [
+    ("l1", 0, 128), ("l1", -64, 64), ("lp3", 0, 32), ("lp3", -16, 16), ("lp7", 0, 2),
+    ("l2", -181, 0), ("l1", 0, 2 ** 31), ("lp3", 0, 2 ** 21)])
+def test_dense_int_pow_sums_hold_a_term_of_a_power_of_two(token, point, center):
+    # a difference or term of 2^7, 2^15 or 2^31 fits the signed type of its
+    # negation but not itself; the table must still hold it exactly
+    ci = read_points(io.StringIO(f"pts 1 {token} 1 1\n1,2 {point}\n1 {center}\n"))
+    want = [[rational_pow(ci.metric, ci.points[0], ci.centers[0])]]
+    assert want[0][0] == abs(center - point) ** ci.metric.root
+    assert typed(_distance_table(ci, ci.centers)) == typed(want)
+    (_, _, d), = clustering_cost(ci, [ci.centers[0]]).per_point
+    assert d == ci.metric.from_pow(want[0][0]) > 0
+
+
 # the benchmark's search instance of its brute-opt-l2-q13 job, before the seeded
 # relabeling, under which an eta = 1 reduction's costs are invariant
 SEARCH_N6 = JohnsonInstance(6, 3, 2, random.Random(3).sample(list(combinations(range(1, 7), 3)), 10),
