@@ -6,9 +6,10 @@ builds it from the parsed options, every option of the command except
 --format, in declaration order.  Numeric claims carry a provenance tag
 (formula / brute-force / exhaustive / sampled / heuristic).  Exit status:
 0 success or certified, 1 certification failure, 2 usage or validation
-error, 3 search-space budget exceeded (errors.check_budget, before any
-search runs), 141 stdout closed by its reader (128 + SIGPIPE, as a shell
-reports a process that signal ended).
+error (a result past the double range included), 3 search-space budget
+exceeded (errors.check_budget, before any search runs), 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a process that signal
+ended).
 """
 
 import argparse
@@ -454,6 +455,9 @@ def main(argv=None):
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as exc:   # finite inputs, a result no double holds
+        print(f"error: past the double range: {exc}", file=sys.stderr)
         return 2
     try:
         emit([config, *records], args.format)

@@ -282,19 +282,22 @@ def read_instance(fh):
 # closed-form quantities
 # ---------------------------------------------------------------------------
 
+# the largest z whose fraction prints: every z up to it has both terms within
+# 4300 digits, the default int-to-str limit, and z = 796 does not
+TURAN_MAX_Z = 795
+
+
 def turan_random_uncovered(z):
     """Fraction of z-cliques missed by the extremal (C(z,2)-1)-partition graph.
 
-    Product form prod_{i=1}^{z} (1 - (i-1)/(C(z,2)-1)), exact rational; tends
-    to 1/e as z grows.
+    Product form prod_{i=1}^{z} (1 - (i-1)/w) = perm(w, z) / w^z with
+    w = C(z,2) - 1, exact rational; tends to 1/e as z grows.  z runs from 3
+    (w = 2, the least w > 0) to TURAN_MAX_Z.
     """
-    if z < 2:
-        raise ValueError("need z >= 2")
+    if not 3 <= z <= TURAN_MAX_Z:
+        raise ValueError(f"need 3 <= z <= {TURAN_MAX_Z}, got {z}")
     w = math.comb(z, 2) - 1
-    out = Fraction(1)
-    for i in range(1, z + 1):
-        out *= 1 - Fraction(i - 1, w)
-    return out
+    return Fraction(math.perm(w, z), w ** z)
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,6 @@ class FactorTable:
     gamma_sq: object
     zeta1: object
     zeta2: object
-    provenance: str = "formula"
 
 
 def inapprox_factors(p, delta, alpha):

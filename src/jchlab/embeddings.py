@@ -198,17 +198,16 @@ class GapReport:
         return float(self.min_nonedge_over_edge)
 
 
-def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET,
-                           tol=TOL):
+def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET):
     """Exhaustively check every (t-set, s-set) pair of the realization.
 
     Certifies that containment pairs share one distance beta and that every
     other pair is at least lambda_claimed * beta away (exact comparisons for
-    exact realizations, tolerance tol for l2 / non-integer p).  When s = t-1
-    and non-edges exist, also asserts the observed ratio stays below the
-    triangle-inequality ceiling 3.  Restricting to an edge subset can only
-    raise the certified ratio.  Raises CertificationError with the worst pair
-    on any violation.
+    exact realizations, relative tolerance TOL for l2 / non-integer p).
+    When s = t-1 and non-edges exist, also asserts the observed ratio stays
+    below the triangle-inequality ceiling 3.  Restricting to an edge subset
+    can only raise the certified ratio.  Raises CertificationError with the
+    worst pair on any violation.
 
     Each realized vector is checked to be two-valued on its set's members,
     so a pair's distance depends only on j = |T cap S|: a pair costs one
@@ -243,7 +242,7 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET,
     dist = {j: metric.pair_pow(*map(real.vector, pair)) for j, (_, pair) in first.items()}
     beta_pow, floor_pow = real.beta_pow, real.floor_pow
 
-    if s in dist and not _close_pow(dist[s], beta_pow, real, tol):
+    if s in dist and not _close_pow(dist[s], beta_pow, real, TOL):
         tset, sset = first[s][1]
         raise CertificationError(
             f"containment pair {tset}/{sset} at distance^p {dist[s]}, "
@@ -254,7 +253,7 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET,
     ratio = min_nonedge_dist = worst = None
     if nonedge:
         min_nonedge, (_, worst) = min(nonedge)
-        slack = 0 if real.exact else tol * max(1.0, float(floor_pow))
+        slack = 0 if real.exact else TOL * max(1.0, float(floor_pow))
         if min_nonedge < floor_pow - slack:
             raise CertificationError(
                 f"non-containment pair {worst} at distance^p {min_nonedge}, "
@@ -265,7 +264,7 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET,
         else:
             ratio = metric.take_root(float(min_nonedge) / float(beta_pow))
         min_nonedge_dist = metric.take_root(min_nonedge)
-        if s == t - 1 and float(ratio) > 3.0 + tol:
+        if s == t - 1 and float(ratio) > 3.0 + TOL:
             raise CertificationError(
                 f"observed ratio {float(ratio)} exceeds the ceiling 3", witness=worst)
 

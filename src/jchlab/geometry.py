@@ -2,12 +2,14 @@
 
 Everything operates on numpy arrays of shape (m, d).  Integer inputs keep
 integer costs on the l1/l0 paths; the Euclidean center rules use floats.
-pow_sums, the distance table of dense rows, is exact on every int root.  The
-separated-points center bound is certified exactly, in Fractions, from the
-uniform-weight dual of the enclosing-ball problem.
+pow_sums, the pow sums of dense rows, follows Metric.pow_sum: exact on an
+int root, rounded once on any other.  The separated-points center bound is
+certified exactly, in Fractions, from the uniform-weight dual of the
+enclosing-ball problem.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,43 +28,36 @@ def as_points(points):
 
 
 def pointwise_distance(u, v, metric):
-    """Distance between two rows under a Metric."""
-    return metric.distance(np.asarray(u), np.asarray(v))
+    """Distance between two rows under a Metric: from_pow of their pow sum."""
+    return metric.from_pow(pow_sums([u], [v], metric)[0][0])
 
 
 def pow_sums(points, centers, metric):
-    """The pow sum (Metric.coord summed over the coordinates) of every point
-    row against every center row, one list per point.
+    """The pow sum of every point row against every center row, one list
+    per point.
 
-    On an int root the sums are exact: ints when both rows are integer
-    arrays (added in int64 when no sum can overflow it), else Fractions,
-    every float read as the dyadic rational it holds.  On any other root
-    each sum is rounded once (Metric.pair_pow).  Rows held as supports give
-    the same values and types (reduction._distance_table).
+    Integer arrays on an int root are summed as arrays (_int_pow_sums);
+    every other pair of rows goes to Metric.pow_sum, each distinct value
+    pair counted once.  Either way the sums are exact on an int root and
+    rounded once on any other, and rows held as supports give the same
+    values and types (reduction._distance_table).
     """
     pts = as_points(points)
-    if not isinstance(metric.root, int):
-        rows = [np.asarray(c).tolist() for c in centers]
-        return [[metric.pair_pow(p, c) for c in rows] for p in pts.tolist()]
-    columns, dyadic = [], None      # dyadic: pts as (ints, k), once a float row needs it
+    rows, columns = None, []      # rows: pts as lists, once a center needs them
     for c in map(np.asarray, centers):
-        if pts.dtype.kind in "iub" and c.dtype.kind in "iub":
+        if isinstance(metric.root, int) and pts.dtype.kind in "iub" and c.dtype.kind in "iub":
             columns.append(_int_pow_sums(pts, c, metric))
             continue
-        dyadic = dyadic or _dyadic(pts)
-        (p, kp), (q, kq) = dyadic, _dyadic(c)
-        k = max(kp, kq)
-        sums = metric.coord((p << (k - kp)) - (q << (k - kq))).sum(axis=1).tolist()
-        # every term scales by coord(2^k): 2^(k*root), or 1 on l0
-        unit = int(metric.coord(1 << k))
-        columns.append([Fraction(int(s), unit) for s in sums])
+        rows, c = rows or pts.tolist(), c.tolist()
+        columns.append([metric.pow_sum(Counter(zip(p, c)).items()) for p in rows])
     return [list(row) for row in zip(*columns)]
 
 
 def _int_pow_sums(pts, c, metric):
-    # each difference and term in the narrowest signed int type that holds it
-    # (a signed type that holds -1 - x holds +x), each sum in int64, or Python
-    # ints in object arrays where a sum could overflow int64
+    # Metric.coord elementwise on the arrays: each difference and term in the
+    # narrowest signed int type that holds it (a signed type that holds
+    # -1 - x holds +x), each sum in int64, or Python ints in object arrays
+    # where a sum could overflow int64
     big = max(-int(pts.min()), int(pts.max())) + max(-int(c.min()), int(c.max()))
     top = int(metric.coord(big))
     if top * pts.shape[1] < 2 ** 63:
@@ -71,15 +66,6 @@ def _int_pow_sums(pts, c, metric):
         dtype, total = object, None
     terms = metric.coord(pts.astype(dtype, copy=False) - c.astype(dtype, copy=False))
     return [int(s) for s in terms.sum(axis=1, dtype=total)]
-
-
-def _dyadic(values):
-    """(ints, k) with values == ints / 2^k exactly, ints an object array of
-    Python ints: a float is a dyadic rational."""
-    ratios = [x.as_integer_ratio() for x in values.ravel().tolist()]
-    k = max(d.bit_length() for _, d in ratios) - 1
-    ints = [n << (k + 1 - d.bit_length()) for n, d in ratios]
-    return np.array(ints, dtype=object).reshape(values.shape), k
 
 
 def kmeans_partition_cost(points, partition):
@@ -234,12 +220,14 @@ def best_center_continuous(points, metric, exponent):
     The rule is metric.centers[exponent]: (l2, 2) centroid; (l1/l0, 1)
     coordinatewise lower median; (l2, 1) Weiszfeld; (l1, 2) local-search
     heuristic (squared-l1 cost is not coordinatewise separable, so no exact
-    closed form is used).
+    closed form is used).  A float step past the double range raises
+    FloatingPointError rather than giving an inf center or cost.
     """
     rule = metric.centers.get(exponent)
     if rule is None:
         raise ValueError(f"no center rule for metric={metric.token!r} exponent={exponent}")
-    return rule(points)
+    with np.errstate(over="raise"):
+        return rule(points)
 
 
 # ---------------------------------------------------------------------------

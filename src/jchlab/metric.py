@@ -1,11 +1,11 @@
-"""The l_p metrics and their tokens.  No numpy import: row distances use only
-the operators and methods of the numpy rows they are given, and the pow sum
-of two rows, sum |a - b|^root, is summed from per-coordinate terms that work
-on numbers and numpy arrays alike.
+"""The l_p metrics and their tokens.  No numpy import.  A distance is ranked
+and computed from its pow sum, sum |a - b|^root over the coordinates, and
+Metric.pow_sum is the one rule for it, exact on an int root.
 """
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import import_module
 from operator import sub
 
@@ -15,19 +15,17 @@ class Metric:
     """One l_p metric and everything the lab decides by which metric it is.
 
     coord(d) is the term |d|^root of one coordinate difference d (on l0, the
-    count d != 0); it is exact on ints and Fractions and works elementwise
-    on numpy arrays.  A pow sum, the sum of the terms over the coordinates,
-    orders pairs as their distances do, and from_pow maps it to the distance:
-    an int on l0, and on l1 when the pow sum is an int, else a float.
-    Realized vectors (Python numbers) are compared through pair_pow; numpy
-    rows through distance; a cluster's continuous center comes from the rule
-    centers holds for the cost exponent.
+    count d != 0); it is exact on ints and Fractions.  A pow sum, the sum of
+    the terms over the coordinates (pow_sum), orders pairs as their
+    distances do, and from_pow maps it to the distance: an int on l0, and on
+    l1 when the pow sum is an int, else a float.  Realized vectors (Python
+    numbers) are compared through pair_pow; a cluster's continuous center
+    comes from the rule centers holds for the cost exponent.
     """
     token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
     root: object       # 1 on l0 and l1, else p
     exact: bool        # realized distances are exact: l0, l1 and lp with an int p
     exponent: int      # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
-    distance: object = field(compare=False, repr=False)   # (row, row) -> distance
     coord: object = field(compare=False, repr=False)      # d -> |d|^root
     from_pow: object = field(compare=False, repr=False)   # pow sum -> distance
     # cost exponent -> (points) -> (center, cost); none on lp
@@ -43,6 +41,22 @@ class Metric:
         coordinate order, on the others."""
         return (sum if self.exact else math.fsum)(map(self.coord, map(sub, u, v)))
 
+    def pow_sum(self, counts):
+        """The sum of n * coord(a - b) over counted value pairs ((a, b), n).
+
+        On an int root it is exact: an int on ints, else a Fraction, each
+        float read as the dyadic rational it holds.  On any other root it is
+        the exact sum of the float terms, rounded once.
+        """
+        terms = [(n, self.coord(_rational(a) - _rational(b))) for (a, b), n in counts]
+        if isinstance(self.root, int):
+            return sum(n * t for n, t in terms)
+        return float(sum(n * Fraction(t) for n, t in terms))
+
+
+def _rational(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
 
 def _geometry(name):
     # a center rule of jchlab.geometry, imported (with numpy) when it first runs
@@ -54,12 +68,10 @@ def _int_or_float(dpow):
 
 
 METRICS = {m.token: m for m in (
-    Metric("l0", 1, True, 1, lambda u, v: int((u != v).sum()), lambda d: d != 0, int,
-           {1: _geometry("binary_median_center")}),
-    Metric("l1", 1, True, 1, lambda u, v: abs(u - v).sum().item(), abs, _int_or_float,
+    Metric("l0", 1, True, 1, lambda d: d != 0, int, {1: _geometry("binary_median_center")}),
+    Metric("l1", 1, True, 1, abs, _int_or_float,
            {1: _geometry("median_center"), 2: _geometry("l1sq_center_heuristic")}),
-    Metric("l2", 2, False, 2, lambda u, v: math.sqrt(float(((u - v) ** 2).sum())),
-           lambda d: d * d, math.sqrt,
+    Metric("l2", 2, False, 2, lambda d: d * d, math.sqrt,
            {1: _geometry("weiszfeld_geometric_median"), 2: _geometry("centroid")}),
 )}
 
@@ -68,10 +80,8 @@ def lp_metric(p):
     """lp for a finite p >= 1; an int p keeps realized distances exact."""
     if p is None or not (p >= 1 and math.isfinite(p)):
         raise ValueError(f"lp needs a finite p >= 1, not {p!r}")
-    return Metric(
-        f"lp{p}", p, isinstance(p, int), 1,
-        lambda u, v: float((abs(u - v).astype(float) ** p).sum() ** (1.0 / p)),
-        lambda d: abs(d) ** p, lambda dpow: float(dpow) ** (1.0 / p))
+    return Metric(f"lp{p}", p, isinstance(p, int), 1, lambda d: abs(d) ** p,
+                  lambda dpow: float(dpow) ** (1.0 / p))
 
 
 def parse_metric(token):

@@ -12,10 +12,10 @@ holding the `on` entry (SupportInstance).  Since the code, the realization
 and a row's label fix the row, `reduce` writes a construction file: the
 parameters and the labels, no coordinates (write_construction).  read_points
 rebuilds the supports from it through the same functions.  The cost oracles
-score support rows with no array and no numpy: a pair's distance by the
-intersection class of the two supports, and a block of continuous 0/1 rows
-by its column counts.  Dense files, explicit center vectors and the float
-center rules use numpy arrays.
+score support rows with no array and no numpy: a pair's pow sum by
+Metric.pow_sum, once per intersection class of the two supports, and a
+block of continuous 0/1 rows by its column counts.  Dense files, explicit
+center vectors and the float center rules use numpy arrays.
 """
 
 import math
@@ -288,6 +288,13 @@ class CostBreakdown:
     at_base: int
 
 
+def _finite(total):
+    # finite coordinates can add up to a float total past the double range
+    if isinstance(total, float) and not math.isfinite(total):
+        raise OverflowError("a cost overflows a double")
+    return total
+
+
 def clustering_cost(ci, chosen):
     """Assign each point to its nearest chosen center; ties pick the lowest index.
 
@@ -316,42 +323,28 @@ def _distance_table(ci, centers):
 
     The rows of a SupportInstance are supports, each side two-valued
     (SupportRows.entries), so a pair's pow sum depends only on |S_p|, |S_c|
-    and j = |S_p & S_c|: it is computed once per such class, with no array.
-    On an int root it is exact, a float entry read as the dyadic rational it
-    holds; otherwise it is rounded once.  Dense rows go to
+    and j = |S_p & S_c|: Metric.pow_sum computes it once per such class from
+    the four counts of value pairs, with no array.  Dense rows go to
     geometry.pow_sums, which gives the same values and types.
     """
-    metric = ci.metric
+    metric, dim = ci.metric, ci.dim
     if not isinstance(ci, SupportInstance):
         from .geometry import pow_sums
         return pow_sums(ci.points, centers, metric)
     (p_off, p_on), (c_off, c_on) = ci.points.entries, ci.centers.entries
-    # the term of a coordinate on in both rows, in the point only, in the center only, in neither
-    terms = [metric.coord(_rational(a) - _rational(b))
-             for a, b in ((p_on, c_on), (p_on, c_off), (p_off, c_on), (p_off, c_off))]
-    exact = isinstance(metric.root, int)
-
-    def pow_sum(a, b, j):
-        counts = (j, a - j, b - j, ci.dim - a - b + j)
-        if exact:
-            return sum(n * t for n, t in zip(counts, terms))
-        return float(sum(n * Fraction(t) for n, t in zip(counts, terms)))
-
+    # value pairs of a coordinate on in both rows, in the point only, the center only, neither
+    pairs = ((p_on, c_on), (p_on, c_off), (p_off, c_on), (p_off, c_off))
     classes, sized = {}, [(len(c), c) for c in centers]
     table = []
     for p in map(set, ci.points):
-        row = []
+        a, row = len(p), []
         for b, c in sized:
-            key = (len(p), b, len(p.intersection(c)))
-            if key not in classes:
-                classes[key] = pow_sum(*key)
-            row.append(classes[key])
+            j = len(p.intersection(c))
+            if (a, b, j) not in classes:
+                classes[a, b, j] = metric.pow_sum(zip(pairs, (j, a - j, b - j, dim - a - b + j)))
+            row.append(classes[a, b, j])
         table.append(row)
     return table
-
-
-def _rational(x):
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 class _Scores:
@@ -383,7 +376,7 @@ class _Scores:
         """A sum of terms as printed: an int when every distance is an int,
         else a float, rounded once from the exact sum where there is one."""
         if self.unit is None or all(type(d) is int for d in self.dists):
-            return total
+            return _finite(total)
         return total / self.unit
 
 
@@ -505,7 +498,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
                 cost += block_cost[block]
             if best is None or cost < best[1] - slack:
                 best = (partition, cost)
-        return best[0], best[1] / unit
+        return best[0], _finite(best[1] / unit)
     raise ValueError(f"unknown mode {mode!r}")
 
 

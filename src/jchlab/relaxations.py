@@ -287,7 +287,6 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
             "points": npoints, "centers": math.comb(n, 2),
             "sdp_max_residual": check.max_residual,
             "sdp_objective": check.objective_exact,
-            "sdp_objective_numeric": check.objective_float,
             "lp_objective": lp.objective,
             "lp_open_total": lp.open_total,
             "integral_sweeps": sweeps,
@@ -295,7 +294,6 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
     return {
         "t": t,
         "reiher_uncovered_fraction": reiher_uncovered_fraction(t),
-        "asymptotic_integral_per_point": 2 + 2 * reiher_uncovered_fraction(t),
         "asymptotic_gap": asymptotic_gap(t),
         "rows": rows,
     }

@@ -276,6 +276,8 @@ def run_err(capsys, *argv):
 TOY_PCP = "pcp 2\nlayer 1 2 u\nlayer 2 2 v\nedge 1 2 u v 0 1\n"
 # two points in the plane, one candidate center
 PTS = "pts 2 l1 1 1\n1,2 0 1\n1,3 1 0\n1 0 0\n"
+# finite coordinates 2e200 apart: the l2 distance fits a double, its square does not
+BIG_PTS = "pts 2 l2 2 1\n1,2 1e200 0.5\n1 -1e200 0\n"
 # a cost exponent below 1 names no clustering objective
 NEG_EXPONENT_PTS = ("pts 25 l1 -3 2\n1,2,3 " + " ".join("0" * 25) + "\n1,2 "
                     + " ".join("1" * 25) + "\n")
@@ -342,6 +344,15 @@ def disjoint_pairs(k):
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "inf"]),
     # below -1 the sweep's k' is negative: refused before the certificate runs
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "-5"]),
+    # a distance or cost past the double range is refused, not printed as inf
+    ({"big.pts": BIG_PTS}, ["cost", "-i", "big.pts", "--centers", "1"]),
+    ({"big.pts": BIG_PTS}, ["brute-opt", "-i", "big.pts", "--mode", "discrete"]),
+    ({"big.pts": BIG_PTS.replace("l2 2", "lp2.5 1")}, ["cost", "-i", "big.pts", "--centers", "1"]),
+    ({"big.pts": PTS}, ["cost", "-i", "big.pts", "--center-coords", "1e308,1e308"]),
+    ({"big.pts": BIG_PTS.replace("\n1 ", "\n1,3 ")},
+     ["brute-opt", "-i", "big.pts", "--mode", "continuous"]),
+    # C(2,2) - 1 = 0 parts; from z = 796 a fraction can pass 4300 digits
+    *[({}, ["turan", "--z", z]) for z in ("2", "796", "100000")],
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-huge-ell",
         *[f"reduce-{mode}-exponent-{exponent}" for mode in ("discrete", "continuous")
@@ -355,7 +366,10 @@ def disjoint_pairs(k):
         "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
         "reduce-eta-without-q", "reduce-q-eta-below-n",
         "delta-inf", "delta-minus-inf", "delta-1e400", "sdp-tol-nan", "sdp-tol-inf",
-        "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1"])
+        "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1",
+        "overflow-cost-l2", "overflow-brute-opt-discrete", "overflow-cost-lp2.5",
+        "overflow-center-coords", "overflow-brute-opt-continuous", "turan-z-2", "turan-z-796",
+        "turan-z-100000"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -366,6 +380,8 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     # the message names what it refuses: the sdp-gap value or the duplicate label
     assert argv[0] != "sdp-gap" or argv[-1] in err
     assert "dup.pts" not in files or "duplicate row label 1,2" in err
+    assert "big.pts" not in files or "past the double range" in err
+    assert argv[0] != "turan" or "need 3 <= z <= 795" in err
     # reduce and densify check every rule before they open their output: a refusal
     # leaves no file
     assert argv[0] not in ("reduce", "densify") \

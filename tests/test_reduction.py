@@ -626,6 +626,8 @@ def test_support_table_matches_dense_rows(kind, seed):
     want = [[rational_pow(ci.metric, pt, c) for c in ci.centers] for pt in ci.points]
     assert typed(_distance_table(si, si.centers)) == typed(want)
     assert typed(_distance_table(ci, ci.centers)) == typed(want)
+    dists = [[pointwise_distance(pt, c, ci.metric) for c in ci.centers] for pt in ci.points]
+    assert typed(dists) == typed([[ci.metric.from_pow(v) for v in row] for row in want])
     for j, center in enumerate(si.centers):
         per_point = clustering_cost(si, [center]).per_point
         assert typed([[d for _, _, d in per_point]]) == \
