@@ -2,14 +2,13 @@
 
 Everything operates on numpy arrays of shape (m, d).  Integer inputs keep
 integer costs on the l1/l0 paths; the Euclidean center rules use floats.
-pow_sums, the pow sums of dense rows, follows Metric.pow_sum: exact on an
-int root, rounded once on any other.  The separated-points center bound is
-certified exactly, in Fractions, from the uniform-weight dual of the
-enclosing-ball problem.
+A distance between two rows (pointwise_distance) comes from Metric.pow_sum
+on their Python values, the one rule the cost oracles score rows by.  The
+separated-points center bound is certified exactly, in Fractions, from the
+uniform-weight dual of the enclosing-ball problem.
 """
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -28,44 +27,10 @@ def as_points(points):
 
 
 def pointwise_distance(u, v, metric):
-    """Distance between two rows under a Metric: from_pow of their pow sum."""
-    return metric.from_pow(pow_sums([u], [v], metric)[0][0])
-
-
-def pow_sums(points, centers, metric):
-    """The pow sum of every point row against every center row, one list
-    per point.
-
-    Integer arrays on an int root are summed as arrays (_int_pow_sums);
-    every other pair of rows goes to Metric.pow_sum, each distinct value
-    pair counted once.  Either way the sums are exact on an int root and
-    rounded once on any other, and rows held as supports give the same
-    values and types (reduction._distance_table).
-    """
-    pts = as_points(points)
-    rows, columns = None, []      # rows: pts as lists, once a center needs them
-    for c in map(np.asarray, centers):
-        if isinstance(metric.root, int) and pts.dtype.kind in "iub" and c.dtype.kind in "iub":
-            columns.append(_int_pow_sums(pts, c, metric))
-            continue
-        rows, c = rows or pts.tolist(), c.tolist()
-        columns.append([metric.pow_sum(Counter(zip(p, c)).items()) for p in rows])
-    return [list(row) for row in zip(*columns)]
-
-
-def _int_pow_sums(pts, c, metric):
-    # Metric.coord elementwise on the arrays: each difference and term in the
-    # narrowest signed int type that holds it (a signed type that holds
-    # -1 - x holds +x), each sum in int64, or Python ints in object arrays
-    # where a sum could overflow int64
-    big = max(-int(pts.min()), int(pts.max())) + max(-int(c.min()), int(c.max()))
-    top = int(metric.coord(big))
-    if top * pts.shape[1] < 2 ** 63:
-        dtype, total = np.min_scalar_type(-1 - max(big, top)), np.int64
-    else:
-        dtype, total = object, None
-    terms = metric.coord(pts.astype(dtype, copy=False) - c.astype(dtype, copy=False))
-    return [int(s) for s in terms.sum(axis=1, dtype=total)]
+    """Distance between two rows under a Metric: from_pow of their pow sum,
+    Metric.pow_sum over the coordinate pairs."""
+    pairs = zip(np.asarray(u).tolist(), np.asarray(v).tolist())
+    return metric.from_pow(metric.pow_sum((pair, 1) for pair in pairs))
 
 
 def kmeans_partition_cost(points, partition):

@@ -1,6 +1,7 @@
 """The l_p metrics and their tokens.  No numpy import.  A distance is ranked
 and computed from its pow sum, sum |a - b|^root over the coordinates, and
-Metric.pow_sum is the one rule for it, exact on an int root.
+Metric.pow_sum is the one rule for it, exact on an int root, for support
+rows, dense rows and geometry.pointwise_distance alike.
 """
 
 import math
@@ -44,18 +45,28 @@ class Metric:
     def pow_sum(self, counts):
         """The sum of n * coord(a - b) over counted value pairs ((a, b), n).
 
-        On an int root it is exact: an int on ints, else a Fraction, each
-        float read as the dyadic rational it holds.  On any other root it is
-        the exact sum of the float terms, rounded once.
+        Every value is read as an int over one common denominator, unit (a
+        float as the dyadic rational it holds).  On an int root the terms are
+        summed as ints, exactly: an int when every value is an int, and on l0
+        (a count), else a Fraction.  On any other root each term is coord of
+        the correctly rounded difference, and their exact sum is rounded once.
         """
-        terms = [(n, self.coord(_rational(a) - _rational(b))) for (a, b), n in counts]
+        counts = list(counts)
+        ratios = {v: v.as_integer_ratio() for pair, _ in counts for v in pair
+                  if not isinstance(v, int)}
+        unit = math.lcm(*{d for _, d in ratios.values()})
+        if ratios:      # every value as its numerator over unit; equal values share one
+            num = {v: v * unit for pair, _ in counts for v in pair if isinstance(v, int)}
+            num.update((v, x * unit // d) for v, (x, d) in ratios.items())
+            counts = [((num[a], num[b]), n) for (a, b), n in counts]
         if isinstance(self.root, int):
-            return sum(n * t for n, t in terms)
-        return float(sum(n * Fraction(t) for n, t in terms))
-
-
-def _rational(x):
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+            total = sum(n * self.coord(a - b) for (a, b), n in counts)
+            # coord is multiplicative: coord(d / unit) = coord(d) * coord(1 / unit)
+            return total * self.coord(Fraction(1, unit)) if ratios else total
+        # the float terms, each an int over one common denominator, den
+        terms = [(n, self.coord((a - b) / unit).as_integer_ratio()) for (a, b), n in counts]
+        den = math.lcm(*{d for _, (_, d) in terms})
+        return sum(n * x * den // d for n, (x, d) in terms) / den
 
 
 def _geometry(name):

@@ -14,8 +14,8 @@ parameters and the labels, no coordinates (write_construction).  read_points
 rebuilds the supports from it through the same functions.  The cost oracles
 score support rows with no array and no numpy: a pair's pow sum by
 Metric.pow_sum, once per intersection class of the two supports, and a
-block of continuous 0/1 rows by its column counts.  Dense files, explicit
-center vectors and the float center rules use numpy arrays.
+block of continuous 0/1 rows by its column counts.  Dense files load as
+numpy arrays, scored by the same rule; the float center rules use them.
 """
 
 import math
@@ -318,19 +318,20 @@ def clustering_cost(ci, chosen):
 
 
 def _distance_table(ci, centers):
-    """Pow sums (Metric.coord summed over the coordinates), one row per
-    point, one entry per center.
+    """Pow sums by Metric.pow_sum, one row per point, one entry per center.
 
     The rows of a SupportInstance are supports, each side two-valued
     (SupportRows.entries), so a pair's pow sum depends only on |S_p|, |S_c|
-    and j = |S_p & S_c|: Metric.pow_sum computes it once per such class from
-    the four counts of value pairs, with no array.  Dense rows go to
-    geometry.pow_sums, which gives the same values and types.
+    and j = |S_p & S_c|: it is computed once per such class from the four
+    counts of value pairs, with no array.  A dense pair of rows (array rows
+    or --center-coords floats) gives its distinct value pairs, the same
+    rule, so both give the same values and types.
     """
     metric, dim = ci.metric, ci.dim
     if not isinstance(ci, SupportInstance):
-        from .geometry import pow_sums
-        return pow_sums(ci.points, centers, metric)
+        centers = [c if isinstance(c, list) else c.tolist() for c in centers]
+        return [[metric.pow_sum(Counter(zip(p, c)).items()) for c in centers]
+                for p in ci.points.tolist()]
     (p_off, p_on), (c_off, c_on) = ci.points.entries, ci.centers.entries
     # value pairs of a coordinate on in both rows, in the point only, the center only, neither
     pairs = ((p_on, c_on), (p_on, c_off), (p_off, c_on), (p_off, c_off))
@@ -589,10 +590,11 @@ def read_points(fh):
     and the labels by the same functions, and no row is filled in (dense()
     gives the arrays).  A dense file ('pts dim metric exponent k', one
     labeled vector per line) classifies rows by label size: with two sizes
-    present, the smaller labels are candidate centers (y < z always).  Its
-    coordinates must be finite; they load as int64 when every one is
-    integral, else as float64.  Neither restores the construction metadata
-    (the base distance).  Labels are strictly ascending positive integers.
+    present, the smaller labels are candidate centers (y < z always); a
+    third size is refused.  Its coordinates must be finite; they load as
+    int64 when every one is integral, integer tokens exactly, else as
+    float64.  Neither restores the construction metadata (the base
+    distance).  Labels are strictly ascending positive integers.
     """
     header = fh.readline()
     if header.split()[:1] == ["ptsc"]:
@@ -603,12 +605,16 @@ def read_points(fh):
     labels = [label for label, _ in rows]
     # labels of different sizes differ, so this is a check per role
     _check_distinct(labels, "row")
-    values = np.array([coords for _, coords in rows], dtype=np.float64)
-    if (values == np.trunc(values)).all():
-        if values.size and np.abs(values).max() >= 2.0 ** 63:
-            raise ValueError("integral coordinates exceed the int64 range")
-        values = values.astype(np.int64)
+    values = [coords for _, coords in rows]
+    integral = all(type(x) is int for row in values for x in row)
+    try:        # numpy refuses an int outside int64 rather than wrapping it
+        values = np.array(values, dtype=np.int64 if integral else np.float64)
+    except OverflowError:
+        raise ValueError("integral coordinates exceed the int64 range") from None
     sizes = sorted({len(lab) for lab in labels})
+    if len(sizes) > 2:
+        raise ValueError(f"rows have {len(sizes)} label sizes, a points file holds at most "
+                         "two: points and candidate centers")
     if len(sizes) == 2:
         y = sizes[0]
         is_center = np.array([len(lab) == y for lab in labels])
@@ -677,14 +683,25 @@ def _read_construction(header, fh):
 
 
 def _parse_row(fields, dim):
-    """(label, coordinates) of a row of a label and `dim` finite float coordinates."""
+    """(label, coordinates) of a row of a label and `dim` finite coordinates,
+    each integral one an int (_number), any other a float."""
     label, *tokens = fields
     if len(tokens) != dim:
         raise ValueError(f"{len(tokens)} coordinates, expected {dim}")
-    coords = [float(c) for c in tokens]
+    coords = [_number(c) for c in tokens]
     if not all(map(math.isfinite, coords)):
         raise ValueError("non-finite coordinate")
     return _parse_label(label), coords
+
+
+def _number(token):
+    x = float(token)
+    if not x.is_integer():
+        return x
+    try:        # an integer literal is read exactly, not rounded to x
+        return int(token)
+    except ValueError:
+        return int(x)
 
 
 def _parse_label(text):

@@ -17,7 +17,7 @@ from jchlab import (
     turan_random_uncovered, inapprox_factors,
     verify_relative_distance,
     embed_l1, embed_l2_scaled, embed_lp_halfshift, verify_gap_realization,
-    build_discrete_instance, clustering_cost, centers_by_labels,
+    composed_supports, clustering_cost, centers_by_labels,
     soundness_floor, meets_soundness_floor,
     build_clique_gap_instance, build_sdp_solution, verify_sdp_solution,
     lp_fractional_value, integral_min_uncovered, gap_report,
@@ -116,7 +116,7 @@ def test_criterion_5_discrete_reduction_exactness():
     assert distance_bound_ok(code) and code.relative_distance == 1
     assert verify_relative_distance(code, "sampled", seed=0, samples=500) == 1
     inst = gen_instance("complete", 4, 3, 2, 2)
-    ci = build_discrete_instance(inst, code, embed_l1(q, 3, 2))
+    ci = composed_supports(inst, code, embed_l1(q, 3, 2))
     base = ci.meta["base_distance"]
     assert base == q  # beta * ell with beta = 1, ell = q
 

@@ -353,6 +353,9 @@ def disjoint_pairs(k):
      ["brute-opt", "-i", "big.pts", "--mode", "continuous"]),
     # C(2,2) - 1 = 0 parts; from z = 796 a fraction can pass 4300 digits
     *[({}, ["turan", "--z", z]) for z in ("2", "796", "100000")],
+    # a third label size is neither the points' nor the candidate centers'
+    *[({"sizes.pts": "pts 1 l1 1 1\n1 0\n1,2 1\n1,2,3 2\n"},
+       ["brute-opt", "-i", "sizes.pts", "--mode", mode]) for mode in ("continuous", "discrete")],
 ], ids=["verify-embed-no-s", "alpha-zero-denominator", "continuous-lp",
         "pcp-layer-above-ell", "pcp-layer-zero", "pcp-huge-ell",
         *[f"reduce-{mode}-exponent-{exponent}" for mode in ("discrete", "continuous")
@@ -369,7 +372,8 @@ def disjoint_pairs(k):
         "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1",
         "overflow-cost-l2", "overflow-brute-opt-discrete", "overflow-cost-lp2.5",
         "overflow-center-coords", "overflow-brute-opt-continuous", "turan-z-2", "turan-z-796",
-        "turan-z-100000"])
+        "turan-z-100000", "points-three-label-sizes-continuous",
+        "points-three-label-sizes-discrete"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -382,6 +386,7 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
     assert "dup.pts" not in files or "duplicate row label 1,2" in err
     assert "big.pts" not in files or "past the double range" in err
     assert argv[0] != "turan" or "need 3 <= z <= 795" in err
+    assert "sizes.pts" not in files or "3 label sizes" in err
     # reduce and densify check every rule before they open their output: a refusal
     # leaves no file
     assert argv[0] not in ("reduce", "densify") \
@@ -559,6 +564,22 @@ def test_unloadable_coordinates_exit_2(tmp_path, capsys, token, command):
     code, err = run_err(capsys, command[0], "-i", str(pts), *command[1:])
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("point, center, distance", [
+    (9007199254740993, 9007199254740992, 1),     # 2^53 + 1 is no double
+    (2 ** 63 - 1, 0, 2 ** 63 - 1), (-2 ** 63, 2 ** 63 - 1, 2 ** 64 - 1)])
+def test_dense_integer_tokens_read_exactly(tmp_path, capsys, point, center, distance):
+    # an integer token is its exact int, and the int64 check applies to that int
+    pts = tmp_path / "int.pts"
+    pts.write_text(f"pts 1 l1 1 1\n1,2 {point}\n1 {center}\n")
+    code, out = run(capsys, "cost", "-i", str(pts), "--centers", "1")
+    assert code == 0
+    assert f"record=assignment point=[1,2] center_index=0 distance={distance}" in out
+    for token in (2 ** 63, -2 ** 63 - 1):
+        pts.write_text(f"pts 1 l1 1 1\n1,2 {token}\n1 {center}\n")
+        code, err = run_err(capsys, "cost", "-i", str(pts), "--centers", "1")
+        assert code == 2 and err == "error: integral coordinates exceed the int64 range\n"
 
 
 def readme_lines():

@@ -101,7 +101,7 @@ def test_centers_from_edges_flag():
 def test_soundness_floor_check():
     # q = 2917 is the smallest prime where the floor exceeds the base distance
     inst = gen_instance("complete", 4, 3, 2, 2)
-    ci = build_discrete_instance(inst, RsCode(2917, 1), embed_l1(2917, 3, 2))
+    ci = composed_supports(inst, RsCode(2917, 1), embed_l1(2917, 3, 2))
     assert soundness_floor(ci) > ci.meta["base_distance"]
     bad = centers_by_labels(ci, [(1, 2), (1, 3)])  # leaves (2,3,4) uncovered
     bd = clustering_cost(ci, bad)
@@ -649,8 +649,8 @@ def test_support_table_matches_dense_rows(kind, seed):
     ("l1", 0, 128), ("l1", -64, 64), ("lp3", 0, 32), ("lp3", -16, 16), ("lp7", 0, 2),
     ("l2", -181, 0), ("l1", 0, 2 ** 31), ("lp3", 0, 2 ** 21)])
 def test_dense_int_pow_sums_hold_a_term_of_a_power_of_two(token, point, center):
-    # a difference or term of 2^7, 2^15 or 2^31 fits the signed type of its
-    # negation but not itself; the table must still hold it exactly
+    # each difference or term is at or near 2^7, 2^15, 2^31 or 2^63, one past the
+    # largest value of a fixed-width signed int; the table holds it exactly, an int
     ci = read_points(io.StringIO(f"pts 1 {token} 1 1\n1,2 {point}\n1 {center}\n"))
     want = [[rational_pow(ci.metric, ci.points[0], ci.centers[0])]]
     assert want[0][0] == abs(center - point) ** ci.metric.root
