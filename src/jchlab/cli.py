@@ -10,6 +10,11 @@ error (a result past the double range included), 3 search-space budget
 exceeded (errors.check_budget, before any search runs), 141 stdout closed
 by its reader (128 + SIGPIPE, as a shell reports a process that signal
 ended).
+
+Each command loads only its own layers: the module imports only `errors`
+(which holds DEFAULT_BUDGET, the default --budget and the writers' line
+cap) at top level, and each cmd_* imports the layers it calls, so building
+the parser and running `turan` load no embedding, code or hypergraph module.
 """
 
 import argparse
@@ -19,9 +24,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import coverage, codes, embeddings, errors, hypergraph
-from .errors import BudgetExceededError, CertificationError, ConvergenceError, check_budget
-from .metric import METRICS, lp_metric
+from . import errors
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, CertificationError, ConvergenceError,
+                     check_budget)
 
 
 def _jsonable(value):
@@ -73,11 +78,12 @@ def _parse_alpha(text):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_jc(args):
+    from . import coverage
     # one line per edge: refused like a search, before any edge is built or the file opens
     if args.kind == "complete":
-        errors.check_comb_budget(args.n, args.z, coverage.DEFAULT_BUDGET, "lines")
+        errors.check_comb_budget(args.n, args.z, DEFAULT_BUDGET, "lines")
     elif args.m is not None:
-        check_budget(args.m, coverage.DEFAULT_BUDGET, "lines")
+        check_budget(args.m, DEFAULT_BUDGET, "lines")
     inst = coverage.gen_instance(args.kind, args.n, args.z, args.y, args.k,
                                  m=args.m, seed=args.seed, dense=args.dense)
     with open(args.output, "w") as fh:
@@ -87,6 +93,7 @@ def cmd_gen_jc(args):
 
 
 def cmd_solve_jc(args):
+    from . import coverage
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
     if args.alg == "brute":
@@ -101,11 +108,12 @@ def cmd_solve_jc(args):
 
 
 def cmd_embed(args):
+    from . import embeddings
     real = embeddings.realize(args.metric, args.q, args.t, args.s, args.p)
     if args.output:
         # one line per t-set and s-set: refused like a search, before the file opens
         check_budget(math.comb(real.q, real.t) + math.comb(real.q, real.s),
-                     coverage.DEFAULT_BUDGET, "lines")
+                     DEFAULT_BUDGET, "lines")
         with open(args.output, "w") as fh:
             embeddings.export_realization(real, fh)
     return [{"record": "realization", "kind": real.kind, "dim": real.dim,
@@ -114,9 +122,11 @@ def cmd_embed(args):
 
 
 def cmd_verify_embed(args):
+    from . import embeddings
     real = embeddings.realize(args.metric, args.q, args.t, args.s, args.p)
     edge_subset = None
     if args.restrict:
+        from . import coverage
         with open(args.restrict) as fh:
             sub = coverage.read_instance(fh)
         if sub.z != real.t or sub.n > real.q:
@@ -135,10 +145,12 @@ def cmd_verify_embed(args):
 def cmd_reduce(args):
     if args.eta is not None and args.q is None:
         raise ValueError("--eta needs --q")
+    from . import coverage
     with open(args.input) as fh:
         inst = coverage.read_instance(fh)
     recs = []
     if args.mode == "discrete":
+        from . import codes, embeddings
         if args.q is not None:
             code = codes.RsCode(args.q, 1 if args.eta is None else args.eta)
         else:
@@ -152,8 +164,7 @@ def cmd_reduce(args):
         codes.message_for_element(code, inst.n)    # q^eta >= n, checked before reduction loads
         if not args.centers_from_edges:
             # one line per point and per candidate center, counted before any label is built
-            check_budget(inst.num_edges + math.comb(inst.n, inst.y), coverage.DEFAULT_BUDGET,
-                         "lines")
+            check_budget(inst.num_edges + math.comb(inst.n, inst.y), DEFAULT_BUDGET, "lines")
         from . import reduction
         si = reduction.composed_supports(
             inst, code, real, centers_from_edges=args.centers_from_edges,
@@ -163,9 +174,10 @@ def cmd_reduce(args):
                      "provenance": "formula"})
     else:
         from . import reduction
+        from .metric import METRICS, lp_metric
         si = reduction.indicator_supports(
             inst, METRICS.get(args.metric) or lp_metric(args.p), exponent=args.exponent)
-    check_budget(sum(len(rows.labels) for rows in si.groups), coverage.DEFAULT_BUDGET, "lines")
+    check_budget(sum(len(rows.labels) for rows in si.groups), DEFAULT_BUDGET, "lines")
     # every refusal is raised above: the file opens only for a valid instance
     with open(args.output, "w") as fh:
         reduction.write_construction(si, fh)
@@ -247,6 +259,7 @@ def _read_assignment(fh):
 
 
 def cmd_hvc_build(args):
+    from . import hypergraph
     with open(args.input) as fh:
         pcp = hypergraph.read_pcp(fh)
     if args.assignment:
@@ -273,6 +286,7 @@ def cmd_hvc_build(args):
 
 
 def cmd_densify(args):
+    from . import hypergraph
     with open(args.input) as fh:
         hg = hypergraph.read_weighted_hypergraph(fh)
     dense = hypergraph.densify(hg, args.b, args.c, seed=args.seed)
@@ -290,12 +304,14 @@ def cmd_factors(args):
     if not 0 <= alpha <= 1:
         raise ValueError("need 0 <= alpha <= 1")
     if args.p in (1, 2):
+        from . import coverage
         table = coverage.inapprox_factors(int(args.p), args.delta, alpha)
         return [{"record": "factors", "gamma": table.gamma_lower,
                  "gamma_sq": table.gamma_sq, "zeta1": table.zeta1,
                  "zeta2": table.zeta2, "provenance": "formula"}]
     if args.q is None:
         raise ValueError("p outside {1,2} needs --q (empirical gap check)")
+    from . import embeddings
     ratio, real, report = embeddings.empirical_gamma(args.p, args.delta, args.q,
                                                      t=args.t, budget=args.budget)
     zeta1 = 1 + (1 - alpha) * (ratio - 1)
@@ -307,6 +323,7 @@ def cmd_factors(args):
 
 
 def cmd_turan(args):
+    from . import coverage
     value = coverage.turan_random_uncovered(args.z)
     return [{"record": "turan", "uncovered_fraction": value,
              "float": float(value), "provenance": "formula"}]
@@ -316,8 +333,12 @@ def cmd_turan(args):
 # parser
 # ---------------------------------------------------------------------------
 
+# the keys of embeddings.REALIZATIONS, spelled out so that building the parser loads no layer
+METRIC_FAMILIES = ("l0", "l1", "l2", "lp")
+
+
 def _add_budget(p):
-    p.add_argument("--budget", type=int, default=coverage.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search-space cap; exceeding it is exit status 3")
 
 
@@ -351,7 +372,7 @@ def build_parser():
 
     for name, fn in (("embed", cmd_embed), ("verify-embed", cmd_verify_embed)):
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("--metric", choices=tuple(embeddings.REALIZATIONS), required=True)
+        p.add_argument("--metric", choices=METRIC_FAMILIES, required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--s", type=int, default=None)
@@ -367,7 +388,7 @@ def build_parser():
     p = sub.add_parser("reduce", parents=[common], help="coverage-to-clustering")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--mode", choices=("discrete", "continuous"), required=True)
-    p.add_argument("--metric", choices=tuple(embeddings.REALIZATIONS), default="l1")
+    p.add_argument("--metric", choices=METRIC_FAMILIES, default="l1")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None, help="explicit code field size")
     p.add_argument("--eta", type=int, default=None)

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import check_budget, check_comb_budget, parse_header, parse_lines
-
-DEFAULT_BUDGET = 5_000_000
+from .errors import DEFAULT_BUDGET, check_budget, check_comb_budget, parse_header, parse_lines
 
 
 def _check_subset(s, n, size, what="subset"):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .coverage import DEFAULT_BUDGET
-from .errors import CertificationError, check_budget
+from .errors import DEFAULT_BUDGET, CertificationError, check_budget
 from .metric import METRICS, Metric, lp_metric
 
 TOL = 1e-9

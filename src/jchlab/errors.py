@@ -2,10 +2,15 @@
 
 Validation and parameter problems raise plain ValueError; these classes cover
 the two failure modes that callers (and the CLI exit-code contract) must be
-able to tell apart from bad input.
+able to tell apart from bad input.  DEFAULT_BUDGET lives here, beside
+check_budget, so that every layer and the CLI read it without loading
+another layer.
 """
 
 import math
+
+# the search-space cap of every enumeration and the line cap of every writer
+DEFAULT_BUDGET = 5_000_000
 
 
 class BudgetExceededError(RuntimeError):

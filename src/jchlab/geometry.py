@@ -78,8 +78,8 @@ def weiszfeld_geometric_median(points, tol=WEISZFELD_TOL, cap=WEISZFELD_CAP):
     """Geometric median by Weiszfeld iteration to gradient norm <= tol.
 
     When an iterate lands on a data point the standard optimality test
-    (|sum of unit vectors to the other points| <= 1) either stops there or
-    nudges the iterate off the singularity.
+    (|sum of unit vectors to the other points| <= the number of rows at that
+    point) either stops there or nudges the iterate off the singularity.
     """
     pts = as_points(points).astype(float)
     m = len(pts)
@@ -90,11 +90,10 @@ def weiszfeld_geometric_median(points, tol=WEISZFELD_TOL, cap=WEISZFELD_CAP):
         d = np.sqrt(((pts - x) ** 2).sum(axis=1))
         anchored = d < 1e-12
         if anchored.any():
-            j = int(np.argmax(anchored))
             others = ~anchored
             r = ((pts[others] - x) / d[others, None]).sum(axis=0)
             rnorm = float(np.sqrt((r * r).sum()))
-            if rnorm <= 1.0 + 1e-12:
+            if rnorm <= int(anchored.sum()) + 1e-12:
                 return x, float(np.sqrt(((pts - x) ** 2).sum(axis=1)).sum())
             x = x + (1e-6 / rnorm) * r  # push off the data point
             continue
@@ -164,11 +163,14 @@ def centroid(points):
 
 
 def median_center(points):
-    """The lower coordinate median and its l1 cost: the exact l1 medians center."""
+    """The lower coordinate median and its l1 cost: the exact l1 medians center.
+    Integer rows are summed as Python ints, so the cost never wraps."""
     pts = as_points(points)
     c = coordinate_median(pts)
-    cost = np.abs(pts - c).sum()
-    return c, (int(cost) if np.issubdtype(pts.dtype, np.integer) else float(cost))
+    if np.issubdtype(pts.dtype, np.integer):
+        center = c.tolist()
+        return c, sum(abs(a - b) for row in pts.tolist() for a, b in zip(row, center))
+    return c, float(np.abs(pts - c).sum())
 
 
 def binary_median_center(points):

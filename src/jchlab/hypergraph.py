@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 
-from .coverage import DEFAULT_BUDGET
-from .errors import check_budget, parse_header, parse_lines
+from .errors import DEFAULT_BUDGET, check_budget, parse_header, parse_lines
 
 
 @dataclass(frozen=True)

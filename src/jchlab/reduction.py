@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .coverage import DEFAULT_BUDGET
 from .codes import RsCode, message_for_element, rs_encode
 from .embeddings import realize
-from .errors import check_budget, check_comb_budget, parse_line, parse_lines
+from .errors import DEFAULT_BUDGET, check_budget, check_comb_budget, parse_line, parse_lines
 from .metric import METRICS, Metric, parse_metric
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .coverage import DEFAULT_BUDGET, cover_masks, gen_instance, max_union_search
-from .errors import BudgetExceededError, CertificationError, check_comb_budget
+from .coverage import cover_masks, gen_instance, max_union_search
+from .errors import DEFAULT_BUDGET, BudgetExceededError, CertificationError, check_comb_budget
 
 CONSTRAINT_FAMILIES = (
     "v0_unit",              # <v0, v0> = 1

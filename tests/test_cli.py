@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -115,6 +117,40 @@ def test_reduce_continuous_l0_default_exponent(tmp_path, capsys):
                "--metric", "l0", "-o", str(pts))[0] == 0
     assert pts.read_text().split("\n")[0] == "ptsc indicator l0 1 2 4 4"
     assert run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous")[0] == 0
+
+
+def test_brute_opt_continuous_repeated_row(tmp_path, capsys):
+    # Weiszfeld stops at the repeated row of the one-block partition instead of cycling
+    pts = tmp_path / "rep.pts"
+    pts.write_text("pts 5 l2 1 2\n1,2 1 1 1 0 1\n1,3 1 1 1 0 1\n1,4 1 0 0 0 0\n1,5 0 0 0 1 1\n")
+    code, out = run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous",
+                    "--format", "json-lines")
+    assert code == 0
+    assert abs(json.loads(out.splitlines()[1])["cost"] - math.sqrt(3)) <= 1e-9
+
+
+def test_brute_opt_continuous_l1_large_ints(tmp_path, capsys):
+    # coordinates near +-2^62: a difference passes the int64 range, so block costs are
+    # summed as Python ints; each block cost is a float in the total, as for any float rule
+    rng = random.Random(7)
+    rows = [[rng.choice((-1, 1)) * (2 ** 62 - rng.randrange(2 ** 20)) for _ in range(5)]
+            for _ in range(7)]
+    pts = tmp_path / "big.pts"
+    pts.write_text("pts 5 l1 1 2\n" + "".join(
+        f"1,{i + 2} {' '.join(map(str, row))}\n" for i, row in enumerate(rows)))
+
+    def block_cost(block):
+        center = [sorted(col)[(len(block) - 1) // 2] for col in zip(*(rows[i] for i in block))]
+        return sum(abs(a - b) for i in block for a, b in zip(rows[i], center))
+
+    # the partitions of the 7 rows into at most 2 blocks, row 0 in the first
+    partitions = [[[0, *(i for i in range(1, 7) if not mask >> i & 1)],
+                   [i for i in range(1, 7) if mask >> i & 1]] for mask in range(0, 128, 2)]
+    best = min(partitions, key=lambda part: sum(block_cost(b) for b in part if b))
+    want = sum(float(block_cost(b)) for b in best if b)
+    witness = json.dumps([b for b in best if b], separators=(",", ":"))
+    code, out = run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous")
+    assert code == 0 and f"record=optimum cost={want!r} witness={witness} " in out
 
 
 POINTS_N4 = ["1,2,3", "1,2,4", "1,3,4", "2,3,4"]

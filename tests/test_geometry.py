@@ -90,6 +90,15 @@ def test_weiszfeld_optimum_at_data_point():
     assert cost == pytest.approx(4.0, abs=1e-6)
 
 
+def test_weiszfeld_optimum_at_repeated_row():
+    # two rows share the optimum: |sum of unit vectors| = 1.776 there, above 1 but
+    # within the 2 rows at that point, so the iterate stops on it
+    block = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 1, 1]])
+    c, cost = weiszfeld_geometric_median(block)
+    assert np.allclose(c, block[0], rtol=0, atol=1e-9)
+    assert abs(cost - (2 + math.sqrt(3))) <= 1e-9
+
+
 def test_coordinate_median_examples():
     pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]])
     assert coordinate_median(pts).tolist() == [0, 0, 1]

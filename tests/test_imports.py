@@ -1,21 +1,25 @@
-"""Start-up guard: commands that build no array never load numpy, and the
-package's lazy exports resolve to the objects of their defining modules.
-cost and brute-opt score construction files from their supports, so they
-run without numpy on every file `reduce --mode discrete` writes, and
-continuous brute-opt does on the 0/1 files of an exact center rule.
+"""Start-up guard: each README command loads only the jchlab layers it runs,
+commands that build no array never load numpy, and the package's lazy
+exports resolve to the objects of their defining modules.  cost and
+brute-opt score construction files from their supports, so they run without
+numpy on every file `reduce --mode discrete` writes, and continuous
+brute-opt does on the 0/1 files of an exact center rule.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every layer.
 """
 
+import argparse
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from jchlab.cli import main
+from jchlab import embeddings
+from jchlab.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +71,26 @@ CONTINUOUS = {"means": ["--metric", "l2"], "medians": ["--metric", "l1", "--expo
 # run one command, then print whether numpy was loaded as the last line
 PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
          "print('numpy' in sys.modules); sys.exit(code)")
+
+# run one command, then print the jchlab modules loaded as the last line
+LAYERS_PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
+                "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('jchlab.')))); "
+                "sys.exit(code)")
+# README command -> the jchlab modules it loads: cli, errors and the layers it runs
+README_MODULES = {
+    "gen-jc": "cli coverage errors",
+    "solve-jc": "cli coverage errors",
+    "embed": "cli embeddings errors metric",
+    "verify-embed": "cli embeddings errors metric",
+    "reduce": "cli codes coverage embeddings errors metric reduction",
+    "cost": "cli codes embeddings errors metric reduction",
+    "brute-opt": "cli codes embeddings errors metric reduction",
+    "sdp-gap": "cli coverage errors relaxations",
+    "hvc-build": "cli errors hypergraph",
+    "densify": "cli errors hypergraph",
+    "factors": "cli coverage errors",
+    "turan": "cli coverage errors",
+}
 
 
 def fresh_python(tmp_path, *argv):
@@ -170,3 +194,22 @@ def test_lazy_exports_resolve_to_defining_modules(tmp_path):
     proc = fresh_python(tmp_path, "-c", check, ",".join(NAMES), ",".join(LAYERS))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_readme_commands_load_only_their_layers(tmp_path):
+    # the README block in order, each command in a fresh interpreter
+    (tmp_path / "toy.pcp").write_text(TOY_PCP)
+    readme = (ROOT / "README.md").read_text().splitlines()
+    lines = [shlex.split(line)[1:] for line in readme if line.startswith("jchlab ")]
+    assert {argv[0] for argv in lines} == set(README_MODULES)
+    for argv in lines:
+        proc = fresh_python(tmp_path, "-c", LAYERS_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == README_MODULES[argv[0]], argv
+
+
+def test_metric_choices_are_the_realizations():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("embed", "verify-embed", "reduce"):
+        metric = next(a for a in sub.choices[command]._actions if a.dest == "metric")
+        assert metric.choices == tuple(embeddings.REALIZATIONS), command
