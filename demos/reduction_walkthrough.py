@@ -7,7 +7,7 @@ becomes a clean two-level distance structure.  The continuous route drops
 the candidate centers and lets exact center oracles do the work.
 """
 
-import numpy as np
+import math
 
 from jchlab import (
     RsCode, gen_instance, embed_l1,
@@ -54,14 +54,15 @@ partition, cost = brute_force_optimal_cost(cont, "continuous")
 print(f"\ncontinuous optimum (squared l2, k=2): cost {cost} "
       f"with parts {partition}")
 print("pairwise-form cost of that partition:",
-      kmeans_partition_cost(cont.points.astype(float), partition))
+      kmeans_partition_cost(cont.points, partition))
 
 # Exact center oracles at work.
-tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+tri = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
 c, geo = best_center_continuous(tri, parse_metric("l2"), 1)
 print(f"\ngeometric median of the unit triangle: cost {geo:.6f} "
-      f"(= sqrt(3) = {np.sqrt(3):.6f})")
+      f"(= sqrt(3) = {math.sqrt(3):.6f})")
 
 # Pairwise-separated points admit no center close to all of them.
 print("separated basis vectors forced radius >= 0.9:",
-      separation_center_bound_check(np.eye(50), 0.1))
+      separation_center_bound_check(
+          [[float(i == j) for j in range(50)] for i in range(50)], 0.1))

@@ -1,7 +1,7 @@
 """jchlab: coverage gadgets, metric gap embeddings, clustering reductions,
 and relaxation-gap certification, all backed by exhaustive desk-scale oracles.
 
-Layers load on first use (PEP 562), so `import jchlab` costs no numpy.
+Layers load on first use (PEP 562), so `import jchlab` loads none of them.
 """
 
 import importlib

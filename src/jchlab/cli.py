@@ -192,7 +192,7 @@ def cmd_cost(args):
     from . import reduction
     with open(args.input) as fh:
         ci = reduction.read_points(fh)
-    if args.center_coords:      # explicit vectors are scored against the arrays
+    if args.center_coords:      # explicit vectors are scored against the filled rows
         ci = ci.dense()
     chosen = []
     if args.centers:
@@ -477,7 +477,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, FloatingPointError) as exc:   # finite inputs, a result no double holds
+    except OverflowError as exc:   # finite inputs, a result no double holds
         print(f"error: past the double range: {exc}", file=sys.stderr)
         return 2
     try:

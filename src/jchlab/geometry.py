@@ -1,61 +1,97 @@
 """Continuous center computations and pairwise cost identities.
 
-Everything operates on numpy arrays of shape (m, d).  Integer inputs keep
-integer costs on the l1/l0 paths; the Euclidean center rules use floats.
-A distance between two rows (pointwise_distance) comes from Metric.pow_sum
-on their Python values, the one rule the cost oracles score rows by.  The
-separated-points center bound is certified exactly, in Fractions, from the
-uniform-weight dual of the enclosing-ball problem.
+Points are a nonempty sequence of rows of one length, each a sequence of
+Python ints or floats.  The closed-form centers cost a block exactly, by
+Metric.pow_sum of its value pairs against the center (the rule the cost
+oracles score rows by), as do pointwise_distance and the separated-points
+center bound.  Weiszfeld and the squared-l1 pattern search run in floats:
+column sums in row order, every other sum pairwise (_sum).
 """
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
-
-import numpy as np
+from functools import reduce
+from operator import add, sub
 
 from .errors import ConvergenceError
+from .metric import METRICS
 
 WEISZFELD_TOL = 1e-8
 WEISZFELD_CAP = 100_000
 
 
 def as_points(points):
-    arr = np.asarray(points)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("need a nonempty (m, d) point array")
-    return arr
+    rows = [list(row) for row in points]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("need a nonempty sequence of rows of one length")
+    return rows
+
+
+def _floats(points):
+    return [[float(x) for x in row] for row in as_points(points)]
 
 
 def pointwise_distance(u, v, metric):
     """Distance between two rows under a Metric: from_pow of their pow sum,
     Metric.pow_sum over the coordinate pairs."""
-    pairs = zip(np.asarray(u).tolist(), np.asarray(v).tolist())
-    return metric.from_pow(metric.pow_sum((pair, 1) for pair in pairs))
+    return metric.from_pow(metric.pow_sum((pair, 1) for pair in zip(u, v)))
+
+
+def _pow_sum(metric, rows, center):
+    # the exact pow sum of every row against center, each distinct value pair counted once
+    return metric.pow_sum(Counter(pair for row in rows for pair in zip(row, center)).items())
+
+
+def _sum(xs):
+    """Pairwise sum of a list of floats, each partial sum a plain fold (the
+    same on every Python version): in order below 8 terms, as eight
+    interleaved sums up to 128, else the two halves cut at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    cut = n - n % 8
+    r = xs[:8]
+    for i in range(8, cut, 8):
+        r = list(map(add, r, xs[i:i + 8]))
+    a, b, c, d, e, f, g, h = r
+    return reduce(add, xs[cut:], ((a + b) + (c + d)) + ((e + f) + (g + h)))
+
+
+def _sq(v):
+    # the pairwise sum of the squares of a float sequence
+    return _sum([a * a for a in v])
+
+
+def _column_sums(rows):
+    # each coordinate summed over the rows, in row order
+    return [reduce(add, column) for column in zip(*rows)]
 
 
 def kmeans_partition_cost(points, partition):
     """Pairwise form of the squared-Euclidean clustering cost.
 
     sum_i (1 / (2|C_i|)) sum_{p,q in C_i} |p - q|_2^2 over a disjoint cover
-    of the points by nonempty index lists.
+    of the points by nonempty index lists, summed exactly and rounded once.
     """
-    pts = as_points(points).astype(float)
+    pts = as_points(points)
     _check_partition(partition, len(pts))
-    total = 0.0
+    total = 0
     for part in partition:
-        block = pts[list(part)]
-        sq = (block * block).sum(axis=1)
-        gram = block @ block.T
-        pair_sum = float((sq[:, None] + sq[None, :] - 2 * gram).sum())
-        total += pair_sum / (2 * len(part))
-    return total
+        block = [pts[i] for i in part]
+        total += Fraction(sum(_pow_sum(METRICS["l2"], block, q) for q in block), 2 * len(part))
+    return float(total)
 
 
 def kmeans_partition_cost_centroid(points, partition):
-    """Centroid form of the same cost; agrees with the pairwise form."""
-    pts = as_points(points).astype(float)
+    """Centroid form of the same cost; equal to the pairwise form, exactly."""
+    pts = as_points(points)
     _check_partition(partition, len(pts))
-    return sum(centroid(pts[list(part)])[1] for part in partition)
+    return float(sum(centroid([pts[i] for i in part])[1] for part in partition))
 
 
 def _check_partition(partition, m):
@@ -70,8 +106,7 @@ def _check_partition(partition, m):
 def coordinate_median(points):
     """Lower coordinatewise median; on 0/1 data a tie at half resolves to 0."""
     pts = as_points(points)
-    sorted_pts = np.sort(pts, axis=0)
-    return sorted_pts[(len(pts) - 1) // 2]
+    return [sorted(column)[(len(pts) - 1) // 2] for column in zip(*pts)]
 
 
 def weiszfeld_geometric_median(points, tol=WEISZFELD_TOL, cap=WEISZFELD_CAP):
@@ -79,35 +114,41 @@ def weiszfeld_geometric_median(points, tol=WEISZFELD_TOL, cap=WEISZFELD_CAP):
 
     When an iterate lands on a data point the standard optimality test
     (|sum of unit vectors to the other points| <= the number of rows at that
-    point) either stops there or nudges the iterate off the singularity.
+    point) either stops there or nudges the iterate off the singularity.  An
+    iterate whose distances pass the double range raises OverflowError.
     """
-    pts = as_points(points).astype(float)
-    m = len(pts)
-    if m == 1:
-        return pts[0].copy(), 0.0
-    x = pts.mean(axis=0)
+    pts = _floats(points)
+    x = [c / len(pts) for c in _column_sums(pts)]
     for _ in range(cap):
-        d = np.sqrt(((pts - x) ** 2).sum(axis=1))
-        anchored = d < 1e-12
-        if anchored.any():
-            others = ~anchored
-            r = ((pts[others] - x) / d[others, None]).sum(axis=0)
-            rnorm = float(np.sqrt((r * r).sum()))
-            if rnorm <= int(anchored.sum()) + 1e-12:
-                return x, float(np.sqrt(((pts - x) ** 2).sum(axis=1)).sum())
-            x = x + (1e-6 / rnorm) * r  # push off the data point
+        d = [math.sqrt(_sq(map(sub, p, x))) for p in pts]
+        cost = _sum(d)
+        if not math.isfinite(cost):
+            raise OverflowError("a Weiszfeld distance overflows a double")
+        anchored = sum(di < 1e-12 for di in d)
+        if anchored:
+            r = _column_sums([(a - b) / di for a, b in zip(p, x)]
+                             for p, di in zip(pts, d) if di >= 1e-12)
+            rnorm = math.sqrt(_sq(r))
+            if rnorm <= anchored + 1e-12:
+                return x, cost
+            x = [a + (1e-6 / rnorm) * b for a, b in zip(x, r)]  # push off the data point
             continue
-        w = 1.0 / d
-        grad = ((x - pts) * w[:, None]).sum(axis=0)
-        if float(np.sqrt((grad * grad).sum())) <= tol:
-            return x, float(d.sum())
-        x = (pts * w[:, None]).sum(axis=0) / w.sum()
+        w = [1.0 / di for di in d]
+        grad = _column_sums([(a - b) * wi for a, b in zip(x, p)] for p, wi in zip(pts, w))
+        if math.sqrt(_sq(grad)) <= tol:
+            return x, cost
+        total = _sum(w)
+        x = [c / total for c in _column_sums([a * wi for a in p] for p, wi in zip(pts, w))]
     raise ConvergenceError(f"Weiszfeld did not reach gradient norm {tol} in {cap} steps")
 
 
-def l1sq_cost(points, center):
-    pts = as_points(points).astype(float)
-    return float((np.abs(pts - np.asarray(center, dtype=float)).sum(axis=1) ** 2).sum())
+def _abs_diffs(pts, c):
+    return [[abs(a - b) for a, b in zip(p, c)] for p in pts]
+
+
+def _l1sq(diffs):
+    # the squared-l1 cost of rows given as their |p - c| lists
+    return _sum([s * s for s in map(_sum, diffs)])
 
 
 def l1sq_pairwise_lower_bound(points):
@@ -116,23 +157,27 @@ def l1sq_pairwise_lower_bound(points):
     From |p - q|_1^2 <= 2|p - c|_1^2 + 2|q - c|_1^2 summed over ordered pairs:
     cost >= sum_{p,q} |p - q|_1^2 / (4m).
     """
-    pts = as_points(points).astype(float)
-    return sum(l1sq_cost(pts, p) for p in pts) / (4 * len(pts))
+    pts = _floats(points)
+    return sum(_l1sq(_abs_diffs(pts, p)) for p in pts) / (4 * len(pts))
 
 
-def _pattern_search(cost, x0, step0, tol=1e-7):
-    x = np.asarray(x0, dtype=float).copy()
-    best = cost(x)
+def _pattern_search(pts, x0, step0, tol=1e-7):
+    # a trial moves one coordinate, so it updates one entry of each |p - x| list
+    x = list(x0)
+    diffs = _abs_diffs(pts, x)
+    best = _l1sq(diffs)
     step = float(step0)
     while step > tol:
         improved = False
         for j in range(len(x)):
             for delta in (step, -step):
-                trial = x.copy()
-                trial[j] += delta
-                c = cost(trial)
+                t = x[j] + delta
+                trial = [row.copy() for row in diffs]
+                for row, p in zip(trial, pts):
+                    row[j] = abs(p[j] - t)
+                c = _l1sq(trial)
                 if c < best - 1e-15:
-                    x, best = trial, c
+                    x[j], diffs, best = t, trial, c
                     improved = True
         if not improved:
             step /= 2.0
@@ -144,39 +189,36 @@ def l1sq_center_heuristic(points):
 
     Seeded at the centroid and the coordinate median; the result is a
     heuristic upper bound, to be read against l1sq_pairwise_lower_bound.
+    Rows whose spread passes the double range raise OverflowError.
     """
-    pts = as_points(points).astype(float)
-    spread = float(np.ptp(pts)) or 1.0
-    best = None
-    for seed in (pts.mean(axis=0), coordinate_median(pts).astype(float)):
-        x, c = _pattern_search(lambda v: l1sq_cost(pts, v), seed, spread / 2)
-        if best is None or c < best[1]:
-            best = (x, c)
-    return best
+    pts = _floats(points)
+    spread = max(map(max, pts)) - min(map(min, pts))
+    if not math.isfinite(spread):
+        raise OverflowError("the spread of the rows overflows a double")
+    seeds = ([c / len(pts) for c in _column_sums(pts)], coordinate_median(pts))
+    # the first seed's result on a tie
+    return min((_pattern_search(pts, seed, (spread or 1.0) / 2) for seed in seeds),
+               key=lambda result: result[1])
 
 
 def centroid(points):
-    """The mean and its squared-l2 cost: the exact l2 means center."""
+    """The mean and its exact squared-l2 cost: the exact l2 means center."""
     pts = as_points(points)
-    c = pts.astype(float).mean(axis=0)
-    return c, float(((pts - c) ** 2).sum())
+    mean = [sum(map(Fraction, column)) / len(pts) for column in zip(*pts)]
+    return [float(c) for c in mean], _pow_sum(METRICS["l2"], pts, mean)
 
 
 def median_center(points):
-    """The lower coordinate median and its l1 cost: the exact l1 medians center.
-    Integer rows are summed as Python ints, so the cost never wraps."""
+    """The lower coordinate median and its exact l1 cost: the exact l1 medians center."""
     pts = as_points(points)
-    c = coordinate_median(pts)
-    if np.issubdtype(pts.dtype, np.integer):
-        center = c.tolist()
-        return c, sum(abs(a - b) for row in pts.tolist() for a, b in zip(row, center))
-    return c, float(np.abs(pts - c).sum())
+    center = coordinate_median(pts)
+    return center, _pow_sum(METRICS["l1"], pts, center)
 
 
 def binary_median_center(points):
     """median_center on 0/1 data, where l0 and l1 agree."""
     pts = as_points(points)
-    if not np.isin(pts, (0, 1)).all():
+    if not all(x in (0, 1) for row in pts for x in row):
         raise ValueError("l0 center requires 0/1 data")
     return median_center(pts)
 
@@ -184,17 +226,20 @@ def binary_median_center(points):
 def best_center_continuous(points, metric, exponent):
     """Optimal (or flagged-heuristic) single center for one cluster.
 
-    The rule is metric.centers[exponent]: (l2, 2) centroid; (l1/l0, 1)
-    coordinatewise lower median; (l2, 1) Weiszfeld; (l1, 2) local-search
-    heuristic (squared-l1 cost is not coordinatewise separable, so no exact
-    closed form is used).  A float step past the double range raises
-    FloatingPointError rather than giving an inf center or cost.
+    The rule is metric.centers[exponent]: (l2, 2) centroid and (l1/l0, 1)
+    lower coordinate median, exact costs (an int or a Fraction); (l2, 1)
+    Weiszfeld and (l1, 2) local-search heuristic (the squared-l1 cost is not
+    coordinatewise separable), float costs.  A center or a cost past the
+    double range raises OverflowError rather than being returned as inf.
     """
     rule = metric.centers.get(exponent)
     if rule is None:
         raise ValueError(f"no center rule for metric={metric.token!r} exponent={exponent}")
-    with np.errstate(over="raise"):
-        return rule(points)
+    center, cost = rule(points)
+    # false for inf and nan, and for an exact cost that no double holds
+    if not all(abs(v) <= sys.float_info.max for v in (*center, cost)):
+        raise OverflowError("a center or its cost overflows a double")
+    return center, cost
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +247,10 @@ def best_center_continuous(points, metric, exponent):
 # ---------------------------------------------------------------------------
 
 def _uniform_dual(rows):
-    """(1/m) sum_i |p_i|^2 - |mean|^2 as an exact Fraction.
-
-    For any center c, max_i |p_i - c|^2 >= (1/m) sum_i |p_i - c|^2 >= this
-    value, so it bounds the squared enclosing radius from below.  Floats are
-    dyadic rationals, so Fraction(x) is each coordinate exactly.
-    """
-    m = len(rows)
-    total = Fraction(0)
-    for column in zip(*rows):
-        xs = [Fraction(x) for x in column]
-        s = sum(xs)
-        total += m * sum(x * x for x in xs) - s * s
-    return total / (m * m)
+    """(1/m) sum_i |p_i - mean|^2, the centroid's exact cost over m.  For any
+    center c, max_i |p_i - c|^2 >= (1/m) sum_i |p_i - c|^2 >= this value, so
+    it bounds the squared enclosing radius from below."""
+    return Fraction(centroid(rows)[1], len(rows))
 
 
 def separation_center_bound_check(points, eps):
@@ -229,16 +265,13 @@ def separation_center_bound_check(points, eps):
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pts = as_points(points).astype(float)
-    rows = pts.tolist()
+    rows = _floats(points)
     bad = next((x for row in rows for x in row if not math.isfinite(x)), None)
     if bad is not None:
         raise ValueError(f"coordinates must be finite, got {bad}")
-    m = len(pts)
+    m = len(rows)
     if not m > 4.0 / eps + 1:
         raise ValueError(f"need more than 4/eps + 1 = {4.0 / eps + 1:.2f} points, got {m}")
-    for i in range(m):
-        d2 = ((pts[i + 1:] - pts[i]) ** 2).sum(axis=1)
-        if len(d2) and float(d2.min()) < 2.0 - 1e-9:
-            raise ValueError("pairwise distances must be at least sqrt(2)")
+    if any(_sq(map(sub, q, p)) < 2.0 - 1e-9 for i, p in enumerate(rows) for q in rows[i + 1:]):
+        raise ValueError("pairwise distances must be at least sqrt(2)")
     return eps >= 1 or _uniform_dual(rows) >= (1 - Fraction(eps)) ** 2

@@ -1,7 +1,7 @@
-"""The l_p metrics and their tokens.  No numpy import.  A distance is ranked
-and computed from its pow sum, sum |a - b|^root over the coordinates, and
-Metric.pow_sum is the one rule for it, exact on an int root, for support
-rows, dense rows and geometry.pointwise_distance alike.
+"""The l_p metrics and their tokens.  A distance is ranked and computed
+from its pow sum, sum |a - b|^root over the coordinates, and Metric.pow_sum
+is the one rule for it, exact on an int root, for support rows, dense rows,
+the closed-form center costs and geometry.pointwise_distance alike.
 """
 
 import math
@@ -70,7 +70,7 @@ class Metric:
 
 
 def _geometry(name):
-    # a center rule of jchlab.geometry, imported (with numpy) when it first runs
+    # a center rule of jchlab.geometry, imported when it first runs
     return lambda points: getattr(import_module("jchlab.geometry"), name)(points)
 
 

@@ -12,13 +12,14 @@ holding the `on` entry (SupportInstance).  Since the code, the realization
 and a row's label fix the row, `reduce` writes a construction file: the
 parameters and the labels, no coordinates (write_construction).  read_points
 rebuilds the supports from it through the same functions.  The cost oracles
-score support rows with no array and no numpy: a pair's pow sum by
+score support rows without filling them in: a pair's pow sum by
 Metric.pow_sum, once per intersection class of the two supports, and a
-block of continuous 0/1 rows by its column counts.  Dense files load as
-numpy arrays, scored by the same rule; the float center rules use them.
+block of continuous 0/1 rows by its column counts.  Dense rows, sequences
+of Python ints or floats, are scored by the same rule.
 """
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,9 +45,9 @@ def _check_counts(points, centers, k, exponent):
 
 @dataclass
 class ClusteringInstance:
-    points: object             # np.ndarray of shape (m, dim)
+    points: object             # rows, each a sequence of dim Python ints or floats
     point_labels: tuple
-    centers: object            # np.ndarray or None (continuous case)
+    centers: object            # rows like the points', or None (continuous case)
     center_labels: object
     k: int
     metric: Metric
@@ -56,15 +57,16 @@ class ClusteringInstance:
     def __post_init__(self):
         _check_counts(len(self.points), None if self.centers is None else len(self.centers),
                       self.k, self.exponent)
-        if self.centers is not None and self.centers.shape[1] != self.points.shape[1]:
-            raise ValueError("points and centers must share one dimension")
+        centers = () if self.centers is None else self.centers
+        if any(len(row) != self.dim for row in chain(self.points, centers)):
+            raise ValueError("every point and center row must have one length")
 
     @property
     def dim(self):
-        return self.points.shape[1]
+        return len(self.points[0])
 
     def dense(self):
-        """The instance itself: its rows are arrays already."""
+        """The instance itself: its rows are filled in already."""
         return self
 
 
@@ -92,7 +94,7 @@ class SupportInstance:
     t, s) or ("indicator", n): write_construction writes it with the metric,
     the exponent, k and the labels.  Like a ClusteringInstance it has
     point_labels and center_labels, and its points and centers are sequences
-    of rows, here supports.  dense() fills the arrays of the equal
+    of rows, here supports.  dense() fills the rows of the equal
     ClusteringInstance, refusing more than rebuild_budget coordinates (an
     instance read from a file has REBUILD_BUDGET, a built one no cap).
     """
@@ -123,22 +125,19 @@ class SupportInstance:
     def center_labels(self):
         return None if self.centers is None else self.centers.labels
 
-    @property
-    def integral(self):
-        return all(type(e) is int for rows in self.groups for e in rows.entries)
-
     def fill(self, rows):
-        """The array of rows (points or centers): int8 when every entry of the
-        instance is an int, else float64.  The one place a SupportInstance
-        builds coordinates, so each call first checks that all its rows fit
-        rebuild_budget."""
-        import numpy as np
+        """The rows (points or centers) filled in: an array('b') each when every
+        entry of the instance is an int, else an array('d').  The one place a
+        SupportInstance builds coordinates, so each call first checks that
+        all its rows fit rebuild_budget."""
         check_budget(sum(map(len, self.groups)) * self.dim, self.rebuild_budget, "coordinates")
         off, on = rows.entries
-        out = np.full((len(rows), self.dim), off,
-                      dtype=np.int8 if self.integral else np.float64)
-        for i, support in enumerate(rows):
-            out[i, support] = on
+        integral = all(type(e) is int for group in self.groups for e in group.entries)
+        blank = array("b" if integral else "d", [off]) * self.dim
+        out = [blank[:] for _ in rows]
+        for row, support in zip(out, rows):
+            for j in support:
+                row[j] = on
         return out
 
     def dense(self):
@@ -216,7 +215,7 @@ def _composed(n, point_labels, center_labels, k, code, real, exponent, meta):
 
 def build_discrete_instance(inst, code, real, centers_from_edges=False,
                             exponent=None):
-    """The arrays of composed_supports (same arguments)."""
+    """The filled rows of composed_supports (same arguments)."""
     return composed_supports(inst, code, real, centers_from_edges, exponent).dense()
 
 
@@ -272,7 +271,7 @@ def _indicator(n, labels, k, metric, exponent, meta):
 
 
 def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=None):
-    """The arrays of indicator_supports (same arguments)."""
+    """The filled rows of indicator_supports (same arguments)."""
     return indicator_supports(inst, metric, exponent).dense()
 
 
@@ -322,15 +321,14 @@ def _distance_table(ci, centers):
     The rows of a SupportInstance are supports, each side two-valued
     (SupportRows.entries), so a pair's pow sum depends only on |S_p|, |S_c|
     and j = |S_p & S_c|: it is computed once per such class from the four
-    counts of value pairs, with no array.  A dense pair of rows (array rows
-    or --center-coords floats) gives its distinct value pairs, the same
-    rule, so both give the same values and types.
+    counts of value pairs, with no row filled in.  A dense pair of rows
+    (filled rows or --center-coords floats) gives its distinct value pairs,
+    the same rule, so both give the same values and types.
     """
     metric, dim = ci.metric, ci.dim
     if not isinstance(ci, SupportInstance):
-        centers = [c if isinstance(c, list) else c.tolist() for c in centers]
         return [[metric.pow_sum(Counter(zip(p, c)).items()) for c in centers]
-                for p in ci.points.tolist()]
+                for p in ci.points]
     (p_off, p_on), (c_off, c_on) = ci.points.entries, ci.centers.entries
     # value pairs of a coordinate on in both rows, in the point only, the center only, neither
     pairs = ((p_on, c_on), (p_on, c_off), (p_off, c_on), (p_off, c_off))
@@ -455,10 +453,11 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
     Discrete mode scans all k-subsets of the candidate centers, scoring each
     from one table of point-center pow sums computed up front; continuous
     mode scans set partitions into at most k blocks, solving each distinct
-    block once: exactly from its column counts (_count_cost) where the rows
-    are 0/1 and the center rule has a closed form, else with
-    best_center_continuous on the dense rows.  Exact totals compare exactly
-    and the first optimum found is kept.
+    block once: from its column counts (_count_cost) where the rows are 0/1
+    and the center rule has a closed form, else with best_center_continuous
+    on the dense rows, exactly under a closed-form rule (_COUNT_RULES).
+    Exact totals compare exactly, float ones up to 1e-12, and the first
+    optimum found is kept.
     """
     if mode == "discrete":
         if ci.centers is None:
@@ -479,15 +478,15 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
         count_cost = _count_cost(ci)
         if count_cost is None:
             from .geometry import best_center_continuous
-            ci = ci.dense()
-            # float center rules: near-equal totals count as ties
-            unit, slack = 1, 1e-12
-            solve = lambda block: float(best_center_continuous(
-                ci.points[list(block)], ci.metric, ci.exponent)[1])
+            ci, unit = ci.dense(), 1
+            solve = lambda block: best_center_continuous(
+                [ci.points[i] for i in block], ci.metric, ci.exponent)[1]
         else:
             # every block cost is a multiple of 1/|B|: held as ints over lcm(1..m)
-            unit, slack = math.lcm(*range(1, m + 1)), 0
+            unit = math.lcm(*range(1, m + 1))
             solve = lambda block: int(count_cost(block) * unit)
+        # the float center rules (Weiszfeld, the l1^2 heuristic): near-equal totals tie
+        slack = 0 if (ci.metric.token, ci.exponent) in _COUNT_RULES else 1e-12
         block_cost = {}   # blocks recur across partitions; solve each once
         best = None
         for partition in _partitions_upto(m, ci.k):
@@ -498,7 +497,7 @@ def brute_force_optimal_cost(ci, mode, budget=DEFAULT_BUDGET):
                 cost += block_cost[block]
             if best is None or cost < best[1] - slack:
                 best = (partition, cost)
-        return best[0], _finite(best[1] / unit)
+        return best[0], _finite(float(best[1] / unit))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -519,8 +518,8 @@ _COUNT_RULES = {("l2", 2): _centroid_cost, ("l1", 1): _median_cost, ("l0", 1): _
 def _count_cost(ci):
     """block (ascending point indices) -> its exact optimal continuous cost
     (_COUNT_RULES), or None when the rows are not 0/1 or the metric and
-    exponent have no such rule.  Dense 0/1 rows read their supports off the
-    array."""
+    exponent have no such rule.  Dense 0/1 rows give their supports as the
+    indices of their ones."""
     rule = _COUNT_RULES.get((ci.metric.token, ci.exponent))
     if rule is None:
         return None
@@ -529,10 +528,9 @@ def _count_cost(ci):
             return None
         supports = list(ci.points)
     else:
-        import numpy as np
-        if not np.isin(ci.points, (0, 1)).all():
+        if not all(x in (0, 1) for row in ci.points for x in row):
             return None
-        supports = [np.flatnonzero(row).tolist() for row in ci.points]
+        supports = [[j for j, x in enumerate(row) if x] for row in ci.points]
     return lambda block: rule(len(block), list(Counter(
         chain.from_iterable(supports[i] for i in block)).values()))
 
@@ -567,17 +565,16 @@ def write_construction(si, fh):
 
 def write_points(ci, fh):
     """Write the dense header 'pts dim metric exponent k', then one
-    `label coordinates` line per point and per candidate center: integers as
-    str(v), floats as repr(float(v)).
+    `label coordinates` line per point and per candidate center, each value
+    as str(v), the repr of an int or a float.
     """
     fh.write(f"pts {ci.dim} {ci.metric.token} {ci.exponent} {ci.k}\n")
-    fmt = str if ci.points.dtype.kind in "iu" else (lambda v: repr(float(v)))
     rows = [(ci.point_labels, ci.points)]
     if ci.centers is not None:
         rows.append((ci.center_labels, ci.centers))
     for labels, block in rows:
         for label, row in zip(labels, block):
-            fh.write(f"{','.join(map(str, label))} {' '.join(map(fmt, row.tolist()))}\n")
+            fh.write(f"{','.join(map(str, label))} {' '.join(map(str, row))}\n")
 
 
 def read_points(fh):
@@ -587,45 +584,39 @@ def read_points(fh):
     and how many candidate centers, and it reads back as the SupportInstance
     `reduce` built: its supports are rebuilt from the code, the realization
     and the labels by the same functions, and no row is filled in (dense()
-    gives the arrays).  A dense file ('pts dim metric exponent k', one
-    labeled vector per line) classifies rows by label size: with two sizes
-    present, the smaller labels are candidate centers (y < z always); a
-    third size is refused.  Its coordinates must be finite; they load as
-    int64 when every one is integral, integer tokens exactly, else as
-    float64.  Neither restores the construction metadata (the base
-    distance).  Labels are strictly ascending positive integers.
+    fills them).  A dense file ('pts dim metric exponent k', one labeled
+    vector per line) classifies rows by label size: with two sizes present,
+    the smaller labels are candidate centers (y < z always); a third size is
+    refused.  Its coordinates must be finite, and each row loads as a list:
+    of ints when every coordinate of the file is integral, integer tokens
+    exactly and inside the int64 range, else of floats.  Neither restores
+    the construction metadata (the base distance).  Labels are strictly
+    ascending positive integers.
     """
     header = fh.readline()
     if header.split()[:1] == ["ptsc"]:
         return _read_construction(header, fh)
-    import numpy as np
     dim, metric, exponent, k = parse_line(header, "pts", _dense_header)
     rows = parse_lines(fh, "pts", lambda fields: _parse_row(fields, dim))
     labels = [label for label, _ in rows]
     # labels of different sizes differ, so this is a check per role
     _check_distinct(labels, "row")
     values = [coords for _, coords in rows]
-    integral = all(type(x) is int for row in values for x in row)
-    try:        # numpy refuses an int outside int64 rather than wrapping it
-        values = np.array(values, dtype=np.int64 if integral else np.float64)
-    except OverflowError:
-        raise ValueError("integral coordinates exceed the int64 range") from None
+    if all(type(x) is int for row in values for x in row):
+        if not all(-2 ** 63 <= x < 2 ** 63 for row in values for x in row):
+            raise ValueError("integral coordinates exceed the int64 range")
+    else:       # one float coordinate makes every coordinate a float
+        values = [[float(x) for x in row] for row in values]
     sizes = sorted({len(lab) for lab in labels})
     if len(sizes) > 2:
         raise ValueError(f"rows have {len(sizes)} label sizes, a points file holds at most "
                          "two: points and candidate centers")
-    if len(sizes) == 2:
-        y = sizes[0]
-        is_center = np.array([len(lab) == y for lab in labels])
-        return ClusteringInstance(
-            points=values[~is_center],
-            point_labels=tuple(lab for lab in labels if len(lab) != y),
-            centers=values[is_center],
-            center_labels=tuple(lab for lab in labels if len(lab) == y),
-            k=k, metric=metric, exponent=exponent)
+    is_center = [len(sizes) == 2 and len(lab) == sizes[0] for lab in labels]
+    pick = lambda items, center: [x for x, c in zip(items, is_center) if c == center]
     return ClusteringInstance(
-        points=values, point_labels=tuple(labels),
-        centers=None, center_labels=None, k=k, metric=metric, exponent=exponent)
+        points=pick(values, False), point_labels=tuple(pick(labels, False)),
+        centers=pick(values, True) or None, center_labels=tuple(pick(labels, True)) or None,
+        k=k, metric=metric, exponent=exponent)
 
 
 def _dense_header(fields):

@@ -246,10 +246,13 @@ def gap_report(n_list, t=5, exact_budget=DEFAULT_BUDGET, tol=1e-8,
     compute the exact minimum uncovered count at k' = floor(k*(1+delta)) for
     each sweep fraction delta, searching each distinct k' once.  The integral
     cost lower bound is 2*covered + 4*uncovered.  Finite-size rows reaching uncovered = 0 are
-    flagged as deviations from the asymptotic 24/125 bound.  A negative or
+    flagged as deviations from the asymptotic 24/125 bound.  A t other than
+    5 (the one t the explicit SDP solution is feasible at), a negative or
     non-finite tol, or a sweep fraction below -1 or not finite, is refused
     before any check.
     """
+    if t != 5:
+        raise ValueError(f"the SDP solution is feasible only at t = 5, got t = {t}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"need a finite tol >= 0, got {tol}")
     for delta in extra_center_fractions:

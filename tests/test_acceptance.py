@@ -190,13 +190,13 @@ def test_criterion_9_continuous_oracles():
         pts = rng.normal(size=(m, d)) * rng.uniform(0.5, 4.0)
         parts = [tuple(range(0, m // 2 or 1)), tuple(range(m // 2 or 1, m))]
         parts = [p for p in parts if p]
-        a = kmeans_partition_cost(pts, parts)
-        b = kmeans_partition_cost_centroid(pts, parts)
+        a = kmeans_partition_cost(pts.tolist(), parts)
+        b = kmeans_partition_cost_centroid(pts.tolist(), parts)
         worst = max(worst, abs(a - b))
     assert worst <= 1e-9
 
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    _, wcost = weiszfeld_geometric_median(tri)
+    _, wcost = weiszfeld_geometric_median(tri.tolist())
     assert abs(wcost - math.sqrt(3)) <= 1e-4
     xs = np.arange(0.0, 1.0, 1e-3)
     ys = np.arange(0.0, 0.9, 1e-3)
@@ -208,10 +208,10 @@ def test_criterion_9_continuous_oracles():
     assert wcost <= float(total.min()) + 1e-4
 
     pts01 = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]])
-    _, med_cost = best_center_continuous(pts01, parse_metric("l1"), 1)
+    _, med_cost = best_center_continuous(pts01.tolist(), parse_metric("l1"), 1)
     assert med_cost == 3
 
-    assert separation_center_bound_check(np.eye(50), 0.1)
+    assert separation_center_bound_check(np.eye(50).tolist(), 0.1)
     report(9, "continuous center oracles", True,
            f"(pairwise-vs-centroid worst {worst:.2e}, Weiszfeld {wcost:.6f})")
 

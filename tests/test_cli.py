@@ -377,6 +377,8 @@ def disjoint_pairs(k):
     *[({"toy.pcp": TOY_PCP}, ["hvc-build", "-i", "toy.pcp", f"--delta={delta}", "-o", "out.whg3"])
       for delta in ("inf", "-inf", "1e400")],
     *[({}, ["sdp-gap", "--n", "6", "--tol", tol]) for tol in ("nan", "inf", "-1")],
+    # the explicit SDP solution is feasible only at t = 5: refused before the certificate runs
+    *[({}, ["sdp-gap", "--n", "6", "--t", t]) for t in ("4", "6")],
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "inf"]),
     # below -1 the sweep's k' is negative: refused before the certificate runs
     ({}, ["sdp-gap", "--n", "6", "--extra-centers", "0", "-5"]),
@@ -405,7 +407,7 @@ def disjoint_pairs(k):
         "reduce-discrete-no-edges", "reduce-continuous-no-edges", "reduce-eta-0",
         "reduce-eta-without-q", "reduce-q-eta-below-n",
         "delta-inf", "delta-minus-inf", "delta-1e400", "sdp-tol-nan", "sdp-tol-inf",
-        "sdp-tol-negative", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1",
+        "sdp-tol-negative", "sdp-t-4", "sdp-t-6", "sdp-extra-centers-inf", "sdp-extra-centers-below-minus-1",
         "overflow-cost-l2", "overflow-brute-opt-discrete", "overflow-cost-lp2.5",
         "overflow-center-coords", "overflow-brute-opt-continuous", "turan-z-2", "turan-z-796",
         "turan-z-100000", "points-three-label-sizes-continuous",

@@ -10,24 +10,26 @@ from jchlab import (
     best_center_continuous, weiszfeld_geometric_median, coordinate_median,
     separation_center_bound_check, l1sq_pairwise_lower_bound, parse_metric,
 )
-from jchlab.geometry import _uniform_dual
+from jchlab.geometry import _sum, _uniform_dual
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+# the rows the library takes: Python floats
+TRIANGLE_ROWS = TRIANGLE.tolist()
 
 
 def test_partition_cost_two_points():
     pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert kmeans_partition_cost(pts, [(0, 1)]) == pytest.approx(2.0)
+    assert kmeans_partition_cost(pts.tolist(), [(0, 1)]) == pytest.approx(2.0)
 
 
 def test_partition_cost_singletons():
-    assert kmeans_partition_cost(TRIANGLE, [(0,), (1,), (2,)]) == 0.0
+    assert kmeans_partition_cost(TRIANGLE_ROWS, [(0,), (1,), (2,)]) == 0.0
 
 
 def test_partition_cost_equilateral_both_forms():
     # pairwise: (1/6) * (6 ordered pairs * 1); centroid: 3 * (1/sqrt(3))^2
-    pair = kmeans_partition_cost(TRIANGLE, [(0, 1, 2)])
-    cen = kmeans_partition_cost_centroid(TRIANGLE, [(0, 1, 2)])
+    pair = kmeans_partition_cost(TRIANGLE_ROWS, [(0, 1, 2)])
+    cen = kmeans_partition_cost_centroid(TRIANGLE_ROWS, [(0, 1, 2)])
     assert pair == pytest.approx(1.0, abs=1e-12)
     assert abs(pair - cen) <= 1e-9
 
@@ -44,20 +46,31 @@ def test_partition_cost_forms_agree_random():
             if c > prev:
                 parts.append(tuple(range(prev, c)))
                 prev = c
-        a = kmeans_partition_cost(pts, parts)
-        b = kmeans_partition_cost_centroid(pts, parts)
+        a = kmeans_partition_cost(pts.tolist(), parts)
+        b = kmeans_partition_cost_centroid(pts.tolist(), parts)
         assert abs(a - b) <= 1e-9 * max(1.0, a)
+
+
+def test_pairwise_sum_matches_float64_reduction():
+    # the float center rules sum rows and coordinates in this order: numpy's float64
+    # sum of one array, and of each row of a stack, is the reference
+    rng = np.random.default_rng(17)
+    for n in [*range(1, 140), 255, 256, 257, 1000, 1029]:
+        xs = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        assert _sum(xs.tolist()) == float(xs.sum()), n
+        rows = np.stack([xs, xs[::-1] ** 2])
+        assert [_sum(row) for row in rows.tolist()] == rows.sum(axis=1).tolist(), n
 
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        kmeans_partition_cost(TRIANGLE, [(0, 1)])
+        kmeans_partition_cost(TRIANGLE_ROWS, [(0, 1)])
     with pytest.raises(ValueError):
-        kmeans_partition_cost(TRIANGLE, [(0, 1, 2), ()])
+        kmeans_partition_cost(TRIANGLE_ROWS, [(0, 1, 2), ()])
 
 
 def test_weiszfeld_equilateral_vs_grid():
-    center, cost = weiszfeld_geometric_median(TRIANGLE)
+    center, cost = weiszfeld_geometric_median(TRIANGLE_ROWS)
     assert cost == pytest.approx(math.sqrt(3), abs=1e-4)
     # grid oracle at 1e-3 mesh over the bounding box
     xs = np.arange(0.0, 1.0, 1e-3)
@@ -71,21 +84,21 @@ def test_weiszfeld_equilateral_vs_grid():
 
 
 def test_weiszfeld_single_and_pair():
-    c, cost = weiszfeld_geometric_median(np.array([[1.0, 2.0]]))
+    c, cost = weiszfeld_geometric_median(np.array([[1.0, 2.0]]).tolist())
     assert cost == 0.0 and np.allclose(c, [1, 2])
-    c, cost = weiszfeld_geometric_median(np.array([[0.0, 0.0], [4.0, 0.0]]))
+    c, cost = weiszfeld_geometric_median(np.array([[0.0, 0.0], [4.0, 0.0]]).tolist())
     assert cost == pytest.approx(4.0, abs=1e-8)
 
 
 def test_weiszfeld_step_cap_raises():
     with pytest.raises(ConvergenceError, match="in 1 steps"):
-        weiszfeld_geometric_median(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]), cap=1)
+        weiszfeld_geometric_median(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]).tolist(), cap=1)
 
 
 def test_weiszfeld_optimum_at_data_point():
     # star: the center point is the geometric median, a singular iterate
     star = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    c, cost = weiszfeld_geometric_median(star)
+    c, cost = weiszfeld_geometric_median(star.tolist())
     assert np.allclose(c, [0.0, 0.0], atol=1e-6)
     assert cost == pytest.approx(4.0, abs=1e-6)
 
@@ -94,29 +107,29 @@ def test_weiszfeld_optimum_at_repeated_row():
     # two rows share the optimum: |sum of unit vectors| = 1.776 there, above 1 but
     # within the 2 rows at that point, so the iterate stops on it
     block = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 1, 1]])
-    c, cost = weiszfeld_geometric_median(block)
+    c, cost = weiszfeld_geometric_median(block.tolist())
     assert np.allclose(c, block[0], rtol=0, atol=1e-9)
     assert abs(cost - (2 + math.sqrt(3))) <= 1e-9
 
 
 def test_coordinate_median_examples():
-    pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]])
-    assert coordinate_median(pts).tolist() == [0, 0, 1]
+    pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]]).tolist()
+    assert coordinate_median(pts) == [0, 0, 1]
     c, cost = best_center_continuous(pts, parse_metric("l1"), 1)
     assert cost == 3 and isinstance(cost, int)
     # even count with a 50/50 split resolves downward
-    even = np.array([[0], [0], [1], [1]])
-    assert coordinate_median(even).tolist() == [0]
+    even = np.array([[0], [0], [1], [1]]).tolist()
+    assert coordinate_median(even) == [0]
 
 
 def test_best_center_centroid():
-    c, cost = best_center_continuous(TRIANGLE, parse_metric("l2"), 2)
+    c, cost = best_center_continuous(TRIANGLE_ROWS, parse_metric("l2"), 2)
     assert np.allclose(c, TRIANGLE.mean(axis=0))
     assert cost == pytest.approx(1.0, abs=1e-12)
 
 
 def test_best_center_l1sq_heuristic_vs_bound():
-    pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]], dtype=float)
+    pts = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]], dtype=float).tolist()
     c, cost = best_center_continuous(pts, parse_metric("l1"), 2)
     lb = l1sq_pairwise_lower_bound(pts)
     assert lb <= cost + 1e-9
@@ -125,11 +138,11 @@ def test_best_center_l1sq_heuristic_vs_bound():
 
 def test_best_center_rejects_unknown():
     with pytest.raises(ValueError):
-        best_center_continuous(TRIANGLE, parse_metric("l2"), 3)
+        best_center_continuous(TRIANGLE_ROWS, parse_metric("l2"), 3)
     with pytest.raises(ValueError, match="no center rule for metric='l0' exponent=2"):
-        best_center_continuous(np.eye(3, dtype=int), parse_metric("l0"), 2)
+        best_center_continuous(np.eye(3, dtype=int).tolist(), parse_metric("l0"), 2)
     with pytest.raises(ValueError):
-        best_center_continuous(np.empty((0, 2)), parse_metric("l2"), 2)
+        best_center_continuous(np.empty((0, 2)).tolist(), parse_metric("l2"), 2)
 
 
 @pytest.mark.parametrize("m", [12, 50])
@@ -155,11 +168,11 @@ def test_uniform_dual_equals_pairwise_form():
 
 
 def test_separation_check_passes():
-    assert separation_center_bound_check(np.eye(50), 0.1)
-    assert separation_center_bound_check(2 * np.eye(50), 0.1)
+    assert separation_center_bound_check(np.eye(50).tolist(), 0.1)
+    assert separation_center_bound_check((2 * np.eye(50)).tolist(), 0.1)
     # 1 - eps <= 0: every center is trivially that far from some point
-    assert separation_center_bound_check(np.eye(6), 1.0)
-    assert separation_center_bound_check(np.eye(4), 2.0)
+    assert separation_center_bound_check(np.eye(6).tolist(), 1.0)
+    assert separation_center_bound_check(np.eye(4).tolist(), 2.0)
 
 
 def test_separation_check_certifies_seeded_separated_sets():
@@ -172,21 +185,21 @@ def test_separation_check_certifies_seeded_separated_sets():
         pts = (np.eye(m, d) * rng.uniform(1.1, 3.0)) @ rotation + rng.normal(size=d)
         eps = float(rng.uniform(4.0 / (m - 1) + 1e-3, 1.0))
         assert _uniform_dual(pts.tolist()) >= Fraction(m - 1, m)
-        assert separation_center_bound_check(pts, eps)
+        assert separation_center_bound_check(pts.tolist(), eps)
 
 
 def test_separation_check_preconditions():
     with pytest.raises(ValueError):
-        separation_center_bound_check(np.eye(10), 0.1)   # too few points
-    pts = np.eye(50) * 0.5                                # pairwise < sqrt(2)
+        separation_center_bound_check(np.eye(10).tolist(), 0.1)   # too few points
+    pts = np.eye(50) * 0.5                                         # pairwise < sqrt(2)
     with pytest.raises(ValueError):
-        separation_center_bound_check(pts, 0.1)
+        separation_center_bound_check(pts.tolist(), 0.1)
 
 
 @pytest.mark.parametrize("eps", [0, -0.1, float("nan")])
 def test_separation_check_refuses_eps_not_positive(eps):
     with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
-        separation_center_bound_check(np.eye(50), eps)
+        separation_center_bound_check(np.eye(50).tolist(), eps)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -194,4 +207,4 @@ def test_separation_check_refuses_non_finite_coordinates(bad):
     pts = np.eye(50)
     pts[7, 3] = bad
     with pytest.raises(ValueError, match=f"coordinates must be finite, got {bad}"):
-        separation_center_bound_check(pts, 0.1)
+        separation_center_bound_check(pts.tolist(), 0.1)

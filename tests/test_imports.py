@@ -1,9 +1,9 @@
 """Start-up guard: each README command loads only the jchlab layers it runs,
-commands that build no array never load numpy, and the package's lazy
-exports resolve to the objects of their defining modules.  cost and
-brute-opt score construction files from their supports, so they run without
-numpy on every file `reduce --mode discrete` writes, and continuous
-brute-opt does on the 0/1 files of an exact center rule.
+no command loads numpy, and the package's lazy exports resolve to the
+objects of their defining modules.  The probes block numpy before they
+import jchlab, so any numpy import fails the run: cost and brute-opt on
+construction and dense files, cost --center-coords and continuous brute-opt
+under every center rule run without it.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every layer.
@@ -64,16 +64,26 @@ DISCRETE = {"l0": ("inst.jc", "l0"), "l1": ("inst.jc", "l1"), "lp3": ("star.jc",
             "l2": ("inst.jc", "l2"), "lp3-halfshift": ("inst.jc", "lp", "--p", "3")}
 CENTERS = {"l0": ["1,2", "3,4"], "l1": ["1,2", "3,4"], "lp3": ["1", "2"], "l2": ["1,2", "3,4"],
            "lp3-halfshift": ["1,2", "3,4"]}
-# indicator files of the exact center rules: name -> `reduce --mode continuous` options
+# indicator files of every center rule: name -> `reduce --mode continuous` options
 CONTINUOUS = {"means": ["--metric", "l2"], "medians": ["--metric", "l1", "--exponent", "1"],
-              "l0-medians": ["--metric", "l0"]}
+              "l0-medians": ["--metric", "l0"], "weiszfeld": ["--metric", "l2", "--exponent", "1"],
+              "l1sq": ["--metric", "l1", "--exponent", "2"]}
+# dense files of rows that are not 0/1, one per element type and center rule: the 3-sets
+# are points and the 2-sets candidate centers
+DENSE_ROWS = {"int": "1,2,3 0 2 5\n1,2,4 -1 3 0\n1,3,5 4 4 1\n2,4,5 3 -2 2\n1,2 0 1 0\n3,4 2 2 2\n",
+              "float": "1,2,3 0.5 2 5\n1,2,4 -1 3.25 0\n1,3,5 4 4 1e-3\n2,4,5 3 -2 2\n"
+                       "1,2 0 1 0.5\n3,4 2 2 2\n"}
+DENSE = {f"{kind}-{token}-{exponent}": f"pts 3 {token} {exponent} 2\n{rows}"
+         for kind, rows in DENSE_ROWS.items()
+         for token, exponent in (("l1", 1), ("l1", 2), ("l2", 1), ("l2", 2))}
 
-# run one command, then print whether numpy was loaded as the last line
-PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
-         "print('numpy' in sys.modules); sys.exit(code)")
+# block numpy, then run one command: a numpy import anywhere fails the run
+PROBE = ("import sys; sys.modules['numpy'] = None; from jchlab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))")
 
-# run one command, then print the jchlab modules loaded as the last line
-LAYERS_PROBE = ("import sys; from jchlab.cli import main; code = main(sys.argv[1:]); "
+# block numpy, run one command, then print the jchlab modules loaded as the last line
+LAYERS_PROBE = ("import sys; sys.modules['numpy'] = None; from jchlab.cli import main; "
+                "code = main(sys.argv[1:]); "
                 "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('jchlab.')))); "
                 "sys.exit(code)")
 # README command -> the jchlab modules it loads: cli, errors and the layers it runs
@@ -114,6 +124,8 @@ def workdir(tmp_path_factory):
     for name, options in CONTINUOUS.items():
         assert main(["reduce", "-i", str(path / "inst.jc"), "--mode", "continuous", *options,
                      "-o", str(path / f"{name}.pts")]) == 0
+    for name, text in DENSE.items():
+        (path / f"{name}.pts").write_text(text)
     return path
 
 
@@ -142,11 +154,16 @@ def workdir(tmp_path_factory):
     *[["cost", "-i", f"{name}.pts", "--centers", *CENTERS[name]] for name in DISCRETE],
     *[["brute-opt", "-i", f"{name}.pts", "--mode", "discrete"] for name in DISCRETE],
     *[["brute-opt", "-i", f"{name}.pts", "--mode", "continuous"] for name in CONTINUOUS],
+    # the filled rows of a construction file, and the lists of dense files
+    ["cost", "-i", "l1.pts", "--center-coords", ",".join(["0.5"] * 25)],
+    *[["cost", "-i", f"{kind}-l1-1.pts", "--center-coords", "0.5,1,2"] for kind in DENSE_ROWS],
+    *[["brute-opt", "-i", f"{kind}-l2-2.pts", "--mode", "discrete"] for kind in DENSE_ROWS],
+    *[["brute-opt", "-i", f"{name}.pts", "--mode", "continuous"] for name in DENSE],
 ], ids=" ".join)
 def test_command_runs_without_numpy(workdir, argv):
     proc = fresh_python(workdir, "-c", PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.startswith("record=config "), proc.stdout
 
 
 def test_undersized_code_refused_without_numpy(workdir):
@@ -158,7 +175,6 @@ def test_undersized_code_refused_without_numpy(workdir):
                         "--metric", "l1", "--q", "5", "--eta", "1", "-o", "pts.txt")
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
     assert not (workdir / "pts.txt").exists()
 
 
@@ -172,7 +188,6 @@ def test_rebuild_free_file_runs_without_numpy(workdir, capsys):
     proc = fresh_python(workdir, "-c", PROBE, "brute-opt", "-i", "q2917.pts", "--mode", "discrete")
     assert proc.returncode == 0, proc.stderr
     assert "record=optimum cost=11668 " in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "False"
     capsys.readouterr()
     assert main(["cost", "-i", str(workdir / "q2917.pts"), "--center-coords", "0"]) == 3
     assert capsys.readouterr().err == \

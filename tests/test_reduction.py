@@ -26,6 +26,15 @@ from jchlab.reduction import _count_cost, _distance_table, _partitions_upto
 INST = gen_instance("complete", 4, 3, 2, 2)
 
 
+def listed(rows):
+    """Rows as lists of their values, whatever sequence holds them."""
+    return [list(row) for row in rows]
+
+
+def element_types(rows):
+    return {type(v) for row in rows for v in row}
+
+
 def small_instance(metric="l1"):
     real = {"l1": embed_l1, "l2": embed_l2_scaled}[metric](5, 3, 2)
     return build_discrete_instance(INST, RsCode(5, 1), real)
@@ -36,7 +45,7 @@ def test_degenerate_code_uniform_blocks():
     ci = small_instance()
     assert ci.dim == 25 and ci.meta["base_distance"] == 5
     for row in ci.points:
-        blocks = row.reshape(5, 5)
+        blocks = np.asarray(row).reshape(5, 5)
         assert (blocks == blocks[0]).all()
 
 
@@ -64,7 +73,7 @@ def test_blocks_match_realization_vectors():
                     if mu not in raw:
                         padded.append(mu)
                 want = [float(v) for v in real.vector(tuple(sorted(padded)))]
-                assert np.allclose(row[g * 5:(g + 1) * 5].astype(float), want)
+                assert np.allclose(np.asarray(row[g * 5:(g + 1) * 5], dtype=float), want)
 
 
 def test_covered_pairs_stay_at_base_under_collisions():
@@ -76,7 +85,7 @@ def test_covered_pairs_stay_at_base_under_collisions():
     index = {lab: i for i, lab in enumerate(ci.center_labels)}
     for lab, row in zip(ci.point_labels, ci.points):
         for s in combinations(lab, 2):
-            d = int(np.count_nonzero(row != ci.centers[index[s]]))
+            d = sum(a != b for a, b in zip(row, ci.centers[index[s]]))
             assert d == ci.meta["base_distance"] == 5
 
 
@@ -118,7 +127,7 @@ def test_continuous_indicator_distances():
     inst = gen_instance("complete", 6, 3, 2, 3)
     ci = build_continuous_indicator_instance(inst)
     assert ci.dim == 6 and ci.centers is None
-    pts = {lab: row.astype(int) for lab, row in zip(ci.point_labels, ci.points)}
+    pts = {lab: np.asarray(row, dtype=int) for lab, row in zip(ci.point_labels, ci.points)}
     d2 = ((pts[(1, 2, 3)] - pts[(1, 2, 4)]) ** 2).sum()
     assert d2 == 2
     for a in ci.point_labels:
@@ -150,8 +159,8 @@ def test_point_order_invariance():
     ci = small_instance()
     witness = centers_by_labels(ci, [(1, 2), (3, 4)])
     total = clustering_cost(ci, witness).total
-    perm = np.array([2, 0, 3, 1])
-    ci.points = ci.points[perm]
+    perm = [2, 0, 3, 1]
+    ci.points = [ci.points[i] for i in perm]
     ci.point_labels = tuple(ci.point_labels[i] for i in perm)
     assert clustering_cost(ci, witness).total == total
 
@@ -203,7 +212,7 @@ def test_points_file_roundtrip():
     assert back.dim == ci.dim and back.k == ci.k
     assert back.point_labels == ci.point_labels
     assert back.center_labels == ci.center_labels
-    assert (back.points == ci.points).all()
+    assert listed(back.points) == listed(ci.points)
     witness = centers_by_labels(back, [(1, 2), (3, 4)])
     assert clustering_cost(back, witness).total == 20
 
@@ -218,7 +227,7 @@ def test_points_file_continuous_roundtrip():
 
 
 def test_pointwise_distance_modes():
-    a, b = np.array([0, 1, 1]), np.array([1, 1, 0])
+    a, b = np.array([0, 1, 1]).tolist(), np.array([1, 1, 0]).tolist()
     assert pointwise_distance(a, b, parse_metric("l0")) == 2
     assert pointwise_distance(a, b, parse_metric("l1")) == 2
     assert pointwise_distance(a, b, parse_metric("l2")) == pytest.approx(math.sqrt(2))
@@ -238,7 +247,7 @@ def reference_cost(ci, chosen):
     if ci.metric.token == "l2":
         total, nearest = 0, []
         for pt in ci.points:
-            d2, i = min((rational_sq(tuple(pt.tolist()), tuple(np.asarray(c).tolist())), i)
+            d2, i = min((rational_sq(tuple(pt), tuple(c)), i)
                         for i, c in enumerate(chosen))
             nearest.append((i, math.sqrt(d2)))
             total += d2 if ci.exponent == 2 else math.sqrt(d2) ** ci.exponent
@@ -285,14 +294,14 @@ def reference_read_points(text):
         rows.append((tuple(int(x) for x in lab.split(",")), vals))
     sizes = sorted({len(lab) for lab, _ in rows})
     integral = all(v == int(v) for _, vals in rows for v in vals)
-    dtype = np.int64 if integral else np.float64
+    number = int if integral else float
     if len(sizes) == 2:
         centers = [(lab, v) for lab, v in rows if len(lab) == sizes[0]]
         points = [(lab, v) for lab, v in rows if len(lab) == sizes[1]]
     else:
         centers, points = None, rows
     pack = lambda part: (tuple(lab for lab, _ in part),
-                         np.array([v for _, v in part], dtype=dtype))
+                         [[number(x) for x in v] for _, v in part])
     return pack(points), None if centers is None else pack(centers)
 
 
@@ -324,7 +333,7 @@ def test_table_oracle_matches_per_subset_scan(metric, seed, exponent):
 def test_table_oracle_ties_on_duplicate_centers(metric):
     ci = composed(metric, 1)
     # every center twice, labelled by index, so the witness shows which copy won
-    ci.centers = np.repeat(ci.centers, 2, axis=0)
+    ci.centers = [c for c in ci.centers for _ in range(2)]
     ci.center_labels = tuple((i,) for i in range(len(ci.centers)))
     witness, cost = brute_force_optimal_cost(ci, "discrete")
     assert (witness, cost) == reference_brute_force(ci)
@@ -341,8 +350,8 @@ def random_float_instance():
     labels = tuple(combinations(range(1, 6), 3))
     centers = tuple(combinations(range(1, 6), 2))
     return ClusteringInstance(
-        points=rng.normal(scale=1e3, size=(len(labels), 8)), point_labels=labels,
-        centers=rng.normal(size=(len(centers), 8)) * 10.0 ** rng.integers(-30, 30, 8),
+        points=rng.normal(scale=1e3, size=(len(labels), 8)).tolist(), point_labels=labels,
+        centers=(rng.normal(size=(len(centers), 8)) * 10.0 ** rng.integers(-30, 30, 8)).tolist(),
         center_labels=centers, k=2, metric=parse_metric("l2"), exponent=2)
 
 
@@ -357,13 +366,12 @@ def test_read_points_matches_list_parse(make):
     back = read_points(io.StringIO(text))
     (labels, values), centers = reference_read_points(text)
     assert back.point_labels == labels
-    assert back.points.dtype == values.dtype and np.array_equal(back.points, values)
+    assert typed(back.points) == typed(values)
     if centers is None:
         assert back.centers is None and back.center_labels is None
     else:
         assert back.center_labels == centers[0]
-        assert back.centers.dtype == centers[1].dtype
-        assert np.array_equal(back.centers, centers[1])
+        assert typed(back.centers) == typed(centers[1])
     again = io.StringIO()
     write_points(back, again)
     assert again.getvalue() == text
@@ -427,12 +435,12 @@ def test_composed_rows_match_dense_blocks(seed, make):
     for labels, rows, arity in ((ci.point_labels, ci.points, z),
                                 (ci.center_labels, ci.centers, y)):
         dense = dense_rows(inst, code, real, labels, arity)
-        assert rows.tolist() == [[float(v) for v in row] for row in dense]
+        assert listed(rows) == [[float(v) for v in row] for row in dense]
 
 
 def reference_write_points(ci):
     """The per-coordinate writer: str(int(v)) or repr(float(v)) for every value."""
-    integral = np.issubdtype(ci.points.dtype, np.integer)
+    integral = all(type(v) is int for row in ci.points for v in row)
 
     def point_line(label, row):
         vals = " ".join(str(int(v)) if integral else repr(float(v)) for v in row)
@@ -446,7 +454,6 @@ def reference_write_points(ci):
 
 
 def rows_instance(points, centers=None):
-    points = np.asarray(points)
     labels = tuple(combinations(range(1, 8), 3))[:len(points)]
     center_labels = None if centers is None else tuple((i,) for i in range(1, len(centers) + 1))
     return ClusteringInstance(points=points, point_labels=labels, centers=centers,
@@ -455,15 +462,15 @@ def rows_instance(points, centers=None):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: rows_instance(np.array([[-128, 127, 0, -1, 5], [127, 127, -3, 0, 1]], np.int8),
-                          np.array([[0, -128, 127, 1, 1]], np.int8)),
-    lambda: rows_instance(np.array([[-2 ** 40, 127, -5, 2 ** 62, 0]], np.int64)),
+    lambda: rows_instance(np.array([[-128, 127, 0, -1, 5], [127, 127, -3, 0, 1]], np.int8).tolist(),
+                          np.array([[0, -128, 127, 1, 1]], np.int8).tolist()),
+    lambda: rows_instance(np.array([[-2 ** 40, 127, -5, 2 ** 62, 0]], np.int64).tolist()),
     lambda: composed("l2", 1), lambda: composed("lp", 2),
     lambda: build_continuous_indicator_instance(INST), random_float_instance,
-    lambda: rows_instance(np.array([[0.0, -0.0, 0.1, -0.0, 5e-324, -1e300, 0.0]]),
-                          np.array([[-0.0, 0.0, 1.0, 0.0, 2.0, -0.0, 0.5]])),
-    lambda: rows_instance(np.array([[3], [-1], [3]], np.int64)),
-    lambda: rows_instance(np.array([[0.5], [-0.0], [0.5]]), np.array([[0.0]])),
+    lambda: rows_instance(np.array([[0.0, -0.0, 0.1, -0.0, 5e-324, -1e300, 0.0]]).tolist(),
+                          np.array([[-0.0, 0.0, 1.0, 0.0, 2.0, -0.0, 0.5]]).tolist()),
+    lambda: rows_instance(np.array([[3], [-1], [3]], np.int64).tolist()),
+    lambda: rows_instance(np.array([[0.5], [-0.0], [0.5]]).tolist(), np.array([[0.0]]).tolist()),
 ], ids=["int8-centers", "int64", "l2-scaled", "lp-halfshift", "continuous",
         "random-floats", "signed-zeros", "one-column-int", "one-column-float"])
 def test_write_points_matches_per_value_writer(make):
@@ -508,10 +515,10 @@ def assert_same_instance(got, want):
     assert (got.point_labels, got.center_labels, got.k, got.metric, got.exponent,
             got.meta) == (want.point_labels, want.center_labels, want.k, want.metric,
                           want.exponent, want.meta)
-    assert np.array_equal(got.points, want.points)
+    assert listed(got.points) == listed(want.points)
     assert (got.centers is None) == (want.centers is None)
     if got.centers is not None:
-        assert np.array_equal(got.centers, want.centers)
+        assert listed(got.centers) == listed(want.centers)
 
 
 def cli_stdout(tmp_path, monkeypatch, capsys, name, text, argvs):
@@ -567,19 +574,20 @@ def test_write_supports_matches_dense_writer_continuous(token, exponent, seed, t
     assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("make, dtype", [(lambda: embed_l1(7, 3, 2), np.int8),
-                                         (lambda: embed_l2_scaled(7, 4, 1), np.float64)],
+@pytest.mark.parametrize("make, number", [(lambda: embed_l1(7, 3, 2), int),
+                                          (lambda: embed_l2_scaled(7, 4, 1), float)],
                          ids=["l1-int8", "l2-integral-floats"])
-def test_construction_file_reads_back_to_the_built_arrays(make, dtype, tmp_path, monkeypatch,
+def test_construction_file_reads_back_to_the_built_arrays(make, number, tmp_path, monkeypatch,
                                                           capsys):
-    # the dense file of the l2 instance, all of whose entries are whole, reads back as int64
+    # the dense file of the l2 instance, all of whose entries are whole, reads back as ints
     real, code = make(), RsCode(7, 2)
     inst = gen_instance("random", 9, real.t, real.s, 2, m=8, seed=4)
     si = composed_supports(inst, code, real, centers_from_edges=True)
     back = read_points(io.StringIO(construction_text(si))).dense()
     ci = build_discrete_instance(inst, code, real, centers_from_edges=True)
-    assert back.points.dtype == ci.points.dtype == dtype and back.meta == {}
-    assert np.array_equal(back.points, ci.points) and np.array_equal(back.centers, ci.centers)
+    assert element_types(back.points) == element_types(ci.points) == {number}
+    assert back.meta == {}
+    assert listed(back.points) == listed(ci.points) and listed(back.centers) == listed(ci.centers)
     argvs = [["cost", "--centers", *(",".join(map(str, c)) for c in si.centers.labels[:2])],
              ["brute-opt", "--mode", "discrete"]]
     assert_same_files(si, argvs, tmp_path, monkeypatch, capsys)
@@ -600,7 +608,7 @@ TABLE_REALIZATIONS = {
 def rational_pow(metric, u, v):
     """sum |a - b|^root over two dense rows: ints on integer rows, else Fractions
     of the floats; on l0 the count of coordinates that differ."""
-    u, v = u.tolist(), v.tolist()
+    u, v = list(u), list(v)
     if metric.token == "l0":
         return sum(a != b for a, b in zip(u, v))
     exact = int if all(type(x) is int for x in u + v) else Fraction
@@ -690,7 +698,7 @@ def test_scaled_file_keeps_the_lex_first_exact_tie():
 def rational_block_cost(ci, block):
     """The block's cost about its exact center, in Fractions over the dense rows:
     the centroid on (l2, 2), the lower coordinate median on (l1, 1) and (l0, 1)."""
-    rows = [[Fraction(x) for x in ci.points[i].tolist()] for i in block]
+    rows = [[Fraction(x) for x in ci.points[i]] for i in block]
     if ci.metric.token == "l2":
         center = [sum(col) / len(rows) for col in zip(*rows)]
         return sum((x - c) ** 2 for row in rows for x, c in zip(row, center))
@@ -706,7 +714,7 @@ def reference_continuous(ci):
         for block in partition:
             if block not in block_cost:
                 block_cost[block] = float(best_center_continuous(
-                    ci.points[list(block)], ci.metric, ci.exponent)[1])
+                    [ci.points[i] for i in block], ci.metric, ci.exponent)[1])
         cost = sum(block_cost[block] for block in partition)
         if best is None or cost < best[1] - 1e-12:
             best = (partition, cost)
@@ -724,12 +732,59 @@ def test_continuous_counts_match_dense_centers(token, exponent, seed):
         for block in blocks:
             exact = block_cost(block)
             assert exact == rational_block_cost(ci, block)
-            center_cost = best_center_continuous(ci.points[list(block)], ci.metric, exponent)[1]
+            center_cost = best_center_continuous([ci.points[i] for i in block], ci.metric,
+                                                 exponent)[1]
             assert abs(float(exact) - center_cost) <= 1e-12
     partition, cost = brute_force_optimal_cost(si, "continuous")
     assert brute_force_optimal_cost(ci, "continuous") == (partition, cost)
     assert partition == reference_continuous(ci)[0]
     assert cost == float(sum(rational_block_cost(ci, block) for block in partition))
+
+
+def dense_float_text(token, exponent, seed):
+    """A dense file of six 3-coordinate float rows, none of them 0/1, at k = 2."""
+    rng = random.Random(seed)
+    labels = list(combinations(range(1, 6), 3))[:6]
+    rows = [" ".join(repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)) for _ in range(3))
+            for _ in labels]
+    return f"pts 3 {token} {exponent} 2\n" + "".join(
+        f"{','.join(map(str, label))} {row}\n" for label, row in zip(labels, rows))
+
+
+@pytest.mark.parametrize("token, exponent", [("l2", 2), ("l1", 1)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_float_continuous_optimum_is_the_rounded_exact_one(token, exponent, seed, tmp_path,
+                                                                 monkeypatch, capsys):
+    # the oracle: every partition's exact cost in Fractions, the first exact minimum kept
+    text = dense_float_text(token, exponent, seed)
+    ci = read_points(io.StringIO(text))
+    costs = {p: sum(rational_block_cost(ci, block) for block in p)
+             for p in _partitions_upto(len(ci.points), ci.k)}
+    best = min(costs.values())
+    witness = next(p for p, cost in costs.items() if cost == best)
+    assert brute_force_optimal_cost(ci, "continuous") == (witness, float(best))
+    (code, out), = cli_stdout(tmp_path, monkeypatch, capsys, "dense", text,
+                              [["brute-opt", "--mode", "continuous"]])
+    assert code == 0 and f"record=optimum cost={float(best)!r} " in out
+
+
+@pytest.mark.parametrize("make, number, per_coordinate", [(embed_l1, int, 1.5),
+                                                          (embed_l2_scaled, float, 8.5)],
+                         ids=["int", "float"])
+def test_fill_memory_stays_within_one_array_per_row(make, number, per_coordinate):
+    # the 8 points and 66 candidate centers of a q = 127 file: 1,193,546 coordinates,
+    # one byte each in array('b') rows and eight in array('d') ones
+    inst = gen_instance("random", 12, 3, 2, 3, m=8, seed=1)
+    si = composed_supports(inst, RsCode(127, 1), make(127, 3, 2))
+    coords = sum(len(rows.labels) for rows in si.groups) * si.dim
+    tracemalloc.start()
+    try:
+        ci = si.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coords == 1_193_546 and element_types(ci.centers) == {number}
+    assert peak < per_coordinate * coords
 
 
 def test_write_supports_memory_stays_small(tmp_path, monkeypatch, capsys):
