@@ -6,8 +6,8 @@ distance beta and every non-containment pair at distance >= lambda*beta.
 The verifier certifies lambda exhaustively, over every pair's |T cap S| and
 one distance per intersection class on the actual vectors, in exact
 arithmetic wherever the construction allows it (l0/l1, and lp with integer p
-where distances are dyadic), correctly rounded floats with a 1e-9 tolerance
-elsewhere.
+where distances are dyadic), and elsewhere with a 1e-9 tolerance on pow sums
+that are exact (l2) or rounded once (Metric.pair_pow).
 """
 
 import math
@@ -211,7 +211,7 @@ def verify_gap_realization(real, edge_subset=None, budget=DEFAULT_BUDGET):
     Each realized vector is checked to be two-valued on its set's members,
     so a pair's distance depends only on j = |T cap S|: a pair costs one
     bitmask AND and a popcount, and the distance is evaluated once per class
-    j, on its first pair.  Float distances are correctly rounded
+    j, on its first pair.  Pow sums are exact or rounded once
     (Metric.pair_pow), so the witness is still the first pair in (t-set,
     s-set) order at the smallest non-edge distance.
     """

@@ -4,16 +4,17 @@ Points are a nonempty sequence of rows of one length, each a sequence of
 Python ints or floats.  The closed-form centers cost a block exactly, by
 Metric.pow_sum of its value pairs against the center (the rule the cost
 oracles score rows by), as do pointwise_distance and the separated-points
-center bound.  Weiszfeld and the squared-l1 pattern search run in floats:
-column sums in row order, every other sum pairwise (_sum).
+center bound.  Weiszfeld and the squared-l1 pattern search run in floats,
+every sum of floats correctly rounded by math.fsum, so their results depend
+on neither the row order nor the Python version.
 """
 
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from operator import add, sub
+from math import fsum
+from operator import sub
 
 from .errors import ConvergenceError
 from .metric import METRICS
@@ -34,42 +35,14 @@ def _floats(points):
 
 
 def pointwise_distance(u, v, metric):
-    """Distance between two rows under a Metric: from_pow of their pow sum,
-    Metric.pow_sum over the coordinate pairs."""
-    return metric.from_pow(metric.pow_sum((pair, 1) for pair in zip(u, v)))
+    """Distance between two rows under a Metric: from_pow of their pow sum
+    (Metric.pair_pow)."""
+    return metric.from_pow(metric.pair_pow(u, v))
 
 
 def _pow_sum(metric, rows, center):
     # the exact pow sum of every row against center, each distinct value pair counted once
     return metric.pow_sum(Counter(pair for row in rows for pair in zip(row, center)).items())
-
-
-def _sum(xs):
-    """Pairwise sum of a list of floats, each partial sum a plain fold (the
-    same on every Python version): in order below 8 terms, as eight
-    interleaved sums up to 128, else the two halves cut at a multiple of 8."""
-    n = len(xs)
-    if n < 8:
-        return reduce(add, xs, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(xs[:half]) + _sum(xs[half:])
-    cut = n - n % 8
-    r = xs[:8]
-    for i in range(8, cut, 8):
-        r = list(map(add, r, xs[i:i + 8]))
-    a, b, c, d, e, f, g, h = r
-    return reduce(add, xs[cut:], ((a + b) + (c + d)) + ((e + f) + (g + h)))
-
-
-def _sq(v):
-    # the pairwise sum of the squares of a float sequence
-    return _sum([a * a for a in v])
-
-
-def _column_sums(rows):
-    # each coordinate summed over the rows, in row order
-    return [reduce(add, column) for column in zip(*rows)]
 
 
 def kmeans_partition_cost(points, partition):
@@ -109,36 +82,45 @@ def coordinate_median(points):
     return [sorted(column)[(len(pts) - 1) // 2] for column in zip(*pts)]
 
 
+def _pull(pts, x):
+    """At x: the distances to the rows and their sum, the sum of the unit
+    vectors to the rows not at x with its norm, and the number of rows at x."""
+    d = [math.sqrt(fsum(t * t for t in map(sub, p, x))) for p in pts]
+    cost = fsum(d)
+    if not math.isfinite(cost):
+        raise OverflowError("a Weiszfeld distance overflows a double")
+    r = [fsum(column) for column in zip(*([(a - b) / di for a, b in zip(p, x)]
+                                          for p, di in zip(pts, d) if di >= 1e-12))]
+    return d, cost, r, math.sqrt(fsum(a * a for a in r)), sum(di < 1e-12 for di in d)
+
+
 def weiszfeld_geometric_median(points, tol=WEISZFELD_TOL, cap=WEISZFELD_CAP):
     """Geometric median by Weiszfeld iteration to gradient norm <= tol.
 
-    When an iterate lands on a data point the standard optimality test
-    (|sum of unit vectors to the other points| <= the number of rows at that
-    point) either stops there or nudges the iterate off the singularity.  An
-    iterate whose distances pass the double range raises OverflowError.
+    A row is the median when the unit vectors from it to the other rows sum
+    to a norm at most the number of rows at it (Vardi and Zhang 2000), so
+    each distinct row is tested first, in lexicographic order, and an
+    iterate that lands on a row is pushed off it.  Every sum is math.fsum,
+    so the result does not depend on the row order.  An iterate whose
+    distances pass the double range raises OverflowError.
     """
     pts = _floats(points)
-    x = [c / len(pts) for c in _column_sums(pts)]
+    for row in sorted(set(map(tuple, pts))):
+        _, cost, _, rnorm, anchored = _pull(pts, row)
+        if rnorm <= anchored + 1e-12:
+            return list(row), cost
+    x = [fsum(column) / len(pts) for column in zip(*pts)]
     for _ in range(cap):
-        d = [math.sqrt(_sq(map(sub, p, x))) for p in pts]
-        cost = _sum(d)
-        if not math.isfinite(cost):
-            raise OverflowError("a Weiszfeld distance overflows a double")
-        anchored = sum(di < 1e-12 for di in d)
+        d, cost, r, rnorm, anchored = _pull(pts, x)
         if anchored:
-            r = _column_sums([(a - b) / di for a, b in zip(p, x)]
-                             for p, di in zip(pts, d) if di >= 1e-12)
-            rnorm = math.sqrt(_sq(r))
-            if rnorm <= anchored + 1e-12:
-                return x, cost
             x = [a + (1e-6 / rnorm) * b for a, b in zip(x, r)]  # push off the data point
             continue
-        w = [1.0 / di for di in d]
-        grad = _column_sums([(a - b) * wi for a, b in zip(x, p)] for p, wi in zip(pts, w))
-        if math.sqrt(_sq(grad)) <= tol:
+        if rnorm <= tol:    # r is minus the gradient
             return x, cost
-        total = _sum(w)
-        x = [c / total for c in _column_sums([a * wi for a in p] for p, wi in zip(pts, w))]
+        w = [1.0 / di for di in d]
+        total = fsum(w)
+        x = [fsum(column) / total
+             for column in zip(*([a * wi for a in p] for p, wi in zip(pts, w)))]
     raise ConvergenceError(f"Weiszfeld did not reach gradient norm {tol} in {cap} steps")
 
 
@@ -148,7 +130,7 @@ def _abs_diffs(pts, c):
 
 def _l1sq(diffs):
     # the squared-l1 cost of rows given as their |p - c| lists
-    return _sum([s * s for s in map(_sum, diffs)])
+    return fsum(s * s for s in map(fsum, diffs))
 
 
 def l1sq_pairwise_lower_bound(points):
@@ -158,7 +140,7 @@ def l1sq_pairwise_lower_bound(points):
     cost >= sum_{p,q} |p - q|_1^2 / (4m).
     """
     pts = _floats(points)
-    return sum(_l1sq(_abs_diffs(pts, p)) for p in pts) / (4 * len(pts))
+    return fsum(_l1sq(_abs_diffs(pts, p)) for p in pts) / (4 * len(pts))
 
 
 def _pattern_search(pts, x0, step0, tol=1e-7):
@@ -195,7 +177,7 @@ def l1sq_center_heuristic(points):
     spread = max(map(max, pts)) - min(map(min, pts))
     if not math.isfinite(spread):
         raise OverflowError("the spread of the rows overflows a double")
-    seeds = ([c / len(pts) for c in _column_sums(pts)], coordinate_median(pts))
+    seeds = ([fsum(column) / len(pts) for column in zip(*pts)], coordinate_median(pts))
     # the first seed's result on a tie
     return min((_pattern_search(pts, seed, (spread or 1.0) / 2) for seed in seeds),
                key=lambda result: result[1])
@@ -272,6 +254,7 @@ def separation_center_bound_check(points, eps):
     m = len(rows)
     if not m > 4.0 / eps + 1:
         raise ValueError(f"need more than 4/eps + 1 = {4.0 / eps + 1:.2f} points, got {m}")
-    if any(_sq(map(sub, q, p)) < 2.0 - 1e-9 for i, p in enumerate(rows) for q in rows[i + 1:]):
+    if any(fsum(t * t for t in map(sub, q, p)) < 2.0 - 1e-9
+           for i, p in enumerate(rows) for q in rows[i + 1:]):
         raise ValueError("pairwise distances must be at least sqrt(2)")
     return eps >= 1 or _uniform_dual(rows) >= (1 - Fraction(eps)) ** 2

@@ -1,14 +1,15 @@
 """The l_p metrics and their tokens.  A distance is ranked and computed
 from its pow sum, sum |a - b|^root over the coordinates, and Metric.pow_sum
-is the one rule for it, exact on an int root, for support rows, dense rows,
-the closed-form center costs and geometry.pointwise_distance alike.
+is the one rule for it, exact on an int root and else rounded once, for
+support rows, dense rows, realized vectors, the closed-form center costs
+and geometry.pointwise_distance alike.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import import_module
-from operator import sub
 
 
 @dataclass(frozen=True)
@@ -19,9 +20,10 @@ class Metric:
     count d != 0); it is exact on ints and Fractions.  A pow sum, the sum of
     the terms over the coordinates (pow_sum), orders pairs as their
     distances do, and from_pow maps it to the distance: an int on l0, and on
-    l1 when the pow sum is an int, else a float.  Realized vectors (Python
-    numbers) are compared through pair_pow; a cluster's continuous center
-    comes from the rule centers holds for the cost exponent.
+    l1 when the pow sum is an int, else a float.  Two rows of Python numbers
+    (dense rows, realized vectors) are compared through pair_pow, pow_sum of
+    their value pairs; a cluster's continuous center comes from the rule
+    centers holds for the cost exponent.
     """
     token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
     root: object       # 1 on l0 and l1, else p
@@ -37,10 +39,9 @@ class Metric:
         return dpow if self.root == 1 else float(dpow) ** (1.0 / self.root)
 
     def pair_pow(self, u, v):
-        """The pow sum of two sequences of Python numbers: an int or a Fraction
-        on exact metrics, correctly rounded (math.fsum), so independent of
-        coordinate order, on the others."""
-        return (sum if self.exact else math.fsum)(map(self.coord, map(sub, u, v)))
+        """The pow sum of two rows of Python numbers: pow_sum of their value
+        pairs, each distinct pair counted once."""
+        return self.pow_sum(Counter(zip(u, v)).items())
 
     def pow_sum(self, counts):
         """The sum of n * coord(a - b) over counted value pairs ((a, b), n).

@@ -95,8 +95,8 @@ class SupportInstance:
     the exponent, k and the labels.  Like a ClusteringInstance it has
     point_labels and center_labels, and its points and centers are sequences
     of rows, here supports.  dense() fills the rows of the equal
-    ClusteringInstance, refusing more than rebuild_budget coordinates (an
-    instance read from a file has REBUILD_BUDGET, a built one no cap).
+    ClusteringInstance, refusing more than REBUILD_BUDGET coordinates,
+    whether the instance was read from a file or built.
     """
     dim: int
     points: SupportRows
@@ -106,7 +106,6 @@ class SupportInstance:
     exponent: int
     meta: dict
     construction: tuple
-    rebuild_budget: object = None
 
     def __post_init__(self):
         _check_counts(len(self.points.labels),
@@ -129,8 +128,8 @@ class SupportInstance:
         """The rows (points or centers) filled in: an array('b') each when every
         entry of the instance is an int, else an array('d').  The one place a
         SupportInstance builds coordinates, so each call first checks that
-        all its rows fit rebuild_budget."""
-        check_budget(sum(map(len, self.groups)) * self.dim, self.rebuild_budget, "coordinates")
+        all its rows fit REBUILD_BUDGET."""
+        check_budget(sum(map(len, self.groups)) * self.dim, REBUILD_BUDGET, "coordinates")
         off, on = rows.entries
         integral = all(type(e) is int for group in self.groups for e in group.entries)
         blank = array("b" if integral else "d", [off]) * self.dim
@@ -327,8 +326,7 @@ def _distance_table(ci, centers):
     """
     metric, dim = ci.metric, ci.dim
     if not isinstance(ci, SupportInstance):
-        return [[metric.pow_sum(Counter(zip(p, c)).items()) for c in centers]
-                for p in ci.points]
+        return [[metric.pair_pow(p, c) for c in centers] for p in ci.points]
     (p_off, p_on), (c_off, c_on) = ci.points.entries, ci.centers.entries
     # value pairs of a coordinate on in both rows, in the point only, the center only, neither
     pairs = ((p_on, c_on), (p_on, c_off), (p_off, c_on), (p_off, c_off))
@@ -655,21 +653,18 @@ def _read_construction(header, fh):
     point_labels, center_labels = tuple(labels[:points]), tuple(labels[points:])
     if construction == "indicator":
         _check_labels(point_labels, len(labels[0]) if labels else 0, n, "point")
-        si = _indicator(n, point_labels, spec["k"], metric, spec["exponent"], {})
-    else:
-        code = RsCode(spec["q"], spec["eta"])
-        # the token's first two characters name the family: l0, l1, l2 or lp
-        real = realize(metric.token[:2], code.q, spec["t"], spec["s"], metric.root, kind)
-        _check_labels(point_labels, real.t, n, "point")
-        _check_labels(center_labels, real.s, n, "candidate-center")
-        # a row holds its arity's symbols in each of ell blocks, never more than
-        # its real.dim coordinates there, so no file that fill could build is refused
-        check_budget(code.ell * (real.t * len(point_labels) + real.s * len(center_labels)),
-                     REBUILD_BUDGET, "support coordinates")
-        si = _composed(n, point_labels, center_labels, spec["k"], code, real,
-                       spec["exponent"], {})
-    si.rebuild_budget = REBUILD_BUDGET
-    return si
+        return _indicator(n, point_labels, spec["k"], metric, spec["exponent"], {})
+    code = RsCode(spec["q"], spec["eta"])
+    # the token's first two characters name the family: l0, l1, l2 or lp
+    real = realize(metric.token[:2], code.q, spec["t"], spec["s"], metric.root, kind)
+    _check_labels(point_labels, real.t, n, "point")
+    _check_labels(center_labels, real.s, n, "candidate-center")
+    # a row holds its arity's symbols in each of ell blocks, never more than
+    # its real.dim coordinates there, so no file that fill could build is refused
+    check_budget(code.ell * (real.t * len(point_labels) + real.s * len(center_labels)),
+                 REBUILD_BUDGET, "support coordinates")
+    return _composed(n, point_labels, center_labels, spec["k"], code, real,
+                     spec["exponent"], {})
 
 
 def _parse_row(fields, dim):

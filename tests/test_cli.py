@@ -129,6 +129,30 @@ def test_brute_opt_continuous_repeated_row(tmp_path, capsys):
     assert abs(json.loads(out.splitlines()[1])["cost"] - math.sqrt(3)) <= 1e-9
 
 
+def test_brute_opt_continuous_median_at_row(tmp_path, capsys):
+    # the median is row 1, which no Weiszfeld iterate reaches: each row is tested first
+    pts = tmp_path / "w.pts"
+    pts.write_text("pts 2 l2 1 1\n1 0 0\n2 10 0\n3 -41 71\n")
+    code, out = run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous")
+    assert code == 0 and "record=optimum cost=91.98780397107853 witness=[[0,1,2]] " in out
+
+
+FLOAT_ROWS = ("1 0.5 1.25 -0.75\n2 2.0 -1.5 0.3\n3 -1.1 0.7 2.4\n4 3.3 2.2 -0.9\n"
+              "5 0.1 -2.6 1.8\n6 -2.7 1.9 0.45\n7 1.6 0.05 -2.2\n")
+
+
+@pytest.mark.parametrize("header, cost", [("pts 3 l2 1 2", "13.803831187606828"),
+                                          ("pts 3 l1 2 2", "67.40375017702583")],
+                         ids=["l2-weiszfeld", "l1-squared"])
+def test_brute_opt_continuous_float_costs_pinned(tmp_path, capsys, header, cost):
+    # the float center rules sum by math.fsum, so every Python version prints these bytes
+    pts = tmp_path / "f.pts"
+    pts.write_text(f"{header}\n{FLOAT_ROWS}")
+    code, out = run(capsys, "brute-opt", "-i", str(pts), "--mode", "continuous")
+    assert code == 0
+    assert f"record=optimum cost={cost} witness=[[0,1,3,6],[2,4,5]] " in out
+
+
 def test_brute_opt_continuous_l1_large_ints(tmp_path, capsys):
     # coordinates near +-2^62: a difference passes the int64 range, so block costs are
     # summed as Python ints; each block cost is a float in the total, as for any float rule

@@ -321,7 +321,7 @@ def test_float_pair_pow_bit_identical_within_class(real):
         va = real.vector(a)
         for b in combinations(range(real.q), real.s):
             d = real.metric.pair_pow(va, real.vector(b))
-            by_class.setdefault(len(set(a) & set(b)), set()).add(d.hex())
+            by_class.setdefault(len(set(a) & set(b)), set()).add(float(d).hex())
     assert len(by_class) > 1
     assert all(len(ds) == 1 for ds in by_class.values())
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from jchlab import (
     best_center_continuous, weiszfeld_geometric_median, coordinate_median,
     separation_center_bound_check, l1sq_pairwise_lower_bound, parse_metric,
 )
-from jchlab.geometry import _sum, _uniform_dual
+from jchlab.geometry import _uniform_dual, l1sq_center_heuristic
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
 # the rows the library takes: Python floats
@@ -49,17 +50,6 @@ def test_partition_cost_forms_agree_random():
         a = kmeans_partition_cost(pts.tolist(), parts)
         b = kmeans_partition_cost_centroid(pts.tolist(), parts)
         assert abs(a - b) <= 1e-9 * max(1.0, a)
-
-
-def test_pairwise_sum_matches_float64_reduction():
-    # the float center rules sum rows and coordinates in this order: numpy's float64
-    # sum of one array, and of each row of a stack, is the reference
-    rng = np.random.default_rng(17)
-    for n in [*range(1, 140), 255, 256, 257, 1000, 1029]:
-        xs = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
-        assert _sum(xs.tolist()) == float(xs.sum()), n
-        rows = np.stack([xs, xs[::-1] ** 2])
-        assert [_sum(row) for row in rows.tolist()] == rows.sum(axis=1).tolist(), n
 
 
 def test_partition_validation():
@@ -110,6 +100,27 @@ def test_weiszfeld_optimum_at_repeated_row():
     c, cost = weiszfeld_geometric_median(block.tolist())
     assert np.allclose(c, block[0], rtol=0, atol=1e-9)
     assert abs(cost - (2 + math.sqrt(3))) <= 1e-9
+
+
+def test_weiszfeld_optimum_at_row_never_landed_on():
+    # the unit vectors from row 0 to the others sum to norm 0.99993 <= 1, so row 0 is
+    # the median; the iterates approach it without landing on it
+    c, cost = weiszfeld_geometric_median([[0, 0], [10, 0], [-41, 71]])
+    assert c == [0.0, 0.0]
+    assert cost == 10 + math.sqrt(6722) == 91.98780397107853
+
+
+def test_float_centers_bit_identical_under_row_permutation():
+    # every float sum is math.fsum, so no result depends on the order of the rows
+    rng = random.Random(2024)
+    for _ in range(60):
+        m, d = rng.randint(3, 9), rng.randint(1, 6)
+        rows = [[rng.uniform(-10, 10) for _ in range(d)] for _ in range(m)]
+        shuffled = rng.sample(rows, m)
+        for rule in (weiszfeld_geometric_median, l1sq_center_heuristic):
+            (c1, cost1), (c2, cost2) = rule(rows), rule(shuffled)
+            assert [x.hex() for x in (*c1, cost1)] == [x.hex() for x in (*c2, cost2)]
+        assert l1sq_pairwise_lower_bound(rows).hex() == l1sq_pairwise_lower_bound(shuffled).hex()
 
 
 def test_coordinate_median_examples():

@@ -203,6 +203,13 @@ def test_brute_force_budgets():
         brute_force_optimal_cost(cont, "continuous", budget=1)
 
 
+def test_dense_refuses_past_rebuild_budget():
+    # a built instance has the cap a read one has: 4097 rows of 2^13 coordinates pass 2^25
+    inst = JohnsonInstance(1 << 13, 2, 1, tuple((i, i + 1) for i in range(1, 4098)), 1)
+    with pytest.raises(BudgetExceededError, match="coordinates"):
+        indicator_supports(inst).dense()
+
+
 def test_points_file_roundtrip():
     ci = small_instance()
     buf = io.StringIO()
