@@ -15,10 +15,11 @@ Each command loads only its own layers: the module imports only `errors`
 (which holds DEFAULT_BUDGET, the default --budget and the writers' line
 cap) at top level, and each cmd_* imports the layers it calls, so building
 the parser and running `turan` load no embedding, code or hypergraph module.
+No layer loads dataclasses, and json loads only for --format json-lines or a
+text record that holds a list or a dict.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -43,6 +44,7 @@ def _jsonable(value):
 def _text_value(value):
     v = _jsonable(value)
     if isinstance(v, (list, dict)):
+        import json         # loaded only by a record that holds a list or a dict
         return json.dumps(v, separators=(",", ":"))
     return str(v)
 
@@ -50,6 +52,7 @@ def _text_value(value):
 def emit(records, fmt, out=None):
     out = out if out is not None else sys.stdout
     if fmt == "json-lines":
+        import json
         for rec in records:
             out.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
     else:

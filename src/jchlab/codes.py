@@ -9,7 +9,7 @@ on {0, ..., q-1}.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -50,16 +50,16 @@ def next_prime(n):
     return n
 
 
-@dataclass(frozen=True)
-class RsCode:
-    q: int   # prime field size; also the block length
-    eta: int  # message length in symbols
+class RsCode(namedtuple("RsCode", "q eta")):
+    """Field size q, a prime and also the block length; message length eta."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"field size {self.q} is not prime")
-        if not 1 <= self.eta <= self.q:
-            raise ValueError(f"need 1 <= eta <= q, got eta={self.eta}")
+    def __new__(cls, q, eta):
+        if not is_prime(q):
+            raise ValueError(f"field size {q} is not prime")
+        if not 1 <= eta <= q:
+            raise ValueError(f"need 1 <= eta <= q, got eta={eta}")
+        return super().__new__(cls, q, eta)
 
     @property
     def ell(self):

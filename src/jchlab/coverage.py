@@ -11,11 +11,12 @@ reproducible.
 import bisect
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DEFAULT_BUDGET, check_budget, check_comb_budget, parse_header, parse_lines
+from .errors import (DEFAULT_BUDGET, check_budget, check_comb_budget, compare_first,
+                     parse_header, parse_lines)
 
 
 def _check_subset(s, n, size, what="subset"):
@@ -27,38 +28,35 @@ def _check_subset(s, n, size, what="subset"):
     return s
 
 
-@dataclass(frozen=True)
-class JohnsonInstance:
-    """Universe [n], arity-z edge collection, cover arity y, budget k."""
+class JohnsonInstance(namedtuple("JohnsonInstance", "n z y edges k")):
+    """Universe [n], arity-z edge collection, cover arity y, budget k.
 
-    n: int
-    z: int
-    y: int
-    edges: tuple
-    k: int
+    The constructor sorts the edges and refuses duplicates; _replace would
+    skip that, so a changed instance is built through the constructor."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.y < self.z <= self.n):
-            raise ValueError(f"need 1 <= y < z <= n, got n={self.n} z={self.z} y={self.y}")
-        if self.k < 0:
+    def __new__(cls, n, z, y, edges, k):
+        if not (1 <= y < z <= n):
+            raise ValueError(f"need 1 <= y < z <= n, got n={n} z={z} y={y}")
+        if k < 0:
             raise ValueError("budget k must be nonnegative")
-        normalized = sorted(set(_check_subset(e, self.n, self.z, "edge") for e in self.edges))
-        if len(normalized) != len(tuple(self.edges)):
+        edges = tuple(edges)
+        normalized = tuple(sorted(set(_check_subset(e, n, z, "edge") for e in edges)))
+        if len(normalized) != len(edges):
             raise ValueError("duplicate edges in instance")
-        object.__setattr__(self, "edges", tuple(normalized))
+        return super().__new__(cls, n, z, y, normalized, k)
 
     @property
     def num_edges(self):
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    covered: int
-    total: int
-    fraction: Fraction
-    nodes_visited: int = field(default=0, compare=False, repr=False)
-    nodes_pruned: int = field(default=0, compare=False, repr=False)
+class CoverageReport(namedtuple("CoverageReport",
+                                "covered total fraction nodes_visited nodes_pruned",
+                                defaults=(0, 0))):
+    """A coverage count; the search's node counts are not part of its value."""
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = compare_first(3)
 
     @property
     def is_complete(self):
@@ -198,7 +196,7 @@ def brute_force_max_coverage(inst, budget=DEFAULT_BUDGET):
         [covers.get(s, 0) for s in cands], r, inst.num_edges)
     best = tuple(cands[i] for i in best_idx)
     rep = coverage_fraction(best, inst)
-    return best, replace(rep, nodes_visited=visited, nodes_pruned=pruned)
+    return best, rep._replace(nodes_visited=visited, nodes_pruned=pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +269,9 @@ def write_instance(inst, fh):
 
 def read_instance(fh):
     n, z, y, k = parse_header(fh.readline(), "jc n z y k")
-    inst = JohnsonInstance(n=n, z=z, y=y, edges=(), k=k)
+    JohnsonInstance(n, z, y, (), k)     # the header is refused before any edge line
     edges = parse_lines(fh, "jc", lambda fields: _check_subset(map(int, fields), n, z, "edge"))
-    return replace(inst, edges=tuple(edges))
+    return JohnsonInstance(n, z, y, edges, k)
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +296,14 @@ def turan_random_uncovered(z):
     return Fraction(math.perm(w, z), w ** z)
 
 
-@dataclass(frozen=True)
-class FactorTable:
+class FactorTable(namedtuple("FactorTable", "p delta alpha gamma_lower gamma_sq zeta1 zeta2")):
     """Inapproximability factors derived from a coverage gap alpha.
 
     gamma_lower is a certified lower bound on the embedding gap ratio for
     co-arity delta; zeta1 = 1 + (1-alpha)(gamma-1) is the median-side factor
     and zeta2 = 1 + (1-alpha)(gamma^2-1) the means-side factor.
     """
-
-    p: int
-    delta: int
-    alpha: object
-    gamma_lower: object
-    gamma_sq: object
-    zeta1: object
-    zeta2: object
+    __slots__ = ()
 
 
 def inapprox_factors(p, delta, alpha):

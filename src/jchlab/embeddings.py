@@ -11,13 +11,12 @@ that are exact (l2) or rounded once (Metric.pair_pow).
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import DEFAULT_BUDGET, CertificationError, check_budget
-from .metric import METRICS, Metric, lp_metric
+from .metric import METRICS, lp_metric
 
 TOL = 1e-9
 
@@ -31,17 +30,14 @@ ENTRIES = {
 }
 
 
-@dataclass(frozen=True)
-class GapRealization:
-    metric: Metric
-    q: int
-    t: int
-    s: int
-    beta: object           # common containment distance
-    lambda_claimed: object
-    beta_pow: object       # beta^root, exact on exact metrics
-    floor_pow: object      # (lambda_claimed * beta)^root, exact on exact metrics
-    kind: str              # "indicator" | "scaled" | "halfshift"
+class GapRealization(namedtuple("GapRealization", (
+        "metric", "q", "t", "s",
+        "beta",             # common containment distance
+        "lambda_claimed",
+        "beta_pow",         # beta^root, exact on exact metrics
+        "floor_pow",        # (lambda_claimed * beta)^root, exact on exact metrics
+        "kind"))):          # "indicator" | "scaled" | "halfshift"
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -180,15 +176,11 @@ def realized_distance(real, x1, x2):
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GapReport:
-    min_nonedge_over_edge: object   # None when the graph has no non-edges
-    pairs_checked: int
-    worst_pair: object
-    edge_distance: object
-    min_nonedge_distance: object
-    edge_pairs: int
-    nonedge_pairs: int
+class GapReport(namedtuple("GapReport", (
+        "min_nonedge_over_edge",    # None when the graph has no non-edges
+        "pairs_checked", "worst_pair", "edge_distance", "min_nonedge_distance",
+        "edge_pairs", "nonedge_pairs"))):
+    __slots__ = ()
 
     @property
     def certified_ratio(self):

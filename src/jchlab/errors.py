@@ -4,7 +4,8 @@ Validation and parameter problems raise plain ValueError; these classes cover
 the two failure modes that callers (and the CLI exit-code contract) must be
 able to tell apart from bad input.  DEFAULT_BUDGET lives here, beside
 check_budget, so that every layer and the CLI read it without loading
-another layer.
+another layer.  So do the file-line readers, and compare_first, the
+equality of the records whose value leaves some of their fields out.
 """
 
 import math
@@ -90,6 +91,15 @@ def parse_header(line, shape):
             raise ValueError(f"{keyword} file must start with '{shape}'")
         return [int(v) for v in fields[1:]]
     return parse_line(line, keyword, parse)
+
+
+def compare_first(n):
+    """__eq__, __ne__ and __hash__ of a namedtuple record whose value is its
+    first n fields: the fields after them (search counters, functions) are
+    left out, and a record of another type is never equal."""
+    def eq(self, other):
+        return type(other) is type(self) and self[:n] == other[:n]
+    return eq, lambda self, other: not eq(self, other), lambda self: hash(self[:n])
 
 
 class CertificationError(RuntimeError):

@@ -14,37 +14,37 @@ import functools
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import islice, product
 
 from .errors import DEFAULT_BUDGET, check_budget, parse_header, parse_lines
 
 
-@dataclass(frozen=True)
-class LayeredPcp:
-    """Layers of vertices, per-layer alphabet sizes, projection edges (i < j)."""
+class LayeredPcp(namedtuple("LayeredPcp", (
+        "layers",           # per layer: tuple of vertex names
+        "alphabets",        # per layer: alphabet size
+        "edges"))):         # (i, j, v_i, v_j, projection) with projection a
+                            # tuple over the layer-j alphabet, values in layer i's
+    """Layers of vertices, per-layer alphabet sizes, projection edges (i < j);
+    the constructor checks them, which _replace would skip."""
+    __slots__ = ()
 
-    layers: tuple          # per layer: tuple of vertex names
-    alphabets: tuple       # per layer: alphabet size
-    edges: tuple           # (i, j, v_i, v_j, projection) with projection a
-                           # tuple over the layer-j alphabet, values in layer i's
-
-    def __post_init__(self):
-        if len(self.layers) != len(self.alphabets) or len(self.layers) < 2:
+    def __new__(cls, layers, alphabets, edges):
+        if len(layers) != len(alphabets) or len(layers) < 2:
             raise ValueError("need matching layers/alphabets, at least 2 layers")
-        if any(a < 1 for a in self.alphabets):
+        if any(a < 1 for a in alphabets):
             raise ValueError("alphabet sizes must be at least 1")
-        for (i, j, vi, vj, proj) in self.edges:
-            if not (1 <= i < j <= self.ell):
+        for (i, j, vi, vj, proj) in edges:
+            if not (1 <= i < j <= len(layers)):
                 raise ValueError(f"edge layers must satisfy 1 <= i < j <= ell, got {(i, j)}")
-            if vi not in self.layers[i - 1] or vj not in self.layers[j - 1]:
+            if vi not in layers[i - 1] or vj not in layers[j - 1]:
                 raise ValueError(f"edge endpoints {(vi, vj)} not in layers {(i, j)}")
-            if len(proj) != self.alphabets[j - 1]:
+            if len(proj) != alphabets[j - 1]:
                 raise ValueError("projection must be total on the upper alphabet")
-            if set(proj) != set(range(self.alphabets[i - 1])):
+            if set(proj) != set(range(alphabets[i - 1])):
                 raise ValueError("projection must be surjective onto the lower alphabet")
+        return super().__new__(cls, layers, alphabets, edges)
 
     @property
     def ell(self):
@@ -93,8 +93,9 @@ def vertex_weight_total(pcp):
                * vertex_weight(pcp, layer) for layer in range(1, pcp.ell + 1))
 
 
-@dataclass
-class WeightedHypergraph3:
+class WeightedHypergraph3(namedtuple("WeightedHypergraph3", (
+        "edges",            # frozenset(vertices) -> weight
+        "mode"))):          # "exact" | "montecarlo" | "file"
     """Weighted edge sets over (layer, name, cube point) vertices.
 
     Edges are frozensets of vertices; outcomes of the sampling procedure with
@@ -102,9 +103,7 @@ class WeightedHypergraph3:
     edge weights always total 1 in exact mode.  The vertices and their
     weights follow from the layered system (vertex_weight).
     """
-
-    edges: dict                # frozenset(vertices) -> weight
-    mode: str                  # "exact" | "montecarlo" | "file"
+    __slots__ = ()
 
     def edge_weight_total(self):
         return sum(self.edges.values())
@@ -233,12 +232,10 @@ def _sorted_edges(edges):
     return sorted(edges.items(), key=lambda kv: sorted(map(reprs.__getitem__, kv[0]))), reprs
 
 
-@dataclass
-class CoverCheck:
-    cover: frozenset
-    all_hit: bool
-    weight: Fraction
-    witness: object      # a missed edge, when all_hit is False
+class CoverCheck(namedtuple("CoverCheck", (
+        "cover", "all_hit", "weight",
+        "witness"))):       # a missed edge, when all_hit is False
+    __slots__ = ()
 
 
 def completeness_cover_check(pcp, hg, assignment):
@@ -277,16 +274,14 @@ def completeness_cover_check(pcp, hg, assignment):
 # densification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimpleHypergraph:
+class SimpleHypergraph(namedtuple("SimpleHypergraph", (
+        "pairs",            # the distinct drawn (vertex, coordinate) pairs, by repr
+        "edges",            # per kept edge, in output order, its pair ranks ascending
+        "b", "source_edges",
+        "replicas",         # edges emitted before duplicate deletion
+        "deleted"))):
     """A densified hypergraph: its drawn pairs and its kept edges as pair ranks."""
-
-    pairs: tuple           # the distinct drawn (vertex, coordinate) pairs, by repr
-    edges: tuple           # per kept edge, in output order, its pair ranks ascending
-    b: int
-    source_edges: int
-    replicas: int          # edges emitted before duplicate deletion
-    deleted: int
+    __slots__ = ()
 
 
 def densify(hg, b, c, seed=None):

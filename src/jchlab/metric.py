@@ -6,14 +6,21 @@ and geometry.pointwise_distance alike.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from importlib import import_module
 
+from .errors import compare_first
 
-@dataclass(frozen=True)
-class Metric:
+
+class Metric(namedtuple("Metric", (
+        "token",        # file and CLI spelling: l0, l1, l2 or lp<p>
+        "root",         # 1 on l0 and l1, else p
+        "exact",        # realized distances are exact: l0, l1 and lp with an int p
+        "exponent",     # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
+        "coord",        # d -> |d|^root
+        "from_pow",     # pow sum -> distance
+        "centers"))):   # cost exponent -> (points) -> (center, cost); none on lp
     """One l_p metric and everything the lab decides by which metric it is.
 
     coord(d) is the term |d|^root of one coordinate difference d (on l0, the
@@ -23,16 +30,16 @@ class Metric:
     l1 when the pow sum is an int, else a float.  Two rows of Python numbers
     (dense rows, realized vectors) are compared through pair_pow, pow_sum of
     their value pairs; a cluster's continuous center comes from the rule
-    centers holds for the cost exponent.
+    centers holds for the cost exponent.  A metric's value is its first
+    four fields: two metrics of one token are equal whatever functions they
+    hold.
     """
-    token: str         # file and CLI spelling: l0, l1, l2 or lp<p>
-    root: object       # 1 on l0 and l1, else p
-    exact: bool        # realized distances are exact: l0, l1 and lp with an int p
-    exponent: int      # default cost exponent: 2 (means) on l2, 1 (medians) otherwise
-    coord: object = field(compare=False, repr=False)      # d -> |d|^root
-    from_pow: object = field(compare=False, repr=False)   # pow sum -> distance
-    # cost exponent -> (points) -> (center, cost); none on lp
-    centers: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = compare_first(4)
+
+    def __new__(cls, token, root, exact, exponent, coord, from_pow, centers=None):
+        return super().__new__(cls, token, root, exact, exponent, coord, from_pow,
+                               {} if centers is None else centers)
 
     def take_root(self, dpow):
         """dpow^(1/root): a float, or dpow itself (int and Fraction kept) at root 1."""

@@ -20,15 +20,14 @@ of Python ints or floats, are scored by the same rule.
 
 import math
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
 
 from .codes import RsCode, message_for_element, rs_encode
 from .embeddings import realize
 from .errors import DEFAULT_BUDGET, check_budget, check_comb_budget, parse_line, parse_lines
-from .metric import METRICS, Metric, parse_metric
+from .metric import METRICS, parse_metric
 
 
 def _check_counts(points, centers, k, exponent):
@@ -43,23 +42,23 @@ def _check_counts(points, centers, k, exponent):
         raise ValueError("discrete instance needs a nonempty center list")
 
 
-@dataclass
-class ClusteringInstance:
-    points: object             # rows, each a sequence of dim Python ints or floats
-    point_labels: tuple
-    centers: object            # rows like the points', or None (continuous case)
-    center_labels: object
-    k: int
-    metric: Metric
-    exponent: int
-    meta: dict = field(default_factory=dict)
+class ClusteringInstance(namedtuple("ClusteringInstance", (
+        "points",           # rows, each a sequence of dim Python ints or floats
+        "point_labels",
+        "centers",          # rows like the points', or None (continuous case)
+        "center_labels", "k", "metric", "exponent", "meta"))):
+    """Filled rows under a metric; the constructor checks the counts and the
+    row lengths, which _replace would skip."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_counts(len(self.points), None if self.centers is None else len(self.centers),
-                      self.k, self.exponent)
-        centers = () if self.centers is None else self.centers
-        if any(len(row) != self.dim for row in chain(self.points, centers)):
+    def __new__(cls, points, point_labels, centers, center_labels, k, metric, exponent,
+                meta=None):
+        self = super().__new__(cls, points, point_labels, centers, center_labels, k, metric,
+                               exponent, {} if meta is None else meta)
+        _check_counts(len(points), None if centers is None else len(centers), k, exponent)
+        if any(len(row) != self.dim for row in chain(points, () if centers is None else centers)):
             raise ValueError("every point and center row must have one length")
+        return self
 
     @property
     def dim(self):
@@ -70,14 +69,15 @@ class ClusteringInstance:
         return self
 
 
-@dataclass(frozen=True)
-class SupportRows:
+class SupportRows(namedtuple("SupportRows", (
+        "labels",
+        "entries",          # (off, on)
+        "support"))):       # label -> ascending list of coordinates
     """Rows sharing one (off, on) entry pair: row `label` is off everywhere
     except at the ascending coordinates support(label), which hold on.  As a
-    sequence it holds the supports in label order."""
-    labels: tuple
-    entries: tuple      # (off, on)
-    support: object     # label -> ascending list of coordinates
+    sequence it holds the supports in label order, not its three fields, so
+    _replace and _asdict, which iterate over the fields, do not apply."""
+    __slots__ = ()
 
     def __len__(self):
         return len(self.labels)
@@ -85,9 +85,15 @@ class SupportRows:
     def __getitem__(self, i):
         return self.support(self.labels[i])
 
+    def __iter__(self):
+        return map(self.support, self.labels)
 
-@dataclass
-class SupportInstance:
+
+class SupportInstance(namedtuple("SupportInstance", (
+        "dim",
+        "points",           # SupportRows
+        "centers",          # SupportRows or None (continuous case)
+        "k", "metric", "exponent", "meta", "construction"))):
     """A clustering instance held as row supports, before any array exists.
 
     construction holds what rebuilds the rows, ("composed", n, q, eta, kind,
@@ -98,19 +104,13 @@ class SupportInstance:
     ClusteringInstance, refusing more than REBUILD_BUDGET coordinates,
     whether the instance was read from a file or built.
     """
-    dim: int
-    points: SupportRows
-    centers: object     # SupportRows or None (continuous case)
-    k: int
-    metric: Metric
-    exponent: int
-    meta: dict
-    construction: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_counts(len(self.points.labels),
-                      None if self.centers is None else len(self.centers.labels),
-                      self.k, self.exponent)
+    def __new__(cls, dim, points, centers, k, metric, exponent, meta, construction):
+        _check_counts(len(points.labels), None if centers is None else len(centers.labels),
+                      k, exponent)
+        return super().__new__(cls, dim, points, centers, k, metric, exponent, meta,
+                               construction)
 
     @property
     def groups(self):
@@ -278,11 +278,11 @@ def build_continuous_indicator_instance(inst, metric=METRICS["l2"], exponent=Non
 # costs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CostBreakdown:
-    total: object
-    per_point: tuple   # (point label, nearest center index, distance)
-    at_base: int
+class CostBreakdown(namedtuple("CostBreakdown", (
+        "total",
+        "per_point",        # (point label, nearest center index, distance)
+        "at_base"))):
+    __slots__ = ()
 
 
 def _finite(total):

@@ -16,12 +16,13 @@ uncovered = 0) and the report says so.
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .coverage import cover_masks, gen_instance, max_union_search
-from .errors import DEFAULT_BUDGET, BudgetExceededError, CertificationError, check_comb_budget
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, CertificationError, check_comb_budget,
+                     compare_first)
 
 CONSTRAINT_FAMILIES = (
     "v0_unit",              # <v0, v0> = 1
@@ -33,9 +34,8 @@ CONSTRAINT_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class CliqueGapInstance:
-    n: int
+class CliqueGapInstance(namedtuple("CliqueGapInstance", "n")):
+    __slots__ = ()
 
     @property
     def k(self):            # integral budget floor(C(n,2)/5)
@@ -60,8 +60,12 @@ def build_clique_gap_instance(n):
     return CliqueGapInstance(n)
 
 
-@dataclass
-class SdpSolution:
+class SdpSolution(namedtuple("SdpSolution", (
+        "inst", "t",
+        "v0",               # memoryview (1,): coordinate 0
+        "u",                # memoryview (3,): coordinate 0, w_e, w'_e
+        "v",                # memoryview (3,): coordinate 0, w_e, each other w_f
+        "v0_exact", "u_exact", "v_exact"))):
     """Explicit vectors in dimension 1 + 2*C(n,2), stored per coordinate class.
 
     Coordinate 0 carries v0; edge e has two orthonormal directions w_e and
@@ -73,15 +77,7 @@ class SdpSolution:
     k is 1 on coordinate 0, t+1 on every w and t-1 on every w'.  v0, u and v
     hold the coefficients as doubles, in memoryviews of arrays.
     """
-
-    inst: CliqueGapInstance
-    t: int
-    v0: memoryview               # (1,): coordinate 0
-    u: memoryview                # (3,): coordinate 0, w_e, w'_e
-    v: memoryview                # (3,): coordinate 0, w_e, each other w_f
-    v0_exact: tuple
-    u_exact: tuple
-    v_exact: tuple
+    __slots__ = ()
 
 
 def build_sdp_solution(inst, t=5):
@@ -103,13 +99,12 @@ def build_sdp_solution(inst, t=5):
     return SdpSolution(inst, t, *floats, v0_exact=v0, u_exact=u, v_exact=v)
 
 
-@dataclass
-class SdpCheck:
-    max_residual: float
-    residuals: dict              # float cross-check per family
-    objective_exact: Fraction
-    objective_float: float
-    exact_residuals: dict        # per family; all 0 once certified
+class SdpCheck(namedtuple("SdpCheck", (
+        "max_residual",
+        "residuals",            # float cross-check per family
+        "objective_exact", "objective_float",
+        "exact_residuals"))):   # per family; all 0 once certified
+    __slots__ = ()
 
 
 def _residuals(v0, u, v, kw, kw2, m, budget):
@@ -172,11 +167,8 @@ def verify_sdp_solution(sol, tol=1e-8):
                     objective_float=vv_float * distance_total, exact_residuals=exact)
 
 
-@dataclass
-class LpReport:
-    open_total: Fraction
-    objective: Fraction
-    feasibility_residual: Fraction
+class LpReport(namedtuple("LpReport", "open_total objective feasibility_residual")):
+    __slots__ = ()
 
 
 def lp_fractional_value(inst):
@@ -197,13 +189,13 @@ def lp_fractional_value(inst):
                     feasibility_residual=residual)
 
 
-@dataclass
-class IntegralResult:
-    uncovered: int
-    witness: tuple
-    method: str          # "exact"; sdp-gap prints it as the provenance
-    nodes_visited: int = field(default=0, compare=False, repr=False)
-    nodes_pruned: int = field(default=0, compare=False, repr=False)
+class IntegralResult(namedtuple("IntegralResult", (
+        "uncovered", "witness",
+        "method",           # "exact"; sdp-gap prints it as the provenance
+        "nodes_visited", "nodes_pruned"), defaults=(0, 0))):
+    """An exact minimum; the search's node counts are not part of its value."""
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = compare_first(3)
 
 
 def integral_min_uncovered(inst, k_prime, budget=DEFAULT_BUDGET):

@@ -455,6 +455,13 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, files, argv):
         or not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
+def test_duplicate_jc_edge_exits_2(tmp_path, capsys):
+    # one edge written twice, in two orders
+    (tmp_path / "dup.jc").write_text("jc 4 3 2 1\n1 2 3\n3 2 1\n")
+    code, err = run_err(capsys, "solve-jc", "-i", str(tmp_path / "dup.jc"), "--alg", "brute")
+    assert (code, err) == (2, "error: duplicate edges in instance\n")
+
+
 # each input format: the command that reads the file "in.<format>"
 READERS = {
     "jc": ["reduce", "-i", "in.jc", "--mode", "continuous", "-o", "out.pts"],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jchlab import (
-    JohnsonInstance, BudgetExceededError,
+    JohnsonInstance, BudgetExceededError, CoverageReport,
     cov, coverage_fraction, brute_force_max_coverage, fpt_cover_decide,
     gen_instance, turan_random_uncovered, inapprox_factors,
     read_instance, write_instance,
@@ -349,6 +349,21 @@ def test_instance_file_roundtrip():
     write_instance(inst, buf)
     buf.seek(0)
     assert read_instance(buf) == inst
+
+
+def test_read_instance_sorts_and_refuses_duplicates():
+    inst = read_instance(io.StringIO("jc 5 3 2 2\n3 2 1\n5 1 4\n1 2 4\n"))
+    assert inst.edges == ((1, 2, 3), (1, 2, 4), (1, 4, 5))
+    with pytest.raises(ValueError, match="^duplicate edges in instance$"):
+        read_instance(io.StringIO("jc 4 3 2 1\n1 2 3\n3 2 1\n"))
+
+
+def test_report_value_leaves_out_node_counts():
+    rep = CoverageReport(3, 4, Fraction(3, 4))
+    counted = CoverageReport(3, 4, Fraction(3, 4), nodes_visited=9, nodes_pruned=2)
+    assert rep == counted and not rep != counted and hash(rep) == hash(counted)
+    assert rep != CoverageReport(2, 4, Fraction(1, 2))
+    assert rep != (3, 4, Fraction(3, 4), 0, 0)
 
 
 def test_turan_values():

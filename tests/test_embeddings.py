@@ -2,7 +2,6 @@ import io
 import math
 import random
 import tracemalloc
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -297,7 +296,7 @@ def test_class_verifier_matches_loop_on_false_claims():
                                   ("beta_pow", Fraction(3, 2)), ("beta_pow", 1 - 1e-6)):
                 if real.exact and isinstance(factor, float):
                     continue
-                bad = replace(real, **{field: getattr(real, field) * factor})
+                bad = real._replace(**{field: getattr(real, field) * factor})
                 subset = None
                 if rng.random() < 0.5:
                     tsets = list(combinations(range(q), t))
@@ -306,7 +305,7 @@ def test_class_verifier_matches_loop_on_false_claims():
     for q, t, p in ((5, 3, 3), (6, 4, 2.5), (5, 2, 1)):
         real = embed_lp_halfshift(q, t, p)
         for field in ("floor_pow", "beta_pow"):
-            bad = replace(real, **{field: getattr(real, field) * 3})
+            bad = real._replace(**{field: getattr(real, field) * 3})
             failed += not isinstance(assert_same_as_loop(bad), GapReport)
     assert failed > 500
 
@@ -337,7 +336,7 @@ class Tampered(GapRealization):
 
 
 def tampered(real, changes):
-    bad = Tampered(**{f.name: getattr(real, f.name) for f in fields(real)})
+    bad = Tampered(*real)
     object.__setattr__(bad, "_tamper", changes)
     return bad
 

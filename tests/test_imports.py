@@ -1,9 +1,10 @@
 """Start-up guard: each README command loads only the jchlab layers it runs,
-no command loads numpy, and the package's lazy exports resolve to the
-objects of their defining modules.  The probes block numpy before they
-import jchlab, so any numpy import fails the run: cost and brute-opt on
-construction and dense files, cost --center-coords and continuous brute-opt
-under every center rule run without it.
+no command loads numpy, no layer loads dataclasses or inspect, a command
+loads json only when a record holds a list or a dict, and the package's lazy
+exports resolve to the objects of their defining modules.  The probes block
+numpy before they import jchlab, so any numpy import fails the run: cost and
+brute-opt on construction and dense files, cost --center-coords and
+continuous brute-opt under every center rule run without it.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every layer.
@@ -81,11 +82,17 @@ DENSE = {f"{kind}-{token}-{exponent}": f"pts 3 {token} {exponent} 2\n{rows}"
 PROBE = ("import sys; sys.modules['numpy'] = None; from jchlab.cli import main; "
          "sys.exit(main(sys.argv[1:]))")
 
-# block numpy, run one command, then print the jchlab modules loaded as the last line
+# the standard modules the start-up floor leaves out: dataclasses and the inspect it
+# loads, and json, which a command needs only to print a list or a dict
+FLOOR = "dataclasses inspect json"
+FLOOR_LOADED = "print(' '.join(m for m in FLOOR.split() if m in sys.modules))"
+
+# block numpy, run one command, then print the jchlab modules loaded and, as the
+# last line, which of FLOOR are
 LAYERS_PROBE = ("import sys; sys.modules['numpy'] = None; from jchlab.cli import main; "
                 "code = main(sys.argv[1:]); "
                 "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('jchlab.')))); "
-                "sys.exit(code)")
+                f"FLOOR = {FLOOR!r}; {FLOOR_LOADED}; sys.exit(code)")
 # README command -> the jchlab modules it loads: cli, errors and the layers it runs
 README_MODULES = {
     "gen-jc": "cli coverage errors",
@@ -220,7 +227,22 @@ def test_readme_commands_load_only_their_layers(tmp_path):
     for argv in lines:
         proc = fresh_python(tmp_path, "-c", LAYERS_PROBE, *argv)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == README_MODULES[argv[0]], argv
+        *records, modules, floor = proc.stdout.splitlines()
+        assert modules == README_MODULES[argv[0]], argv
+        assert "dataclasses" not in floor and "inspect" not in floor, argv
+        # json prints a text record's list or dict value, and nothing else
+        holds_list = any("=[" in rec or "={" in rec for rec in records)
+        assert ("json" in floor.split()) == holds_list, argv
+
+
+def test_layers_load_no_dataclasses(tmp_path):
+    check = ("import importlib, sys\n"
+             "for name in sys.argv[1:]:\n"
+             "    importlib.import_module('jchlab.' + name)\n"
+             f"FLOOR = 'dataclasses inspect'\n{FLOOR_LOADED}\n")
+    proc = fresh_python(tmp_path, "-c", check, *LAYERS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_metric_choices_are_the_realizations():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import math
@@ -160,8 +159,8 @@ def test_point_order_invariance():
     witness = centers_by_labels(ci, [(1, 2), (3, 4)])
     total = clustering_cost(ci, witness).total
     perm = [2, 0, 3, 1]
-    ci.points = [ci.points[i] for i in perm]
-    ci.point_labels = tuple(ci.point_labels[i] for i in perm)
+    ci = ClusteringInstance(**{**ci._asdict(), "points": [ci.points[i] for i in perm],
+                               "point_labels": tuple(ci.point_labels[i] for i in perm)})
     assert clustering_cost(ci, witness).total == total
 
 
@@ -340,8 +339,9 @@ def test_table_oracle_matches_per_subset_scan(metric, seed, exponent):
 def test_table_oracle_ties_on_duplicate_centers(metric):
     ci = composed(metric, 1)
     # every center twice, labelled by index, so the witness shows which copy won
-    ci.centers = [c for c in ci.centers for _ in range(2)]
-    ci.center_labels = tuple((i,) for i in range(len(ci.centers)))
+    centers = [c for c in ci.centers for _ in range(2)]
+    ci = ClusteringInstance(**{**ci._asdict(), "centers": centers,
+                               "center_labels": tuple((i,) for i in range(len(centers)))})
     witness, cost = brute_force_optimal_cost(ci, "discrete")
     assert (witness, cost) == reference_brute_force(ci)
     assert all(i % 2 == 0 for (i,) in witness)
@@ -404,13 +404,29 @@ def test_points_roundtrip_keeps_metric(token, mode):
     if mode == "continuous" and token in ("l0", "l1", "l2"):
         ci = build_continuous_indicator_instance(INST, metric=parse_metric(token))
     elif mode == "continuous":    # no continuous builder for lp: drop the centers
-        ci = dataclasses.replace(ci, centers=None, center_labels=None)
+        ci = ClusteringInstance(**{**ci._asdict(), "centers": None, "center_labels": None})
     buf = io.StringIO()
     write_points(ci, buf)
     buf.seek(0)
     back = read_points(buf)
     assert back.metric == ci.metric == parse_metric(token)
     assert back.metric.token == token
+
+
+def test_record_defaults_and_metric_value():
+    # a metric's value is its token, root, exactness and exponent, not its functions
+    lp3, again = parse_metric("lp3"), parse_metric("lp3")
+    assert lp3.coord is not again.coord
+    assert lp3 == again and not lp3 != again and hash(lp3) == hash(again)
+    assert lp3 != parse_metric("lp4") and lp3 != tuple(lp3)
+    # the default dicts are one per record
+    assert lp3.centers == {} and lp3.centers is not again.centers
+    ci = small_instance()
+    one, two = (ClusteringInstance(ci.points, ci.point_labels, ci.centers, ci.center_labels,
+                                   ci.k, ci.metric, ci.exponent) for _ in range(2))
+    assert one.meta == {} and one.meta is not two.meta
+    with pytest.raises(ValueError, match="one length"):
+        ClusteringInstance(**{**ci._asdict(), "points": [[0]]})
 
 
 def dense_rows(inst, code, real, labels, arity):
@@ -606,7 +622,7 @@ TABLE_REALIZATIONS = {
     "l0": lambda: embed_l0(5, 3, 2), "l1": lambda: embed_l1(5, 3, 2),
     "lp3-indicator": lambda: embed_indicator_lp(5, 3, 2, 3),
     "lp1-indicator": lambda: embed_indicator_lp(5, 3, 2, 1),
-    "l2-on-0/1": lambda: dataclasses.replace(embed_l1(5, 3, 2), metric=parse_metric("l2")),
+    "l2-on-0/1": lambda: embed_l1(5, 3, 2)._replace(metric=parse_metric("l2")),
     "l2-scaled": lambda: embed_l2_scaled(5, 3, 2),
     "lp3-halfshift": lambda: embed_lp_halfshift(5, 3, 3),
 }

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -163,7 +162,7 @@ def test_sdp_residuals_tiny():
 def test_sdp_perturbation_fails_open_constraint():
     sol = build_sdp_solution(build_clique_gap_instance(6), t=5)
     ua, ub, uw = sol.u_exact
-    exact = dataclasses.replace(sol, u_exact=(ua, ub, uw + Fraction(1, 1000)))
+    exact = sol._replace(u_exact=(ua, ub, uw + Fraction(1, 1000)))
     with pytest.raises(CertificationError) as err:
         verify_sdp_solution(exact)
     assert err.value.witness == "open_v0"
